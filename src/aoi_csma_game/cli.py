@@ -26,6 +26,7 @@ from .game import (
     collision_probability,
     expected_age_after,
     idle_probability,
+    others_transmitting,
     success_probability_of,
 )
 from .reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
@@ -56,18 +57,6 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _raw_success_probabilities(taus: list[float]) -> list[float]:
-    """Lone-transmitter product formula applied verbatim to raw values."""
-    out = []
-    for i, tau in enumerate(taus):
-        p = tau
-        for j, other in enumerate(taus):
-            if j != i:
-                p *= 1.0 - other
-        out.append(p)
-    return out
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -192,7 +181,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         swept_game = GameInstance(n, scenario.slot_lengths, tuple(ages))
         result = msne_closed_form(swept_game)
         taus = list(result.raw_taus)
-        psucc = _raw_success_probabilities(taus)
+        psucc = [t * q0 for t, (q0, _, _) in zip(taus, others_transmitting(taus))]
         cells = (
             [_num(value)]
             + [_num(t) for t in taus]

@@ -1,9 +1,12 @@
 """Equilibrium analysis of the one-shot contention game.
 
-Covers exhaustive weak-dominance checks, pure Nash enumeration, the
-closed-form interior mixed equilibrium with its feasibility region,
-indifference verification, a grid best-response oracle, and the
-sensitivity of the interior equilibrium to the starting ages.
+A pure payoff depends only on a node's own action and on how many other
+nodes transmit, so weak dominance and the pure Nash set are computed
+exactly over transmitter-count classes rather than over all 2^n profiles.
+Also covers the closed-form interior mixed equilibrium with its
+feasibility region, indifference verification, a grid best-response
+oracle, and the sensitivity of the interior equilibrium to the starting
+ages.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .game import Action, GameInstance, StrategyProfile, mixed_payoff, pure_payoff
+from .game import Action, GameInstance, StrategyProfile, mixed_payoff, others_transmitting
+from .game import _check_node_index, _count_payoff
 
 MAX_ENUMERATION_NODES = 20
 
@@ -85,21 +89,24 @@ class MsneResult:
         return StrategyProfile(self.raw_taus)
 
 
+def _keeps(game: GameInstance, i: int, transmits: bool, others: int) -> bool:
+    """Node i gains nothing strictly by flipping its action against `others` transmitters."""
+    return not _count_payoff(game, i, not transmits, others) > _count_payoff(
+        game, i, transmits, others
+    )
+
+
 def check_weak_dominance(game: GameInstance, i: int, strategy: Action) -> DominanceReport:
-    """Compare `strategy` vs. the other action for node i over all opponent profiles."""
-    other = Action.IDLE if strategy is Action.TRANSMIT else Action.TRANSMIT
-    at_least = True
-    strictly_somewhere = False
-    for opponents in itertools.product((Action.TRANSMIT, Action.IDLE), repeat=game.n - 1):
-        actions = list(opponents[:i]) + [strategy] + list(opponents[i:])
-        u_strategy = pure_payoff(i, game, actions)
-        actions[i] = other
-        u_other = pure_payoff(i, game, actions)
-        if u_strategy < u_other:
-            at_least = False
-            break
-        if u_strategy > u_other:
-            strictly_somewhere = True
+    """Compare `strategy` vs. the other action for node i over all opponent profiles.
+
+    Payoffs depend only on how many opponents transmit, and every count of
+    two or more pays alike, so the counts 0, 1 and 2 cover every profile.
+    """
+    _check_node_index(i, game.n)
+    transmits = strategy is Action.TRANSMIT
+    counts = range(min(game.n - 1, 2) + 1)
+    at_least = all(_keeps(game, i, transmits, k) for k in counts)
+    strictly_somewhere = any(not _keeps(game, i, not transmits, k) for k in counts)
     return DominanceReport(
         node=i,
         strategy=strategy,
@@ -109,65 +116,46 @@ def check_weak_dominance(game: GameInstance, i: int, strategy: Action) -> Domina
 
 
 def enumerate_pure_nash(game: GameInstance) -> PureNashSet:
-    """Exact pure Nash set by exhausting all 2^n profiles and their deviations.
+    """Exact pure Nash set, built one transmitter count k at a time.
 
     A profile survives when no node can strictly improve its payoff by
-    flipping only its own action; payoff ties do not disqualify.
+    flipping only its own action; payoff ties do not disqualify. With k
+    transmitters, a transmitter faces k - 1 transmitting others and an
+    idler faces k.
     """
     if game.n > MAX_ENUMERATION_NODES:
         raise ValueError(
             f"exhaustive enumeration capped at {MAX_ENUMERATION_NODES} nodes, got {game.n}"
         )
+    nodes = range(game.n)
     equilibria = []
-    for profile in itertools.product((Action.TRANSMIT, Action.IDLE), repeat=game.n):
-        actions = list(profile)
-        stable = True
-        for i in range(game.n):
-            current = pure_payoff(i, game, actions)
-            actions[i] = Action.IDLE if actions[i] is Action.TRANSMIT else Action.TRANSMIT
-            deviated = pure_payoff(i, game, actions)
-            actions[i] = profile[i]
-            if deviated > current:
-                stable = False
-                break
-        if stable:
-            equilibria.append(profile)
+    for k in range(game.n + 1):
+        may_transmit = {i for i in nodes if k > 0 and _keeps(game, i, True, k - 1)}
+        may_idle = {i for i in nodes if k < game.n and _keeps(game, i, False, k)}
+        forced = set(nodes) - may_idle  # must transmit, so must also be able to
+        if len(forced) > k or not forced <= may_transmit:
+            continue
+        for chosen in itertools.combinations(sorted(may_transmit & may_idle), k - len(forced)):
+            transmitters = forced.union(chosen)
+            equilibria.append(
+                tuple(Action.TRANSMIT if i in transmitters else Action.IDLE for i in nodes)
+            )
     return PureNashSet(frozenset(equilibria))
 
 
-def _indifference_gap(
-    game: GameInstance, i: int, taus: Sequence[float]
-) -> float:
-    """Payoff gap between surely transmitting and surely idling for node i.
+def _indifference_gaps(game: GameInstance, taus: Sequence[float]) -> tuple[float, ...]:
+    """Per-node payoff gap between surely transmitting and surely idling.
 
-    Evaluated from the algebraic expected-payoff expressions, so it is
-    defined even when the other nodes' values fall outside [0, 1].
+    With q0 and q1 the chances that no / exactly one other node transmits,
+    the gap is q0 (a + sigma_idle - sigma_success) + q1 (sigma_success -
+    sigma_collision). It is defined even when the values fall outside [0, 1].
     """
     lengths = game.slot_lengths
-    age = game.initial_ages[i]
-    others_silent = 1.0
-    for j, tau in enumerate(taus):
-        if j != i:
-            others_silent *= 1.0 - tau
-    lone_other = 0.0
-    for j, tau_j in enumerate(taus):
-        if j == i:
-            continue
-        term = tau_j
-        for k, tau_k in enumerate(taus):
-            if k != i and k != j:
-                term *= 1.0 - tau_k
-        lone_other += term
-    u_transmit = (
-        -(1.0 - others_silent) * (age + lengths.sigma_collision)
-        - others_silent * lengths.sigma_success
+    return tuple(
+        q0 * (age + lengths.sigma_idle - lengths.sigma_success)
+        + q1 * (lengths.sigma_success - lengths.sigma_collision)
+        for age, (q0, q1, _) in zip(game.initial_ages, others_transmitting(taus))
     )
-    u_idle = (
-        -(1.0 - others_silent - lone_other) * (age + lengths.sigma_collision)
-        - others_silent * (age + lengths.sigma_idle)
-        - lone_other * (age + lengths.sigma_success)
-    )
-    return u_transmit - u_idle
 
 
 def msne_closed_form(game: GameInstance) -> MsneResult:
@@ -207,12 +195,11 @@ def msne_closed_form(game: GameInstance) -> MsneResult:
         mean_age - (n - 1) * ages[i] / n > threshold for i in range(n)
     )
     feasible = all(per_node) and lengths.sigma_collision > lengths.sigma_success
-    residuals = tuple(_indifference_gap(game, i, raw) for i in range(n))
     return MsneResult(
         raw_taus=tuple(raw),
         feasible_per_node=per_node,
         feasible=feasible,
-        indifference_residuals=residuals,
+        indifference_residuals=_indifference_gaps(game, raw),
     )
 
 
@@ -224,11 +211,7 @@ def verify_indifference(game: GameInstance, profile: StrategyProfile) -> tuple[f
     """
     if len(profile) != game.n:
         raise ValueError(f"profile has {len(profile)} entries for n = {game.n} nodes")
-    return tuple(
-        mixed_payoff(i, game, profile.with_tau(i, 1.0))
-        - mixed_payoff(i, game, profile.with_tau(i, 0.0))
-        for i in range(game.n)
-    )
+    return _indifference_gaps(game, profile.taus)
 
 
 def response_payoffs(

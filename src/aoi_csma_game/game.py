@@ -10,6 +10,7 @@ the slot, given the age it carried into the slot.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -194,49 +195,70 @@ def _check_node_index(i: int, n: int) -> None:
         raise IndexError(f"node index {i} out of range for {n} nodes")
 
 
+def _times(c: tuple[float, float, float], tau: float) -> tuple[float, float, float]:
+    """Multiply a count polynomial truncated at x^2 by ``(1 - tau) + tau x``."""
+    return (c[0] * (1.0 - tau), c[1] * (1.0 - tau) + c[0] * tau, c[2] + c[1] * tau)
+
+
+def others_transmitting(taus: Sequence[float]) -> list[tuple[float, float, float]]:
+    """For every node i, the probabilities that 0, 1 and >= 2 *other* nodes transmit.
+
+    Node i's entry is the product of ``(1 - tau_j) + tau_j x`` over j != i,
+    with all mass from x^2 up kept in the x^2 term. Prefix and suffix
+    products give every entry in O(n), with no division and no subtraction
+    of probabilities, so tiny and near-one taus keep their relative
+    precision; the algebra also holds for raw values outside [0, 1].
+    """
+    one = (1.0, 0.0, 0.0)
+    prefix = itertools.accumulate(taus[:-1], _times, initial=one)
+    suffix = list(itertools.accumulate(reversed(taus[1:]), _times, initial=one))[::-1]
+    return [
+        (p0 * s0, p0 * s1 + p1 * s0, p2 * (s0 + s1) + p1 * s1 + s2)
+        for (p0, p1, p2), (s0, s1, s2) in zip(prefix, suffix)
+    ]
+
+
+def _slot_outcomes(i: int, profile: StrategyProfile) -> tuple[float, float, float, float]:
+    """Node i's (idle, own success, busy seen, collision) probabilities."""
+    _check_node_index(i, len(profile))
+    tau = profile[i]
+    q0, q1, q2 = others_transmitting(profile.taus)[i]
+    silent = 1.0 - tau
+    return silent * q0, tau * q0, silent * q1, silent * q2 + tau * (q1 + q2)
+
+
 def idle_probability(profile: StrategyProfile) -> float:
     """Probability that no node transmits in the slot."""
-    return math.prod(1.0 - t for t in profile)
+    return _slot_outcomes(0, profile)[0]
 
 
 def success_probability_of(i: int, profile: StrategyProfile) -> float:
     """Probability that node i is the slot's only transmitter."""
-    _check_node_index(i, len(profile))
-    return profile[i] * math.prod(1.0 - t for j, t in enumerate(profile) if j != i)
+    return _slot_outcomes(i, profile)[1]
 
 
 def total_success_probability(profile: StrategyProfile) -> float:
     """Probability that the slot carries exactly one transmission."""
-    return math.fsum(success_probability_of(i, profile) for i in range(len(profile)))
+    _, own, busy, _ = _slot_outcomes(0, profile)
+    return own + busy
 
 
-def busy_seen_probability(
-    i: int, profile: StrategyProfile, *, condition_on_own_idle: bool = True
-) -> float:
-    """Probability that node i stays silent while exactly one other node transmits.
-
-    With ``condition_on_own_idle=False`` the leading (1 - tau_i) factor is
-    dropped, giving the probability that exactly one of the *other* nodes
-    transmits irrespective of node i's own draw. That variant is a
-    diagnostic only: it does not normalize the end-of-slot age distribution.
-    """
-    _check_node_index(i, len(profile))
-    total = 0.0
-    for j, tau_j in enumerate(profile):
-        if j == i:
-            continue
-        total += tau_j * math.prod(
-            1.0 - t for k, t in enumerate(profile) if k != i and k != j
-        )
-    if condition_on_own_idle:
-        total *= 1.0 - profile[i]
-    return total
+def busy_seen_probability(i: int, profile: StrategyProfile) -> float:
+    """Probability that node i stays silent while exactly one other node transmits."""
+    return _slot_outcomes(i, profile)[2]
 
 
 def collision_probability(profile: StrategyProfile) -> float:
     """Probability that two or more nodes transmit in the slot."""
-    p = 1.0 - idle_probability(profile) - total_success_probability(profile)
-    return min(1.0, max(0.0, p))
+    return _slot_outcomes(0, profile)[3]
+
+
+def _check_age(age_before: float, slot_lengths: SlotLengths) -> None:
+    if age_before < slot_lengths.sigma_success:
+        raise ValueError(
+            f"age_before = {age_before} violates age >= sigma_success "
+            f"({slot_lengths.sigma_success})"
+        )
 
 
 def age_pmf(
@@ -249,17 +271,13 @@ def age_pmf(
     and busy when sigma_collision == sigma_success) are merged into a single
     support point; zero-probability outcomes are dropped.
     """
-    _check_node_index(i, len(profile))
-    if age_before < slot_lengths.sigma_success:
-        raise ValueError(
-            f"age_before = {age_before} violates age >= sigma_success "
-            f"({slot_lengths.sigma_success})"
-        )
+    _check_age(age_before, slot_lengths)
+    idle, own, busy, collision = _slot_outcomes(i, profile)
     points = (
-        (age_before + slot_lengths.sigma_idle, idle_probability(profile)),
-        (age_before + slot_lengths.sigma_collision, collision_probability(profile)),
-        (age_before + slot_lengths.sigma_success, busy_seen_probability(i, profile)),
-        (slot_lengths.sigma_success, success_probability_of(i, profile)),
+        (age_before + slot_lengths.sigma_idle, idle),
+        (age_before + slot_lengths.sigma_collision, collision),
+        (age_before + slot_lengths.sigma_success, busy),
+        (slot_lengths.sigma_success, own),
     )
     merged: dict[float, float] = {}
     for value, prob in points:
@@ -276,19 +294,14 @@ def expected_age_after(
     Equals the mean of :func:`age_pmf`: the age survives with probability
     (1 - p_success_i) and every slot adds its expected realized length.
     """
-    _check_node_index(i, len(profile))
-    if age_before < slot_lengths.sigma_success:
-        raise ValueError(
-            f"age_before = {age_before} violates age >= sigma_success "
-            f"({slot_lengths.sigma_success})"
-        )
-    p_own = success_probability_of(i, profile)
+    _check_age(age_before, slot_lengths)
+    idle, own, busy, collision = _slot_outcomes(i, profile)
     expected_slot = (
-        idle_probability(profile) * slot_lengths.sigma_idle
-        + total_success_probability(profile) * slot_lengths.sigma_success
-        + collision_probability(profile) * slot_lengths.sigma_collision
+        idle * slot_lengths.sigma_idle
+        + (own + busy) * slot_lengths.sigma_success
+        + collision * slot_lengths.sigma_collision
     )
-    return (1.0 - p_own) * age_before + expected_slot
+    return (1.0 - own) * age_before + expected_slot
 
 
 def mixed_payoff(i: int, game: GameInstance, profile: StrategyProfile) -> float:
@@ -298,20 +311,21 @@ def mixed_payoff(i: int, game: GameInstance, profile: StrategyProfile) -> float:
     return -expected_age_after(i, game.initial_ages[i], profile, game.slot_lengths)
 
 
+def _count_payoff(game: GameInstance, i: int, transmits: bool, others: int) -> float:
+    """Node i's pure payoff given its own action and how many other nodes transmit."""
+    lengths = game.slot_lengths
+    age = game.initial_ages[i]
+    if transmits:
+        return -lengths.sigma_success if others == 0 else -(age + lengths.sigma_collision)
+    slot = (lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision)[min(others, 2)]
+    return -(age + slot)
+
+
 def pure_payoff(i: int, game: GameInstance, actions: Sequence[Action]) -> float:
     """Node i's payoff when every node plays a pure transmit/idle action."""
     if len(actions) != game.n:
         raise ValueError(f"actions has {len(actions)} entries for n = {game.n} nodes")
     _check_node_index(i, game.n)
-    lengths = game.slot_lengths
-    age = game.initial_ages[i]
+    transmits = actions[i] is Action.TRANSMIT
     transmitters = sum(1 for a in actions if a is Action.TRANSMIT)
-    if actions[i] is Action.TRANSMIT:
-        if transmitters == 1:
-            return -lengths.sigma_success
-        return -(age + lengths.sigma_collision)
-    if transmitters == 0:
-        return -(age + lengths.sigma_idle)
-    if transmitters == 1:
-        return -(age + lengths.sigma_success)
-    return -(age + lengths.sigma_collision)
+    return _count_payoff(game, i, transmits, transmitters - transmits)

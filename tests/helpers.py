@@ -14,21 +14,23 @@ import numpy as np
 from aoi_csma_game import AgeVector, GameInstance, SlotLengths
 
 
-def outcome_probabilities(taus):
+def outcome_probabilities(taus, one=1.0):
     """Brute-force slot-outcome probabilities for a transmit-probability vector.
 
     Returns ``(p_idle, p_success_per_node, p_collision, p_busy_per_node)``
     where busy means "this node silent and exactly one other transmitting".
+    Pass ``one=Fraction(1)`` with ``Fraction`` taus for exact arithmetic.
     """
     n = len(taus)
-    p_idle = 0.0
-    p_success = [0.0] * n
-    p_collision = 0.0
-    p_busy = [0.0] * n
+    zero = one - one
+    p_idle = zero
+    p_success = [zero] * n
+    p_collision = zero
+    p_busy = [zero] * n
     for pattern in itertools.product((0, 1), repeat=n):
-        weight = 1.0
+        weight = one
         for bit, tau in zip(pattern, taus):
-            weight *= tau if bit else (1.0 - tau)
+            weight *= tau if bit else (one - tau)
         transmitters = sum(pattern)
         if transmitters == 0:
             p_idle += weight

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report contents, and CSV schemas."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,14 @@ def test_analyze_invariant_violation_exits_1_naming_invariant(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "sigma_success" in err
+
+
+def test_analyze_refuses_large_game_fast(tmp_path, capsys):
+    data = scenario_dict(n=21, initial_ages=[3.03] * 21)
+    code = cli.main(["analyze", "--scenario", write(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: exhaustive enumeration capped at 20 nodes" in err
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +287,36 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert "self-check" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# byte stability: sha256 of reference outputs, so that any change to the
+# printed table or the seeded CSVs has to be made on purpose
+
+TABLE1_CHECK_SHA256 = "a9990adfb5aa44816a88ef349d7b7042696e67c074c8b23b2efa9621624bcc76"
+SWEEP_ROW_IV_SHA256 = "749af2712e5f660db1d2814c93c9b706e1fe3afec4ac6180f262473b6f200719"
+TRAJECTORY_ROW_IV_SHA256 = "6fdf3e19c91dbe709191bb019a22ff11503124b74ed730f6b0a85378a4e338f0"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_table1_check_output_is_byte_stable(capsys):
+    assert cli.main(["table1", "--check"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == TABLE1_CHECK_SHA256
+
+
+def test_sweep_csv_is_byte_stable(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    path = write(tmp_path, sweep_scenario())
+    assert cli.main(["sweep", "--scenario", path, "--out", str(out_path)]) == 0
+    assert sha256(out_path.read_bytes()) == SWEEP_ROW_IV_SHA256
+
+
+def test_simulate_trajectory_csv_is_byte_stable(tmp_path, capsys):
+    out_path = tmp_path / "trajectory.csv"
+    path = write(tmp_path, sweep_scenario())
+    argv = ["simulate", "--scenario", path, "--slots", "20000", "--seed", "7"]
+    assert cli.main(argv + ["--out", str(out_path)]) == 0
+    assert sha256(out_path.read_bytes()) == TRAJECTORY_ROW_IV_SHA256

@@ -1,6 +1,7 @@
 """Dominance, pure Nash enumeration, and the closed-form mixed equilibrium."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -78,9 +79,11 @@ def test_boundary_equal_lengths_transmit_dominant_strict_only_at_all_idle():
 
 
 @settings(max_examples=60, deadline=None)
-@given(games_st(min_n=2, max_n=4))
+@given(games_st(min_n=2, max_n=6))
 def test_dominance_regime_dichotomy_property(game):
     short = game.slot_lengths.short_collision
+    lengths = game.slot_lengths
+    ages = tuple(game.initial_ages)
     for i in range(game.n):
         transmit = check_weak_dominance(game, i, Action.TRANSMIT)
         idle = check_weak_dominance(game, i, Action.IDLE)
@@ -90,6 +93,46 @@ def test_dominance_regime_dichotomy_property(game):
         else:
             assert not transmit.weakly_dominant
             assert not idle.weakly_dominant
+        # Both flags against a brute-force loop over every opponent profile.
+        for report in (transmit, idle):
+            mine = report.strategy is Action.TRANSMIT
+            payoff_pairs = []
+            for opponents in itertools.product((True, False), repeat=game.n - 1):
+                payoff_pairs.append(
+                    tuple(
+                        pure_payoff_oracle(
+                            i, opponents[:i] + (own,) + opponents[i:], ages,
+                            lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision,
+                        )
+                        for own in (mine, not mine)
+                    )
+                )
+            weakly = all(u_mine >= u_other for u_mine, u_other in payoff_pairs)
+            strictly = any(u_mine > u_other for u_mine, u_other in payoff_pairs)
+            assert report.weakly_dominant == weakly
+            assert report.strictly_better_somewhere == (weakly and strictly)
+
+
+def test_dominance_rejects_out_of_range_node():
+    game = GameInstance(3, LONG, AgeVector((2.02, 3.03, 3.03)))
+    for i in (-1, 3):
+        with pytest.raises(IndexError):
+            check_weak_dominance(game, i, Action.TRANSMIT)
+
+
+def test_float_tie_keeps_profiles_and_strictness():
+    """sigma_c one ulp above sigma_s: age + sigma_c rounds onto age + sigma_s.
+
+    The tie must be resolved by the same float arithmetic as the pure
+    payoffs, not by the sign of sigma_s - sigma_c.
+    """
+    lengths = SlotLengths(0.01, 1.01, math.nextafter(1.01, 2.0))
+    game = GameInstance(2, lengths, AgeVector((10.1, 10.1)))
+    assert frozenset(enumerate_pure_nash(game).as_strings()) == {"IT", "TI", "TT"}
+    for i in range(2):
+        report = check_weak_dominance(game, i, Action.TRANSMIT)
+        assert report.weakly_dominant
+        assert report.strictly_better_somewhere
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +176,7 @@ def test_pure_nash_set_interface():
 
 
 @settings(max_examples=60, deadline=None)
-@given(games_st(min_n=2, max_n=4))
+@given(games_st(min_n=2, max_n=6))
 def test_pure_nash_soundness_against_independent_oracle(game):
     """Membership must coincide with an independently coded deviation test."""
     lengths = game.slot_lengths

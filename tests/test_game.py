@@ -1,5 +1,7 @@
 """Slot probabilities, age distribution, and payoffs for the one-shot game."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,13 +143,6 @@ def test_busy_seen_frozen_value():
     assert busy_seen_probability(2, PROFILE) == pytest.approx(0.3542869464, abs=1e-10)
 
 
-def test_busy_seen_diagnostic_variant_drops_own_idle_factor():
-    conditioned = busy_seen_probability(2, PROFILE)
-    unconditioned = busy_seen_probability(2, PROFILE, condition_on_own_idle=False)
-    assert unconditioned == pytest.approx(0.5331632, abs=1e-10)
-    assert conditioned == pytest.approx((1 - PROFILE[2]) * unconditioned, abs=1e-15)
-
-
 def test_collision_probability_cases():
     assert collision_probability(StrategyProfile((0.0, 0.0, 0.0))) == 0.0
     assert collision_probability(StrategyProfile((1.0, 1.0))) == 1.0
@@ -163,6 +158,30 @@ def test_probabilities_match_enumeration_oracle():
         assert success_probability_of(i, PROFILE) == pytest.approx(p_success[i], abs=1e-15)
         assert busy_seen_probability(i, PROFILE) == pytest.approx(p_busy[i], abs=1e-15)
     assert collision_probability(PROFILE) == pytest.approx(p_collision, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "taus",
+    [(1e-9,) * 3, (1e-12, 1e-9, 0.5), (1 - 1e-9,) * 3, (1 - 1e-9, 1e-9, 0.3)],
+)
+def test_probabilities_keep_relative_precision_at_extreme_taus(taus):
+    """Every outcome probability is within 1e-12 relative error of exact arithmetic.
+
+    Tiny and near-one taus make the collision mass many orders of magnitude
+    smaller than the idle or success mass, so it must not be derived by
+    subtracting those from one.
+    """
+    profile = StrategyProfile(taus)
+    p_idle, p_success, p_collision, p_busy = outcome_probabilities(
+        [Fraction(t) for t in taus], one=Fraction(1)
+    )
+    pairs = [(idle_probability(profile), p_idle), (collision_probability(profile), p_collision)]
+    for i in range(len(taus)):
+        pairs.append((success_probability_of(i, profile), p_success[i]))
+        pairs.append((busy_seen_probability(i, profile), p_busy[i]))
+    for got, exact in pairs:
+        assert exact > 0
+        assert float(abs(Fraction(got) - exact) / exact) <= 1e-12, (got, float(exact))
 
 
 # ---------------------------------------------------------------------------
