@@ -15,12 +15,10 @@ from .equilibrium import (
     MsneResult,
     PureNashSet,
     SingularGameError,
-    best_response_oracle,
     check_weak_dominance,
     enumerate_pure_nash,
     monotonicity_derivatives,
     msne_closed_form,
-    response_payoffs,
     verify_indifference,
 )
 from .game import (
@@ -44,19 +42,14 @@ from .game import (
 )
 from .scenario import Scenario, ScenarioError, SweepSpec, load_scenario, parse_scenario
 from .simulate import (
-    AgeTrajectory,
     SimStats,
-    SlotKind,
-    SlotOutcome,
     run_monte_carlo,
-    sample_slot,
     simulate_age_trajectory,
 )
 
 __all__ = [
     "Action",
     "AgePmf",
-    "AgeTrajectory",
     "AgeVector",
     "DominanceReport",
     "GameInstance",
@@ -67,15 +60,12 @@ __all__ = [
     "ScenarioError",
     "SimStats",
     "SingularGameError",
-    "SlotKind",
     "SlotLengths",
-    "SlotOutcome",
     "StrategyProfile",
     "SweepSpec",
     "actions_from_string",
     "actions_to_string",
     "age_pmf",
-    "best_response_oracle",
     "busy_seen_probability",
     "check_weak_dominance",
     "collision_probability",
@@ -88,9 +78,7 @@ __all__ = [
     "msne_closed_form",
     "parse_scenario",
     "pure_payoff",
-    "response_payoffs",
     "run_monte_carlo",
-    "sample_slot",
     "simulate_age_trajectory",
     "success_probability_of",
     "total_success_probability",

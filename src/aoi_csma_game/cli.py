@@ -2,8 +2,8 @@
 sweep one node's starting age, and validate analytics by simulation.
 
 Exit codes: 0 on success, 1 on validation failures (bad scenario file,
-violated model invariant, unusable request), 2 when the reference-table
-self-check finds a mismatch.
+violated model invariant, unusable request, unwritable output file), 2 when
+the reference-table self-check finds a mismatch.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import run_monte_carlo, simulate_age_trajectory
 
 
+# Full-precision decimal for CSV cells (12 significant digits).
+_CELL = "%.12g"
+
+
 def _num(x: float) -> str:
-    """Full-precision decimal for CSV cells (12 significant digits)."""
-    return format(x, ".12g")
+    return _CELL % x
 
 
 def _four(x: float) -> str:
@@ -273,15 +276,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"all quantities within 3 standard errors: {_yesno(all_within)}")
 
     if args.out is not None:
-        trajectory = simulate_age_trajectory(game, profile, num_slots, seed)
-        lines = [",".join(["time"] + [f"age_{k + 1}" for k in range(game.n)])]
-        for t in range(len(trajectory.times)):
-            cells = [_num(trajectory.times[t])] + [
-                _num(trajectory.ages[i][t]) for i in range(game.n)
-            ]
-            lines.append(",".join(cells))
-        _write_lines(args.out, lines)
-        print(f"trajectory written to {args.out} ({len(trajectory.times)} breakpoints)")
+        row = ",".join([_CELL] * (game.n + 1)) + "\n"
+        written = 0
+        with open(args.out, "w") as out:
+            out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(game.n)]) + "\n")
+            for times, ages in simulate_age_trajectory(game, profile, num_slots, seed):
+                out.writelines(row % (t, *a) for t, a in zip(times.tolist(), ages.tolist()))
+                written += len(times)
+        print(f"trajectory written to {args.out} ({written} breakpoints)")
     return 0
 
 
@@ -337,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, IndexError) as exc:
+    except (ScenarioError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

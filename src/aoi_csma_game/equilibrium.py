@@ -4,9 +4,8 @@ A pure payoff depends only on a node's own action and on how many other
 nodes transmit, so weak dominance and the pure Nash set are computed
 exactly over transmitter-count classes rather than over all 2^n profiles.
 Also covers the closed-form interior mixed equilibrium with its
-feasibility region, indifference verification, a grid best-response
-oracle, and the sensitivity of the interior equilibrium to the starting
-ages.
+feasibility region, indifference verification, and the sensitivity of the
+interior equilibrium to the starting ages.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .game import Action, GameInstance, StrategyProfile, mixed_payoff, others_transmitting
+from .game import Action, GameInstance, StrategyProfile, others_transmitting
 from .game import _check_node_index, _count_payoff
 
 MAX_ENUMERATION_NODES = 20
@@ -212,43 +211,6 @@ def verify_indifference(game: GameInstance, profile: StrategyProfile) -> tuple[f
     if len(profile) != game.n:
         raise ValueError(f"profile has {len(profile)} entries for n = {game.n} nodes")
     return _indifference_gaps(game, profile.taus)
-
-
-def response_payoffs(
-    game: GameInstance, i: int, opponent_taus: Sequence[float], grid_size: int
-) -> tuple[tuple[float, float], ...]:
-    """Node i's payoff at each grid value of its own transmit probability.
-
-    ``opponent_taus`` lists the other nodes' probabilities in node order,
-    skipping node i. The payoff is affine in tau_i, so the grid is only a
-    blunt (but independent) instrument: the maximizer is an endpoint unless
-    the node is indifferent.
-    """
-    if grid_size < 3:
-        raise ValueError(f"grid_size must be at least 3, got {grid_size}")
-    if len(opponent_taus) != game.n - 1:
-        raise ValueError(
-            f"expected {game.n - 1} opponent probabilities, got {len(opponent_taus)}"
-        )
-    out = []
-    for k in range(grid_size):
-        tau_i = k / (grid_size - 1)
-        taus = list(opponent_taus)
-        taus.insert(i, tau_i)
-        out.append((tau_i, mixed_payoff(i, game, StrategyProfile(tuple(taus)))))
-    return tuple(out)
-
-
-def best_response_oracle(
-    game: GameInstance, i: int, opponent_taus: Sequence[float], grid_size: int = 101
-) -> tuple[float, float]:
-    """Grid search for node i's best transmit probability against fixed opponents.
-
-    Returns ``(tau, payoff)`` at the maximizing grid point (first maximizer
-    on ties).
-    """
-    grid = response_payoffs(game, i, opponent_taus, grid_size)
-    return max(grid, key=lambda pair: pair[1])
 
 
 def monotonicity_derivatives(game: GameInstance, i: int, j: int) -> tuple[float, float]:

@@ -14,33 +14,14 @@ in node-index order within the slot. Identical inputs replay bit-identically.
 
 from __future__ import annotations
 
-import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, SlotLengths, StrategyProfile
+from .game import GameInstance, StrategyProfile
 
 _CHUNK_SLOTS = 1 << 16
-
-
-class SlotKind(enum.Enum):
-    IDLE = "idle"
-    SUCCESS = "success"
-    COLLISION = "collision"
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Realized type and duration of one slot."""
-
-    kind: SlotKind
-    duration: float
-    successful_node: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.kind is SlotKind.SUCCESS) != (self.successful_node is not None):
-            raise ValueError("successful_node must be set exactly for success slots")
 
 
 @dataclass(frozen=True)
@@ -59,49 +40,6 @@ class SimStats:
             raise ValueError(
                 f"slot counts sum to {total}, expected {self.slots}"
             )
-
-
-@dataclass(frozen=True)
-class AgeTrajectory:
-    """Piecewise-linear age sample paths sampled at slot boundaries.
-
-    ``times[0] == 0.0`` is the initial boundary; between breakpoints each age
-    grows with slope one, and a node's own success pins its age to
-    sigma_success at the slot end.
-    """
-
-    times: tuple[float, ...]
-    ages: tuple[tuple[float, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.ages)
-
-    def breakpoints(self, i: int) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.times, self.ages[i]))
-
-
-def _duration_for(kind: SlotKind, lengths: SlotLengths) -> float:
-    if kind is SlotKind.IDLE:
-        return lengths.sigma_idle
-    if kind is SlotKind.SUCCESS:
-        return lengths.sigma_success
-    return lengths.sigma_collision
-
-
-def sample_slot(
-    profile: StrategyProfile, slot_lengths: SlotLengths, rng: np.random.Generator
-) -> SlotOutcome:
-    """Draw one slot: every node transmits independently with its own probability."""
-    draws = rng.random(len(profile))
-    transmitters = [i for i, tau in enumerate(profile) if draws[i] < tau]
-    if not transmitters:
-        return SlotOutcome(SlotKind.IDLE, slot_lengths.sigma_idle)
-    if len(transmitters) == 1:
-        return SlotOutcome(
-            SlotKind.SUCCESS, slot_lengths.sigma_success, successful_node=transmitters[0]
-        )
-    return SlotOutcome(SlotKind.COLLISION, slot_lengths.sigma_collision)
 
 
 def _chunked_slot_draws(taus, num_slots, rng, chunk_slots):
@@ -174,44 +112,45 @@ def simulate_age_trajectory(
     num_slots: int,
     seed: int,
     chunk_slots: int = _CHUNK_SLOTS,
-) -> AgeTrajectory:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Sequential multi-slot run where ages carry over between slots.
 
-    Returns breakpoints at every slot boundary: node i's age at a boundary
-    is sigma_success if it just succeeded, otherwise its previous age plus
-    the realized slot duration.
+    Inputs are checked at the call. The result is a generator of
+    ``(times, ages)`` blocks of slot boundaries: first the initial boundary
+    (time 0, the starting ages), then one block of at most `chunk_slots`
+    rows per chunk of slots, with ``ages[t, i]`` node i's age at
+    ``times[t]``. Node i's age at a boundary is sigma_success if it just
+    succeeded, otherwise its previous age plus the realized slot duration.
     """
     if len(profile) != game.n:
         raise ValueError(f"profile has {len(profile)} entries for n = {game.n} nodes")
     if num_slots < 1:
         raise ValueError(f"num_slots must be at least 1, got {num_slots}")
-    taus = np.asarray(profile.taus)
-    rng = np.random.default_rng(seed)
-    counts = np.empty(num_slots, dtype=np.int64)
-    success_node = np.empty(num_slots, dtype=np.int64)
-    done = 0
-    for chunk_counts, chunk_success in _chunked_slot_draws(
-        taus, num_slots, rng, chunk_slots
-    ):
-        m = len(chunk_counts)
-        counts[done : done + m] = chunk_counts
-        success_node[done : done + m] = chunk_success
-        done += m
+    return _trajectory_blocks(game, np.asarray(profile.taus), num_slots, seed, chunk_slots)
+
+
+def _trajectory_blocks(game, taus, num_slots, seed, chunk_slots):
     lengths = game.slot_lengths
-    durations = np.where(
-        counts == 0,
-        lengths.sigma_idle,
-        np.where(counts == 1, lengths.sigma_success, lengths.sigma_collision),
+    initial = np.asarray(game.initial_ages, dtype=float)
+    yield np.zeros(1), initial[np.newaxis, :]
+    slot_duration = np.array(
+        [lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision]
     )
-    times = np.concatenate(([0.0], np.cumsum(durations)))
-    slot_index = np.arange(1, num_slots + 1)
-    ages = []
-    for i in range(game.n):
-        last_reset = np.maximum.accumulate(np.where(success_node == i, slot_index, 0))
-        path = np.where(
-            last_reset > 0,
-            lengths.sigma_success + (times[1:] - times[last_reset]),
-            game.initial_ages[i] + times[1:],
-        )
-        ages.append((game.initial_ages[i],) + tuple(path))
-    return AgeTrajectory(times=tuple(times), ages=tuple(ages))
+    now = 0.0
+    reset_at = np.full(game.n, np.nan)  # time of each node's last success, NaN before
+    rng = np.random.default_rng(seed)
+    for counts, success_node in _chunked_slot_draws(taus, num_slots, rng, chunk_slots):
+        # Summing from the carried clock keeps every time bit-identical to
+        # one cumulative sum over the whole run, whatever the chunk size.
+        times = np.cumsum(np.concatenate(([now], slot_duration[np.minimum(counts, 2)])))[1:]
+        slot = np.arange(1, len(times) + 1)
+        ages = np.empty((len(times), game.n))
+        for i in range(game.n):
+            last_win = np.maximum.accumulate(np.where(success_node == i, slot, 0))
+            reset = np.where(last_win > 0, times[last_win - 1], reset_at[i])
+            ages[:, i] = np.where(
+                np.isnan(reset), initial[i] + times, lengths.sigma_success + (times - reset)
+            )
+            reset_at[i] = reset[-1]
+        yield times, ages
+        now = times[-1]

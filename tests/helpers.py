@@ -2,7 +2,9 @@
 
 The outcome oracle enumerates all 2^n transmit patterns with their Bernoulli
 weights, deliberately sharing no code with the closed-form probability
-operations it checks.
+operations it checks. The slot sampler replays the simulator's variate
+stream one slot at a time, and the grid best-response oracle searches a
+node's own transmit probability with the generic mixed payoff.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from aoi_csma_game import AgeVector, GameInstance, SlotLengths
+from aoi_csma_game import AgeVector, GameInstance, SlotLengths, StrategyProfile, mixed_payoff
 
 
 def outcome_probabilities(taus, one=1.0):
@@ -57,6 +59,54 @@ def pure_payoff_oracle(i, actions_transmit, ages, sigma_idle, sigma_success, sig
     if transmitters == 1:
         return -(ages[i] + sigma_success)
     return -(ages[i] + sigma_collision)
+
+
+def sample_slot(profile, slot_lengths, rng):
+    """Draw one slot: every node transmits independently with its own probability.
+
+    Consumes one uniform variate per node, in node order. Returns
+    ``(kind, duration, successful_node)`` with kind "idle", "success" or
+    "collision"; ``successful_node`` is None unless the slot is a success.
+    """
+    draws = rng.random(len(profile))
+    transmitters = [i for i, tau in enumerate(profile) if draws[i] < tau]
+    if not transmitters:
+        return "idle", slot_lengths.sigma_idle, None
+    if len(transmitters) == 1:
+        return "success", slot_lengths.sigma_success, transmitters[0]
+    return "collision", slot_lengths.sigma_collision, None
+
+
+def response_payoffs(game, i, opponent_taus, grid_size):
+    """Node i's payoff at each grid value of its own transmit probability.
+
+    ``opponent_taus`` lists the other nodes' probabilities in node order,
+    skipping node i. The payoff is affine in tau_i, so the grid is only a
+    blunt (but independent) instrument: the maximizer is an endpoint unless
+    the node is indifferent.
+    """
+    if grid_size < 3:
+        raise ValueError(f"grid_size must be at least 3, got {grid_size}")
+    if len(opponent_taus) != game.n - 1:
+        raise ValueError(
+            f"expected {game.n - 1} opponent probabilities, got {len(opponent_taus)}"
+        )
+    out = []
+    for k in range(grid_size):
+        tau_i = k / (grid_size - 1)
+        taus = list(opponent_taus)
+        taus.insert(i, tau_i)
+        out.append((tau_i, mixed_payoff(i, game, StrategyProfile(tuple(taus)))))
+    return tuple(out)
+
+
+def best_response_oracle(game, i, opponent_taus, grid_size=101):
+    """Grid search for node i's best transmit probability against fixed opponents.
+
+    Returns ``(tau, payoff)`` at the maximizing grid point (first maximizer
+    on ties).
+    """
+    return max(response_payoffs(game, i, opponent_taus, grid_size), key=lambda pair: pair[1])
 
 
 def random_slot_lengths(rng: np.random.Generator, collision_ratio: tuple[float, float]):

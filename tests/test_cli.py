@@ -209,6 +209,16 @@ def test_sweep_requires_sweep_block(tmp_path, capsys):
     assert "no sweep block" in err
 
 
+def test_sweep_unwritable_out_exits_1(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "sweep.csv"
+    code = cli.main(
+        ["sweep", "--scenario", write(tmp_path, sweep_scenario()), "--out", str(out_path)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -274,6 +284,14 @@ def test_simulate_trajectory_csv_is_deterministic(tmp_path, capsys):
     assert header == ["time", "age_1", "age_2", "age_3"]
     assert len(rows) == 2001
     assert rows[0][0] == "0"
+
+
+def test_simulate_unwritable_out_exits_1(tmp_path, capsys):
+    path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2], num_slots=200))
+    out_path = tmp_path / "missing" / "trajectory.csv"
+    assert cli.main(["simulate", "--scenario", path, "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.exists()
 
 
 def test_module_entry_point_runs(tmp_path):

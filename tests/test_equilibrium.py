@@ -14,22 +14,22 @@ from aoi_csma_game import (
     SingularGameError,
     SlotLengths,
     StrategyProfile,
-    best_response_oracle,
     check_weak_dominance,
     enumerate_pure_nash,
     monotonicity_derivatives,
     msne_closed_form,
     pure_payoff,
-    response_payoffs,
     verify_indifference,
 )
 from aoi_csma_game.reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
 from helpers import (
+    best_response_oracle,
     interior_condition_holds,
     pure_payoff_oracle,
     random_feasible_game,
     random_game,
     random_slot_lengths,
+    response_payoffs,
 )
 from test_game import games_st
 

@@ -9,7 +9,6 @@ from aoi_csma_game import (
     AgeVector,
     GameInstance,
     SimStats,
-    SlotKind,
     SlotLengths,
     StrategyProfile,
     age_pmf,
@@ -18,11 +17,11 @@ from aoi_csma_game import (
     idle_probability,
     msne_closed_form,
     run_monte_carlo,
-    sample_slot,
     simulate_age_trajectory,
     success_probability_of,
 )
 from aoi_csma_game.reference import REFERENCE_ROWS
+from helpers import sample_slot
 
 LENGTHS = SlotLengths(0.01, 1.01, 2.02)
 GAME = GameInstance(3, LENGTHS, AgeVector((2.02, 3.03, 3.03)))
@@ -38,38 +37,38 @@ def three_sigma_freq(p, slots):
 
 
 def test_sample_slot_nobody_transmits_is_idle():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        outcome = sample_slot(StrategyProfile((0.0, 0.0, 0.0)), LENGTHS, rng)
-        assert outcome.kind is SlotKind.IDLE
-        assert outcome.duration == LENGTHS.sigma_idle
-        assert outcome.successful_node is None
+    stats = run_monte_carlo(GAME, StrategyProfile((0.0, 0.0, 0.0)), 20, seed=0)
+    assert stats.idle_count == 20
+    assert stats.collision_count == 0
+    assert stats.success_count_per_node == (0, 0, 0)
+    for i in range(3):
+        assert stats.mean_age_after_per_node[i] == pytest.approx(
+            GAME.initial_ages[i] + LENGTHS.sigma_idle, rel=1e-12
+        )
 
 
 def test_sample_slot_everyone_transmits_is_collision():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        outcome = sample_slot(StrategyProfile((1.0, 1.0)), LENGTHS, rng)
-        assert outcome.kind is SlotKind.COLLISION
-        assert outcome.duration == LENGTHS.sigma_collision
+    game = GameInstance(2, LENGTHS, AgeVector((2.02, 3.03)))
+    stats = run_monte_carlo(game, StrategyProfile((1.0, 1.0)), 20, seed=0)
+    assert stats.collision_count == 20
+    assert stats.idle_count == 0
+    assert stats.success_count_per_node == (0, 0)
+    for i in range(2):
+        assert stats.mean_age_after_per_node[i] == pytest.approx(
+            game.initial_ages[i] + LENGTHS.sigma_collision, rel=1e-12
+        )
 
 
 def test_sample_slot_lone_transmitter_succeeds():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        outcome = sample_slot(StrategyProfile((0.0, 1.0, 0.0)), LENGTHS, rng)
-        assert outcome.kind is SlotKind.SUCCESS
-        assert outcome.successful_node == 1
-        assert outcome.duration == LENGTHS.sigma_success
-
-
-def test_slot_outcome_validates_success_node():
-    from aoi_csma_game import SlotOutcome
-
-    with pytest.raises(ValueError):
-        SlotOutcome(SlotKind.SUCCESS, 1.01)
-    with pytest.raises(ValueError):
-        SlotOutcome(SlotKind.IDLE, 0.01, successful_node=0)
+    stats = run_monte_carlo(GAME, StrategyProfile((0.0, 1.0, 0.0)), 20, seed=0)
+    assert stats.success_count_per_node == (0, 20, 0)
+    assert stats.idle_count == 0
+    assert stats.collision_count == 0
+    assert stats.mean_age_after_per_node[1] == pytest.approx(LENGTHS.sigma_success, rel=1e-12)
+    for i in (0, 2):
+        assert stats.mean_age_after_per_node[i] == pytest.approx(
+            GAME.initial_ages[i] + LENGTHS.sigma_success, rel=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def test_chunking_does_not_change_results():
 
 
 def test_run_monte_carlo_matches_slot_by_slot_sampling():
-    """The vectorized run must replay the same variate stream as sample_slot."""
+    """The vectorized run must replay the same variate stream as the slot-by-slot oracle."""
     profile = StrategyProfile((0.3, 0.4, 0.2))
     slots = 3000
     stats = run_monte_carlo(GAME, profile, slots, seed=77)
@@ -133,13 +132,13 @@ def test_run_monte_carlo_matches_slot_by_slot_sampling():
     idle = collision = 0
     successes = [0, 0, 0]
     for _ in range(slots):
-        outcome = sample_slot(profile, LENGTHS, rng)
-        if outcome.kind is SlotKind.IDLE:
+        kind, _, winner = sample_slot(profile, LENGTHS, rng)
+        if kind == "idle":
             idle += 1
-        elif outcome.kind is SlotKind.COLLISION:
+        elif kind == "collision":
             collision += 1
         else:
-            successes[outcome.successful_node] += 1
+            successes[winner] += 1
     assert stats.idle_count == idle
     assert stats.collision_count == collision
     assert stats.success_count_per_node == tuple(successes)
@@ -219,68 +218,107 @@ def test_reference_equilibrium_monte_carlo_agreement():
 # sequential age trajectories
 
 
+def trajectory(game, profile, slots, seed, **kwargs):
+    """All blocks of one run joined: times (slots + 1,), ages (slots + 1, n)."""
+    blocks = list(simulate_age_trajectory(game, profile, slots, seed, **kwargs))
+    return np.concatenate([t for t, _ in blocks]), np.concatenate([a for _, a in blocks])
+
+
+def rebuild_trajectory(game, profile, slots, seed):
+    """Slot-by-slot rebuild: each age is the time since the node's last
+    success plus sigma_success, or its starting age plus the elapsed time."""
+    lengths = game.slot_lengths
+    rng = np.random.default_rng(seed)
+    now = 0.0
+    reset_at = [None] * game.n
+    rows = [[now, *game.initial_ages]]
+    for _ in range(slots):
+        _, duration, winner = sample_slot(profile, lengths, rng)
+        now += duration
+        if winner is not None:
+            reset_at[winner] = now
+        rows.append([now] + [
+            age + now if reset is None else lengths.sigma_success + (now - reset)
+            for age, reset in zip(game.initial_ages, reset_at)
+        ])
+    return rows
+
+
 def test_trajectory_all_idle_grows_linearly():
     slots = 50
-    trajectory = simulate_age_trajectory(
-        GAME, StrategyProfile((0.0, 0.0, 0.0)), slots, seed=1
-    )
-    assert trajectory.n == 3
-    assert trajectory.times[0] == 0.0
-    assert trajectory.times[-1] == pytest.approx(slots * LENGTHS.sigma_idle, rel=1e-12)
+    times, ages = trajectory(GAME, StrategyProfile((0.0, 0.0, 0.0)), slots, seed=1)
+    assert ages.shape == (slots + 1, 3)
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(slots * LENGTHS.sigma_idle, rel=1e-12)
     for i in range(3):
-        assert trajectory.ages[i][0] == GAME.initial_ages[i]
-        assert trajectory.ages[i][-1] == pytest.approx(
+        assert ages[0, i] == GAME.initial_ages[i]
+        assert ages[-1, i] == pytest.approx(
             GAME.initial_ages[i] + slots * LENGTHS.sigma_idle, rel=1e-12
         )
 
 
 def test_trajectory_certain_winner_pins_age_to_success_length():
     slots = 40
-    trajectory = simulate_age_trajectory(
-        GAME, StrategyProfile((1.0, 0.0, 0.0)), slots, seed=1
-    )
-    for t in range(1, slots + 1):
-        assert trajectory.ages[0][t] == LENGTHS.sigma_success
+    times, ages = trajectory(GAME, StrategyProfile((1.0, 0.0, 0.0)), slots, seed=1)
+    assert np.all(ages[1:, 0] == LENGTHS.sigma_success)
     # The other nodes see busy slots only and age by sigma_success each slot.
     for t in range(1, slots + 1):
-        assert trajectory.ages[1][t] == pytest.approx(
+        assert ages[t, 1] == pytest.approx(
             GAME.initial_ages[1] + t * LENGTHS.sigma_success, rel=1e-12
         )
 
 
 def test_trajectory_replay_is_bit_identical():
     profile = StrategyProfile((0.4, 0.3, 0.2))
-    a = simulate_age_trajectory(GAME, profile, 2000, seed=55)
-    b = simulate_age_trajectory(GAME, profile, 2000, seed=55)
-    assert a.times == b.times
-    assert a.ages == b.ages
-    c = simulate_age_trajectory(GAME, profile, 2000, seed=56)
-    assert c.ages != a.ages
+    times_a, ages_a = trajectory(GAME, profile, 2000, seed=55)
+    times_b, ages_b = trajectory(GAME, profile, 2000, seed=55)
+    assert np.array_equal(times_a, times_b)
+    assert np.array_equal(ages_a, ages_b)
+    _, ages_c = trajectory(GAME, profile, 2000, seed=56)
+    assert not np.array_equal(ages_a, ages_c)
 
 
 def test_trajectory_increments_are_slot_durations_or_resets():
     profile = StrategyProfile((0.4, 0.3, 0.2))
-    trajectory = simulate_age_trajectory(GAME, profile, 5000, seed=9)
-    durations = {LENGTHS.sigma_idle, LENGTHS.sigma_success, LENGTHS.sigma_collision}
-    for t in range(1, len(trajectory.times)):
-        dt = trajectory.times[t] - trajectory.times[t - 1]
-        assert any(abs(dt - d) < 1e-9 for d in durations)
-        for i in range(trajectory.n):
-            age_now = trajectory.ages[i][t]
-            increment = age_now - trajectory.ages[i][t - 1]
-            if age_now == LENGTHS.sigma_success and increment <= 0:
-                continue  # reset lands exactly on the success length
-            assert increment == pytest.approx(dt, abs=1e-9)
+    times, ages = trajectory(GAME, profile, 5000, seed=9)
+    dt = np.diff(times)
+    durations = np.array([LENGTHS.sigma_idle, LENGTHS.sigma_success, LENGTHS.sigma_collision])
+    assert np.all(np.abs(dt[:, np.newaxis] - durations).min(axis=1) < 1e-9)
+    increments = np.diff(ages, axis=0)
+    # A reset lands exactly on the success length; every other age grows by dt.
+    reset = (ages[1:] == LENGTHS.sigma_success) & (increments <= 0)
+    grows = np.abs(increments - dt[:, np.newaxis]) <= 1e-9
+    assert np.all(reset | grows)
 
 
-def test_trajectory_breakpoints_accessor():
-    trajectory = simulate_age_trajectory(GAME, StrategyProfile((0.0, 0.0, 0.0)), 3, seed=2)
-    points = trajectory.breakpoints(1)
-    assert points[0] == (0.0, GAME.initial_ages[1])
-    assert len(points) == 4
+@pytest.mark.parametrize("taus", [(0.4, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
+def test_trajectory_is_chunk_invariant(taus):
+    profile = StrategyProfile(taus)
+    times, ages = trajectory(GAME, profile, 2000, seed=13)
+    for chunk_slots in (1, 7):
+        times_c, ages_c = trajectory(GAME, profile, 2000, seed=13, chunk_slots=chunk_slots)
+        assert np.array_equal(times_c, times)
+        assert np.array_equal(ages_c, ages)
+
+
+def test_trajectory_matches_slot_by_slot_rebuild():
+    profile = StrategyProfile((0.3, 0.4, 0.2))
+    times, ages = trajectory(GAME, profile, 3000, seed=77)
+    assert np.column_stack((times, ages)).tolist() == rebuild_trajectory(
+        GAME, profile, 3000, seed=77
+    )
+
+
+def test_trajectory_blocks_hold_at_most_chunk_slots_rows():
+    blocks = list(
+        simulate_age_trajectory(GAME, StrategyProfile((0.4, 0.3, 0.2)), 50, seed=3, chunk_slots=7)
+    )
+    assert [len(t) for t, _ in blocks] == [1] + [7] * 7 + [1]
+    assert all(a.shape == (len(t), 3) for t, a in blocks)
 
 
 def test_trajectory_validates_inputs():
+    # Raised at the call, before any block is requested.
     with pytest.raises(ValueError, match="num_slots"):
         simulate_age_trajectory(GAME, StrategyProfile((0.5, 0.5, 0.5)), 0, seed=1)
     with pytest.raises(ValueError, match="entries for n"):
