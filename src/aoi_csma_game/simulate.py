@@ -10,10 +10,15 @@ extension (nodes never adapt their transmit probabilities).
 Randomness contract: draws come from ``numpy.random.default_rng(seed)`` and
 each node's transmit decision consumes exactly one uniform variate per slot,
 in node-index order within the slot. Identical inputs replay bit-identically.
+A span of slots starting at slot s reads the same stream from a PCG64
+generator advanced by ``s * n`` variates, so splitting a run into spans or
+chunks never changes a draw.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -22,6 +27,7 @@ import numpy as np
 from .game import GameInstance, StrategyProfile
 
 _CHUNK_SLOTS = 1 << 16
+_CHUNK_VARIATES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -42,21 +48,62 @@ class SimStats:
             )
 
 
-def _chunked_slot_draws(taus, num_slots, rng, chunk_slots):
-    """Yield (transmit_count, success_node) arrays chunk by chunk.
+def _check_run(game, profile, num_slots, chunk_slots):
+    if len(profile) != game.n:
+        raise ValueError(f"profile has {len(profile)} entries for n = {game.n} nodes")
+    if num_slots < 1:
+        raise ValueError(f"num_slots must be at least 1, got {num_slots}")
+    if chunk_slots < 1:
+        raise ValueError(f"chunk_slots must be at least 1, got {chunk_slots}")
 
-    ``success_node`` is -1 where the slot is not a success. Chunking only
-    bounds memory; the variate stream (slot-major, node order within a
-    slot) is independent of the chunk size.
+
+def _block_shape(n, start, stop, chunk_slots):
+    """Shape of one chunk of slots `start`..`stop`: at most `chunk_slots` rows
+    and at most _CHUNK_VARIATES variates, but at least one row."""
+    return min(max(1, min(chunk_slots, _CHUNK_VARIATES // n)), stop - start), n
+
+
+def _slot_variates(n, seed, start, stop, chunk_slots):
+    """Yield ``(rows, n)`` blocks of the uniforms drawn for slots `start`..`stop`.
+
+    The generator is advanced past the ``start * n`` variates that earlier
+    slots consume, so any span reads exactly its part of the single
+    ``default_rng(seed)`` stream (slot-major, node order within a slot),
+    whatever the span bounds and chunk size. Each block is a view of one
+    reused buffer, valid until the next block is requested.
     """
-    done = 0
-    while done < num_slots:
-        m = min(chunk_slots, num_slots - done)
-        transmits = rng.random((m, len(taus))) < taus
-        counts = transmits.sum(axis=1)
-        success_node = np.where(counts == 1, transmits.argmax(axis=1), -1)
-        yield counts, success_node
-        done += m
+    bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
+    bit_generator.advance(start * n)
+    rng = np.random.Generator(bit_generator)
+    uniforms = np.empty(_block_shape(n, start, stop, chunk_slots))
+    for lo in range(start, stop, len(uniforms)):
+        yield rng.random(out=uniforms[: stop - lo])
+
+
+def _slot_draws(taus, seed, start, stop, chunk_slots):
+    """Yield the boolean ``uniform < tau`` transmit blocks for slots
+    `start`..`stop`; each is a view of one reused buffer."""
+    transmits = np.empty(_block_shape(len(taus), start, stop, chunk_slots), dtype=bool)
+    for uniforms in _slot_variates(len(taus), seed, start, stop, chunk_slots):
+        yield np.less(uniforms, taus, out=transmits[: len(uniforms)])
+
+
+def _span_counts(taus, seed, start, stop, chunk_slots):
+    """(idle, collision, per-node successes) over slots `start`..`stop`."""
+    idle = 0
+    successes = np.zeros(len(taus), dtype=np.int64)
+    for transmits in _slot_draws(taus, seed, start, stop, chunk_slots):
+        counts = np.count_nonzero(transmits, axis=1)
+        idle += int(np.count_nonzero(counts == 0))
+        successes += np.count_nonzero(transmits[counts == 1], axis=0)
+    return idle, stop - start - idle - int(successes.sum()), successes
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not provided on every platform
+        return os.cpu_count() or 1
 
 
 def run_monte_carlo(
@@ -72,20 +119,37 @@ def run_monte_carlo(
     end-of-slot age estimates the analytic conditional expectation: the age
     is sigma_success on the node's own success and initial age plus the
     realized slot length otherwise.
+
+    The slots are split into one contiguous span per usable CPU (never more
+    spans than chunks), each counted on its own thread; numpy releases the
+    GIL while it fills and compares. Integer counts add up the same in any
+    order, so the result does not depend on the CPU count or chunk size.
     """
-    if len(profile) != game.n:
-        raise ValueError(f"profile has {len(profile)} entries for n = {game.n} nodes")
-    if num_slots < 1:
-        raise ValueError(f"num_slots must be at least 1, got {num_slots}")
+    _check_run(game, profile, num_slots, chunk_slots)
     taus = np.asarray(profile.taus)
-    rng = np.random.default_rng(seed)
-    idle = 0
-    collision = 0
-    successes = np.zeros(game.n, dtype=np.int64)
-    for counts, success_node in _chunked_slot_draws(taus, num_slots, rng, chunk_slots):
-        idle += int(np.count_nonzero(counts == 0))
-        collision += int(np.count_nonzero(counts >= 2))
-        successes += np.bincount(success_node[success_node >= 0], minlength=game.n)
+    rows, _ = _block_shape(game.n, 0, num_slots, chunk_slots)
+    num_spans = min(_usable_cpus(), -(-num_slots // rows))
+    bounds = [num_slots * k // num_spans for k in range(num_spans + 1)]
+    results = [None] * num_spans
+
+    def count_span(k):
+        try:
+            results[k] = _span_counts(taus, seed, bounds[k], bounds[k + 1], rows)
+        except BaseException as exc:  # re-raised on the calling thread
+            results[k] = exc
+
+    threads = [threading.Thread(target=count_span, args=(k,)) for k in range(1, num_spans)]
+    for thread in threads:
+        thread.start()
+    count_span(0)
+    for thread in threads:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    idle = sum(r[0] for r in results)
+    collision = sum(r[1] for r in results)
+    successes = sum(r[2] for r in results)
     lengths = game.slot_lengths
     total_duration = (
         idle * lengths.sigma_idle
@@ -117,15 +181,14 @@ def simulate_age_trajectory(
 
     Inputs are checked at the call. The result is a generator of
     ``(times, ages)`` blocks of slot boundaries: first the initial boundary
-    (time 0, the starting ages), then one block of at most `chunk_slots`
-    rows per chunk of slots, with ``ages[t, i]`` node i's age at
-    ``times[t]``. Node i's age at a boundary is sigma_success if it just
-    succeeded, otherwise its previous age plus the realized slot duration.
+    (time 0, the starting ages), then one block per chunk of slots, with
+    ``ages[t, i]`` node i's age at ``times[t]``. Node i's age at a boundary
+    is sigma_success if it just succeeded, otherwise its previous age plus
+    the realized slot duration.
+    A chunk holds at most `chunk_slots` slots and at most 2**19 variates,
+    so a block's memory does not grow with `num_slots` or with n.
     """
-    if len(profile) != game.n:
-        raise ValueError(f"profile has {len(profile)} entries for n = {game.n} nodes")
-    if num_slots < 1:
-        raise ValueError(f"num_slots must be at least 1, got {num_slots}")
+    _check_run(game, profile, num_slots, chunk_slots)
     return _trajectory_blocks(game, np.asarray(profile.taus), num_slots, seed, chunk_slots)
 
 
@@ -138,15 +201,16 @@ def _trajectory_blocks(game, taus, num_slots, seed, chunk_slots):
     )
     now = 0.0
     reset_at = np.full(game.n, np.nan)  # time of each node's last success, NaN before
-    rng = np.random.default_rng(seed)
-    for counts, success_node in _chunked_slot_draws(taus, num_slots, rng, chunk_slots):
+    for transmits in _slot_draws(taus, seed, 0, num_slots, chunk_slots):
+        counts = np.count_nonzero(transmits, axis=1)
+        lone = counts == 1
         # Summing from the carried clock keeps every time bit-identical to
         # one cumulative sum over the whole run, whatever the chunk size.
         times = np.cumsum(np.concatenate(([now], slot_duration[np.minimum(counts, 2)])))[1:]
         slot = np.arange(1, len(times) + 1)
         ages = np.empty((len(times), game.n))
         for i in range(game.n):
-            last_win = np.maximum.accumulate(np.where(success_node == i, slot, 0))
+            last_win = np.maximum.accumulate(np.where(lone & transmits[:, i], slot, 0))
             reset = np.where(last_win > 0, times[last_win - 1], reset_at[i])
             ages[:, i] = np.where(
                 np.isnan(reset), initial[i] + times, lengths.sigma_success + (times - reset)

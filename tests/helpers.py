@@ -77,6 +77,23 @@ def sample_slot(profile, slot_lengths, rng):
     return "collision", slot_lengths.sigma_collision, None
 
 
+def slot_by_slot_counts(profile, slot_lengths, slots, seed):
+    """``(idle, collision, successes per node)`` of `slots` `sample_slot`
+    draws from one ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    idle = collision = 0
+    successes = [0] * len(profile)
+    for _ in range(slots):
+        kind, _, winner = sample_slot(profile, slot_lengths, rng)
+        if kind == "idle":
+            idle += 1
+        elif kind == "collision":
+            collision += 1
+        else:
+            successes[winner] += 1
+    return idle, collision, tuple(successes)
+
+
 def response_payoffs(game, i, opponent_taus, grid_size):
     """Node i's payoff at each grid value of its own transmit probability.
 

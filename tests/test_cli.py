@@ -307,6 +307,25 @@ def test_module_entry_point_runs(tmp_path):
     assert "self-check" in result.stdout
 
 
+def test_cli_import_leaves_out_concurrent_futures():
+    # Importing concurrent.futures (and the logging it pulls in) would add
+    # several milliseconds to every CLI start.
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, aoi_csma_game.cli; print('concurrent.futures' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # byte stability: sha256 of reference outputs, so that any change to the
 # printed table or the seeded CSVs has to be made on purpose

@@ -1,6 +1,10 @@
 """Monte Carlo slot simulator: determinism, convergence, and trajectories."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -20,8 +24,9 @@ from aoi_csma_game import (
     simulate_age_trajectory,
     success_probability_of,
 )
+from aoi_csma_game import simulate
 from aoi_csma_game.reference import REFERENCE_ROWS
-from helpers import sample_slot
+from helpers import sample_slot, slot_by_slot_counts
 
 LENGTHS = SlotLengths(0.01, 1.01, 2.02)
 GAME = GameInstance(3, LENGTHS, AgeVector((2.02, 3.03, 3.03)))
@@ -142,6 +147,88 @@ def test_run_monte_carlo_matches_slot_by_slot_sampling():
     assert stats.idle_count == idle
     assert stats.collision_count == collision
     assert stats.success_count_per_node == tuple(successes)
+
+
+# ---------------------------------------------------------------------------
+# spans: each span's generator is advanced to its own offset in the stream
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize(
+    "start, stop, chunk_slots",
+    [(0, 50, 7), (13, 50, 7), (5, 41, 1), (33, 34, 4), (0, 50, 1 << 16)],
+)
+def test_span_variates_are_the_single_stream_slice(n, start, stop, chunk_slots):
+    reference = np.random.default_rng(2024).random((50, n))
+    variates = [
+        block.copy() for block in simulate._slot_variates(n, 2024, start, stop, chunk_slots)
+    ]
+    assert all(len(block) <= chunk_slots for block in variates)
+    assert np.array_equal(np.concatenate(variates), reference[start:stop])
+    taus = np.linspace(0.2, 0.8, n)
+    transmits = [
+        block.copy() for block in simulate._slot_draws(taus, 2024, start, stop, chunk_slots)
+    ]
+    assert np.array_equal(np.concatenate(transmits), reference[start:stop] < taus)
+
+
+def test_span_counts_add_up_to_one_span():
+    taus = np.array([0.3, 0.4, 0.2])
+    whole = simulate._span_counts(taus, 8, 0, 5000, 1 << 16)
+    for bounds in ([0, 1, 777, 778, 3001, 5000], [0, 2500, 5000], [0, 4999, 5000]):
+        for chunk_slots in (1 << 16, 7):
+            parts = [
+                simulate._span_counts(taus, 8, lo, hi, chunk_slots)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            assert sum(p[0] for p in parts) == whole[0]
+            assert sum(p[1] for p in parts) == whole[1]
+            assert np.array_equal(sum(p[2] for p in parts), whole[2])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_threaded_spans_match_slot_by_slot_sampling(monkeypatch, cpus):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    profile = StrategyProfile((0.3, 0.4, 0.2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost count would show
+    try:
+        stats = run_monte_carlo(GAME, profile, 5000, seed=77, chunk_slots=7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (
+        stats.idle_count, stats.collision_count, stats.success_count_per_node
+    ) == slot_by_slot_counts(profile, LENGTHS, 5000, seed=77)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    assert stats == run_monte_carlo(GAME, profile, 5000, seed=77)
+
+
+def test_chunk_slots_below_one_is_refused_at_the_call():
+    # In a fresh interpreter with a timeout, so that a return of the old
+    # endless loop fails instead of hanging the suite.
+    code = """
+        from aoi_csma_game import (
+            AgeVector, GameInstance, SlotLengths, StrategyProfile,
+            run_monte_carlo, simulate_age_trajectory,
+        )
+        game = GameInstance(2, SlotLengths(0.01, 1.01, 2.02), AgeVector((2.02, 3.03)))
+        for chunk_slots in (0, -3):
+            for run in (run_monte_carlo, simulate_age_trajectory):
+                try:
+                    run(game, StrategyProfile((0.5, 0.5)), 10, 1, chunk_slots=chunk_slots)
+                except ValueError as exc:
+                    print(exc)
+    """
+    package_root = os.path.dirname(os.path.dirname(simulate.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "chunk_slots must be at least 1, got 0", "chunk_slots must be at least 1, got 0",
+        "chunk_slots must be at least 1, got -3", "chunk_slots must be at least 1, got -3",
+    ]
 
 
 def test_symmetric_profile_frequencies_converge():
@@ -315,6 +402,14 @@ def test_trajectory_blocks_hold_at_most_chunk_slots_rows():
     )
     assert [len(t) for t, _ in blocks] == [1] + [7] * 7 + [1]
     assert all(a.shape == (len(t), 3) for t, a in blocks)
+
+
+def test_trajectory_blocks_are_capped_by_variates_for_wide_games():
+    n = 30
+    game = GameInstance(n, LENGTHS, AgeVector((2.02,) * n))
+    blocks = list(simulate_age_trajectory(game, StrategyProfile((0.05,) * n), 40_000, seed=3))
+    assert sum(len(t) for t, _ in blocks) == 40_001
+    assert max(len(t) for t, _ in blocks) <= max(1, 2**19 // n)
 
 
 def test_trajectory_validates_inputs():
