@@ -50,10 +50,6 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _profile_string(actions: tuple[Action, ...]) -> str:
-    return "".join(a.value for a in actions)
-
-
 def _write_lines(path: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -66,6 +62,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     game = scenario.game()
     lengths = game.slot_lengths
+    # Both may refuse the scenario; do so before any of the report is printed.
+    result = msne_closed_form(game)
+    nash = enumerate_pure_nash(game)
     print(f"scenario: {args.scenario}")
     print(f"nodes: {game.n}")
     print(
@@ -87,7 +86,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
         print(f"  node {i + 1}: " + " | ".join(parts))
     print()
-    result = msne_closed_form(game)
     print("mixed equilibrium (closed form):")
     print("  raw taus: " + ", ".join(_four(t) for t in result.raw_taus))
     print(
@@ -100,11 +98,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         + ", ".join(format(r, ".3e") for r in result.indifference_residuals)
     )
     print()
-    nash = enumerate_pure_nash(game)
-    print(
-        f"pure Nash equilibria ({len(nash)}): "
-        + ", ".join(_profile_string(p) for p in nash)
-    )
+    print(f"pure Nash equilibria ({len(nash)}): " + ", ".join(nash.as_strings()))
     return 0
 
 

@@ -14,8 +14,8 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .game import Action, GameInstance, StrategyProfile, others_transmitting
-from .game import _check_node_index, _count_payoff
+from .game import Action, GameInstance, StrategyProfile, actions_to_string, others_transmitting
+from .game import _check_entries, _check_node_index, _count_payoff
 
 MAX_ENUMERATION_NODES = 20
 
@@ -57,10 +57,10 @@ class PureNashSet:
         return len(self.profiles)
 
     def __iter__(self) -> Iterator[tuple[Action, ...]]:
-        return iter(sorted(self.profiles, key=lambda p: [a.value for a in p]))
+        return iter(sorted(self.profiles, key=actions_to_string))
 
     def as_strings(self) -> tuple[str, ...]:
-        return tuple("".join(a.value for a in p) for p in self)
+        return tuple(sorted(map(actions_to_string, self.profiles)))
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,42 @@ def enumerate_pure_nash(game: GameInstance) -> PureNashSet:
     return PureNashSet(frozenset(equilibria))
 
 
-def _indifference_gaps(game: GameInstance, taus: Sequence[float]) -> tuple[float, ...]:
+def _indifference_gaps(
+    game: GameInstance, others: Sequence[tuple[float, float, float]]
+) -> tuple[float, ...]:
     """Per-node payoff gap between surely transmitting and surely idling.
 
-    With q0 and q1 the chances that no / exactly one other node transmits,
-    the gap is q0 (a + sigma_idle - sigma_success) + q1 (sigma_success -
+    `others` is the :func:`others_transmitting` table of the values. With q0
+    and q1 the chances that no / exactly one other node transmits, the gap
+    is q0 (a + sigma_idle - sigma_success) + q1 (sigma_success -
     sigma_collision). It is defined even when the values fall outside [0, 1].
     """
     lengths = game.slot_lengths
     return tuple(
         q0 * (age + lengths.sigma_idle - lengths.sigma_success)
         + q1 * (lengths.sigma_success - lengths.sigma_collision)
-        for age, (q0, q1, _) in zip(game.initial_ages, others_transmitting(taus))
+        for age, (q0, q1, _) in zip(game.initial_ages, others)
     )
+
+
+def _closed_form_terms(game: GameInstance, i: int, mean_age: float) -> tuple[float, float]:
+    """Numerator and denominator of node i's closed-form equilibrium value."""
+    n = game.n
+    lengths = game.slot_lengths
+    shifted = (n - 1) * game.initial_ages[i] - n * mean_age
+    numerator = lengths.sigma_success - lengths.sigma_idle + shifted
+    denominator = (
+        n * lengths.sigma_success
+        - (n - 1) * lengths.sigma_collision
+        - lengths.sigma_idle
+        + shifted
+    )
+    if denominator == 0.0:
+        raise SingularGameError(
+            f"equilibrium denominator vanishes for node {i}; "
+            "the closed form is undefined for this instance"
+        )
+    return numerator, denominator
 
 
 def msne_closed_form(game: GameInstance) -> MsneResult:
@@ -175,30 +198,18 @@ def msne_closed_form(game: GameInstance) -> MsneResult:
     mean_age = sum(ages) / n
     raw = []
     for i in range(n):
-        shifted = (n - 1) * ages[i] - n * mean_age
-        numerator = lengths.sigma_success - lengths.sigma_idle + shifted
-        denominator = (
-            n * lengths.sigma_success
-            - (n - 1) * lengths.sigma_collision
-            - lengths.sigma_idle
-            + shifted
-        )
-        if denominator == 0.0:
-            raise SingularGameError(
-                f"equilibrium denominator vanishes for node {i}; "
-                "the closed form is undefined for this instance"
-            )
+        numerator, denominator = _closed_form_terms(game, i, mean_age)
         raw.append(numerator / denominator)
     threshold = (lengths.sigma_success - lengths.sigma_idle) / n
     per_node = tuple(
         mean_age - (n - 1) * ages[i] / n > threshold for i in range(n)
     )
-    feasible = all(per_node) and lengths.sigma_collision > lengths.sigma_success
+    feasible = all(per_node) and not lengths.short_collision
     return MsneResult(
         raw_taus=tuple(raw),
         feasible_per_node=per_node,
         feasible=feasible,
-        indifference_residuals=_indifference_gaps(game, raw),
+        indifference_residuals=_indifference_gaps(game, others_transmitting(raw)),
     )
 
 
@@ -208,9 +219,8 @@ def verify_indifference(game: GameInstance, profile: StrategyProfile) -> tuple[f
     Zero residuals mean every node is exactly indifferent, the defining
     property of an interior equilibrium.
     """
-    if len(profile) != game.n:
-        raise ValueError(f"profile has {len(profile)} entries for n = {game.n} nodes")
-    return _indifference_gaps(game, profile.taus)
+    _check_entries("profile", profile, game.n)
+    return _indifference_gaps(game, profile._others)
 
 
 def monotonicity_derivatives(game: GameInstance, i: int, j: int) -> tuple[float, float]:
@@ -225,21 +235,10 @@ def monotonicity_derivatives(game: GameInstance, i: int, j: int) -> tuple[float,
     n = game.n
     if i == j:
         raise ValueError("cross derivative requires j != i")
-    if not 0 <= i < n or not 0 <= j < n:
-        raise IndexError(f"node indices ({i}, {j}) out of range for {n} nodes")
+    _check_node_index(i, n)
+    _check_node_index(j, n)
+    _, denominator = _closed_form_terms(game, i, sum(game.initial_ages) / n)
     lengths = game.slot_lengths
-    mean_age = sum(game.initial_ages) / n
-    denominator = (
-        n * lengths.sigma_success
-        - (n - 1) * lengths.sigma_collision
-        - lengths.sigma_idle
-        + (n - 1) * game.initial_ages[i]
-        - n * mean_age
-    )
-    if denominator == 0.0:
-        raise SingularGameError(
-            f"equilibrium denominator vanishes for node {i}; derivatives undefined"
-        )
     gap = lengths.sigma_success - lengths.sigma_collision
     own = (n - 1) * (n - 2) * gap / denominator**2
     cross = (n - 1) * (-gap) / denominator**2

@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence, Sized
+from dataclasses import dataclass, field
 
 
 class Action(enum.Enum):
@@ -35,7 +35,7 @@ def actions_from_string(s: str) -> tuple[Action, ...]:
 
 
 def actions_to_string(actions: Sequence[Action]) -> str:
-    return "".join(a.value for a in actions)
+    return "".join([a.value for a in actions])
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,16 @@ class AgeVector:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Per-node transmit probabilities; pure profiles sit at the 0/1 corners."""
+    """Per-node transmit probabilities; pure profiles sit at the 0/1 corners.
+
+    ``_others`` holds :func:`others_transmitting` of the taus, computed once
+    on construction; it takes no part in equality, hashing or repr.
+    """
 
     taus: tuple[float, ...]
+    _others: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
@@ -103,6 +110,7 @@ class StrategyProfile:
         for i, tau in enumerate(self.taus):
             if not (0.0 <= tau <= 1.0):
                 raise ValueError(f"taus[{i}] = {tau} is not a probability in [0, 1]")
+        object.__setattr__(self, "_others", tuple(others_transmitting(self.taus)))
 
     @classmethod
     def from_actions(cls, actions: Sequence[Action]) -> StrategyProfile:
@@ -147,10 +155,7 @@ class GameInstance:
             object.__setattr__(self, "initial_ages", AgeVector(tuple(self.initial_ages)))
         if self.n < 2:
             raise ValueError(f"need at least 2 contending nodes, got n = {self.n}")
-        if len(self.initial_ages) != self.n:
-            raise ValueError(
-                f"initial_ages has {len(self.initial_ages)} entries for n = {self.n} nodes"
-            )
+        _check_entries("initial_ages", self.initial_ages, self.n)
         floor = self.slot_lengths.sigma_success
         for i, age in enumerate(self.initial_ages):
             if age < floor:
@@ -190,6 +195,11 @@ class AgePmf:
         return dict(self.support)
 
 
+def _check_entries(name: str, entries: Sized, n: int) -> None:
+    if len(entries) != n:
+        raise ValueError(f"{name} has {len(entries)} entries for n = {n} nodes")
+
+
 def _check_node_index(i: int, n: int) -> None:
     if not 0 <= i < n:
         raise IndexError(f"node index {i} out of range for {n} nodes")
@@ -222,7 +232,7 @@ def _slot_outcomes(i: int, profile: StrategyProfile) -> tuple[float, float, floa
     """Node i's (idle, own success, busy seen, collision) probabilities."""
     _check_node_index(i, len(profile))
     tau = profile[i]
-    q0, q1, q2 = others_transmitting(profile.taus)[i]
+    q0, q1, q2 = profile._others[i]
     silent = 1.0 - tau
     return silent * q0, tau * q0, silent * q1, silent * q2 + tau * (q1 + q2)
 
@@ -306,8 +316,7 @@ def expected_age_after(
 
 def mixed_payoff(i: int, game: GameInstance, profile: StrategyProfile) -> float:
     """Node i's payoff under a mixed profile: minus its expected end-of-slot age."""
-    if len(profile) != game.n:
-        raise ValueError(f"profile has {len(profile)} entries for n = {game.n} nodes")
+    _check_entries("profile", profile, game.n)
     return -expected_age_after(i, game.initial_ages[i], profile, game.slot_lengths)
 
 
@@ -323,8 +332,7 @@ def _count_payoff(game: GameInstance, i: int, transmits: bool, others: int) -> f
 
 def pure_payoff(i: int, game: GameInstance, actions: Sequence[Action]) -> float:
     """Node i's payoff when every node plays a pure transmit/idle action."""
-    if len(actions) != game.n:
-        raise ValueError(f"actions has {len(actions)} entries for n = {game.n} nodes")
+    _check_entries("actions", actions, game.n)
     _check_node_index(i, game.n)
     transmits = actions[i] is Action.TRANSMIT
     transmitters = sum(1 for a in actions if a is Action.TRANSMIT)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, StrategyProfile
+from .game import GameInstance, StrategyProfile, _check_entries
 
 _CHUNK_SLOTS = 1 << 16
 _CHUNK_VARIATES = 1 << 19
@@ -48,22 +48,19 @@ class SimStats:
             )
 
 
-def _check_run(game, profile, num_slots, chunk_slots):
-    if len(profile) != game.n:
-        raise ValueError(f"profile has {len(profile)} entries for n = {game.n} nodes")
+def _check_run(game, profile, num_slots):
+    _check_entries("profile", profile, game.n)
     if num_slots < 1:
         raise ValueError(f"num_slots must be at least 1, got {num_slots}")
-    if chunk_slots < 1:
-        raise ValueError(f"chunk_slots must be at least 1, got {chunk_slots}")
 
 
-def _block_shape(n, start, stop, chunk_slots):
-    """Shape of one chunk of slots `start`..`stop`: at most `chunk_slots` rows
-    and at most _CHUNK_VARIATES variates, but at least one row."""
-    return min(max(1, min(chunk_slots, _CHUNK_VARIATES // n)), stop - start), n
+def _chunk_rows(n):
+    """Slots per chunk for n nodes: at most _CHUNK_SLOTS slots and at most
+    _CHUNK_VARIATES variates, but at least one slot."""
+    return max(1, min(_CHUNK_SLOTS, _CHUNK_VARIATES // n))
 
 
-def _slot_variates(n, seed, start, stop, chunk_slots):
+def _slot_variates(n, seed, start, stop):
     """Yield ``(rows, n)`` blocks of the uniforms drawn for slots `start`..`stop`.
 
     The generator is advanced past the ``start * n`` variates that earlier
@@ -75,25 +72,27 @@ def _slot_variates(n, seed, start, stop, chunk_slots):
     bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
     bit_generator.advance(start * n)
     rng = np.random.Generator(bit_generator)
-    uniforms = np.empty(_block_shape(n, start, stop, chunk_slots))
+    uniforms = np.empty((min(_chunk_rows(n), stop - start), n))
     for lo in range(start, stop, len(uniforms)):
         yield rng.random(out=uniforms[: stop - lo])
 
 
-def _slot_draws(taus, seed, start, stop, chunk_slots):
-    """Yield the boolean ``uniform < tau`` transmit blocks for slots
-    `start`..`stop`; each is a view of one reused buffer."""
-    transmits = np.empty(_block_shape(len(taus), start, stop, chunk_slots), dtype=bool)
-    for uniforms in _slot_variates(len(taus), seed, start, stop, chunk_slots):
-        yield np.less(uniforms, taus, out=transmits[: len(uniforms)])
+def _slot_draws(taus, seed, start, stop):
+    """Yield ``(transmits, counts)`` per chunk of slots `start`..`stop`: the
+    boolean ``uniform < tau`` block, a view of one reused buffer, and each
+    slot's number of transmitters."""
+    n = len(taus)
+    transmits = np.empty((min(_chunk_rows(n), stop - start), n), dtype=bool)
+    for uniforms in _slot_variates(n, seed, start, stop):
+        block = np.less(uniforms, taus, out=transmits[: len(uniforms)])
+        yield block, np.count_nonzero(block, axis=1)
 
 
-def _span_counts(taus, seed, start, stop, chunk_slots):
+def _span_counts(taus, seed, start, stop):
     """(idle, collision, per-node successes) over slots `start`..`stop`."""
     idle = 0
     successes = np.zeros(len(taus), dtype=np.int64)
-    for transmits in _slot_draws(taus, seed, start, stop, chunk_slots):
-        counts = np.count_nonzero(transmits, axis=1)
+    for transmits, counts in _slot_draws(taus, seed, start, stop):
         idle += int(np.count_nonzero(counts == 0))
         successes += np.count_nonzero(transmits[counts == 1], axis=0)
     return idle, stop - start - idle - int(successes.sum()), successes
@@ -111,7 +110,6 @@ def run_monte_carlo(
     profile: StrategyProfile,
     num_slots: int,
     seed: int,
-    chunk_slots: int = _CHUNK_SLOTS,
 ) -> SimStats:
     """Repeat the one-slot experiment `num_slots` times and aggregate.
 
@@ -125,16 +123,15 @@ def run_monte_carlo(
     GIL while it fills and compares. Integer counts add up the same in any
     order, so the result does not depend on the CPU count or chunk size.
     """
-    _check_run(game, profile, num_slots, chunk_slots)
+    _check_run(game, profile, num_slots)
     taus = np.asarray(profile.taus)
-    rows, _ = _block_shape(game.n, 0, num_slots, chunk_slots)
-    num_spans = min(_usable_cpus(), -(-num_slots // rows))
+    num_spans = min(_usable_cpus(), -(-num_slots // _chunk_rows(game.n)))
     bounds = [num_slots * k // num_spans for k in range(num_spans + 1)]
     results = [None] * num_spans
 
     def count_span(k):
         try:
-            results[k] = _span_counts(taus, seed, bounds[k], bounds[k + 1], rows)
+            results[k] = _span_counts(taus, seed, bounds[k], bounds[k + 1])
         except BaseException as exc:  # re-raised on the calling thread
             results[k] = exc
 
@@ -175,7 +172,6 @@ def simulate_age_trajectory(
     profile: StrategyProfile,
     num_slots: int,
     seed: int,
-    chunk_slots: int = _CHUNK_SLOTS,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Sequential multi-slot run where ages carry over between slots.
 
@@ -185,14 +181,14 @@ def simulate_age_trajectory(
     ``ages[t, i]`` node i's age at ``times[t]``. Node i's age at a boundary
     is sigma_success if it just succeeded, otherwise its previous age plus
     the realized slot duration.
-    A chunk holds at most `chunk_slots` slots and at most 2**19 variates,
-    so a block's memory does not grow with `num_slots` or with n.
+    A chunk holds at most 2**16 slots and at most 2**19 variates, so a
+    block's memory does not grow with `num_slots` or with n.
     """
-    _check_run(game, profile, num_slots, chunk_slots)
-    return _trajectory_blocks(game, np.asarray(profile.taus), num_slots, seed, chunk_slots)
+    _check_run(game, profile, num_slots)
+    return _trajectory_blocks(game, np.asarray(profile.taus), num_slots, seed)
 
 
-def _trajectory_blocks(game, taus, num_slots, seed, chunk_slots):
+def _trajectory_blocks(game, taus, num_slots, seed):
     lengths = game.slot_lengths
     initial = np.asarray(game.initial_ages, dtype=float)
     yield np.zeros(1), initial[np.newaxis, :]
@@ -201,8 +197,7 @@ def _trajectory_blocks(game, taus, num_slots, seed, chunk_slots):
     )
     now = 0.0
     reset_at = np.full(game.n, np.nan)  # time of each node's last success, NaN before
-    for transmits in _slot_draws(taus, seed, 0, num_slots, chunk_slots):
-        counts = np.count_nonzero(transmits, axis=1)
+    for transmits, counts in _slot_draws(taus, seed, 0, num_slots):
         lone = counts == 1
         # Summing from the carried clock keeps every time bit-identical to
         # one cumulative sum over the whole run, whatever the chunk size.

@@ -2,9 +2,11 @@
 
 The outcome oracle enumerates all 2^n transmit patterns with their Bernoulli
 weights, deliberately sharing no code with the closed-form probability
-operations it checks. The slot sampler replays the simulator's variate
-stream one slot at a time, and the grid best-response oracle searches a
-node's own transmit probability with the generic mixed payoff.
+operations it checks. The dominance and pure-Nash oracles loop over every
+pure profile with an independently coded payoff case analysis. The slot
+sampler replays the simulator's variate stream one slot at a time, and the
+grid best-response oracle searches a node's own transmit probability with
+the generic mixed payoff.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ import itertools
 
 import numpy as np
 
-from aoi_csma_game import AgeVector, GameInstance, SlotLengths, StrategyProfile, mixed_payoff
+from aoi_csma_game import (
+    Action,
+    AgeVector,
+    GameInstance,
+    SlotLengths,
+    StrategyProfile,
+    mixed_payoff,
+)
 
 
 def outcome_probabilities(taus, one=1.0):
@@ -59,6 +68,47 @@ def pure_payoff_oracle(i, actions_transmit, ages, sigma_idle, sigma_success, sig
     if transmitters == 1:
         return -(ages[i] + sigma_success)
     return -(ages[i] + sigma_collision)
+
+
+def _game_payoff_oracle(game, i, transmit_vector):
+    lengths = game.slot_lengths
+    return pure_payoff_oracle(
+        i, transmit_vector, tuple(game.initial_ages),
+        lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision,
+    )
+
+
+def dominance_oracle(game, i, transmit):
+    """Brute-force weak dominance of node i's action (transmit if `transmit`).
+
+    Compares it with the other action against all 2^(n-1) opponent profiles.
+    Returns ``(weakly_dominant, strictly_better_somewhere)`` in the sense of
+    ``DominanceReport``: the second flag also requires the first.
+    """
+    payoff_pairs = [
+        tuple(
+            _game_payoff_oracle(game, i, opponents[:i] + (own,) + opponents[i:])
+            for own in (transmit, not transmit)
+        )
+        for opponents in itertools.product((True, False), repeat=game.n - 1)
+    ]
+    weakly = all(u_mine >= u_other for u_mine, u_other in payoff_pairs)
+    strictly = any(u_mine > u_other for u_mine, u_other in payoff_pairs)
+    return weakly, weakly and strictly
+
+
+def pure_nash_oracle(game):
+    """Brute-force pure Nash set: every one of the 2^n action profiles in
+    which no node gains strictly by flipping its own action."""
+    stable = set()
+    for bits in itertools.product((True, False), repeat=game.n):
+        if all(
+            not _game_payoff_oracle(game, i, bits[:i] + (not bits[i],) + bits[i + 1 :])
+            > _game_payoff_oracle(game, i, bits)
+            for i in range(game.n)
+        ):
+            stable.add(tuple(Action.TRANSMIT if b else Action.IDLE for b in bits))
+    return stable
 
 
 def sample_slot(profile, slot_lengths, rng):

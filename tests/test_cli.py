@@ -7,6 +7,7 @@ import json
 import pytest
 
 from aoi_csma_game import cli
+from aoi_csma_game import game as game_module
 from aoi_csma_game.reference import REFERENCE_ROWS
 
 
@@ -91,6 +92,26 @@ def test_analyze_refuses_large_game_fast(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error: exhaustive enumeration capped at 20 nodes" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        scenario_dict(n=21, initial_ages=[3.03] * 21),
+        # The closed-form denominator vanishes for node 1.
+        scenario_dict(
+            n=2, sigma_idle=0.25, sigma_success=1.0, sigma_collision=0.5,
+            initial_ages=[1.25, 1.0],
+        ),
+    ],
+    ids=["enumeration_cap", "singular"],
+)
+def test_refused_analyze_prints_no_partial_report(tmp_path, capsys, data):
+    code = cli.main(["analyze", "--scenario", write(tmp_path, data)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +271,27 @@ def test_simulate_uses_feasible_equilibrium_by_default(tmp_path, capsys):
     assert code == 0
     assert "profile source: closed-form mixed equilibrium" in out
     assert "slots: 2000" in out
+
+
+def test_simulate_report_runs_the_kernel_a_fixed_number_of_times(tmp_path, capsys, monkeypatch):
+    """The slot-count table is built once per profile, not once per reported row."""
+    kernel = game_module.others_transmitting
+    calls = []
+
+    def counted(taus):
+        calls.append(len(taus))
+        return kernel(taus)
+
+    monkeypatch.setattr(game_module, "others_transmitting", counted)
+    per_n = []
+    for n in (10, 40):
+        calls.clear()
+        data = scenario_dict(n=n, initial_ages=[3.03] * n, taus=[0.05] * n, num_slots=100)
+        assert cli.main(["simulate", "--scenario", write(tmp_path, data)]) == 0
+        per_n.append(len(calls))
+    capsys.readouterr()
+    assert per_n[0] >= 1
+    assert per_n[0] == per_n[1]
 
 
 def test_simulate_infeasible_without_taus_exits_1(tmp_path, capsys):

@@ -24,8 +24,9 @@ from aoi_csma_game import (
 from aoi_csma_game.reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
 from helpers import (
     best_response_oracle,
+    dominance_oracle,
     interior_condition_holds,
-    pure_payoff_oracle,
+    pure_nash_oracle,
     random_feasible_game,
     random_game,
     random_slot_lengths,
@@ -82,8 +83,6 @@ def test_boundary_equal_lengths_transmit_dominant_strict_only_at_all_idle():
 @given(games_st(min_n=2, max_n=6))
 def test_dominance_regime_dichotomy_property(game):
     short = game.slot_lengths.short_collision
-    lengths = game.slot_lengths
-    ages = tuple(game.initial_ages)
     for i in range(game.n):
         transmit = check_weak_dominance(game, i, Action.TRANSMIT)
         idle = check_weak_dominance(game, i, Action.IDLE)
@@ -95,22 +94,9 @@ def test_dominance_regime_dichotomy_property(game):
             assert not idle.weakly_dominant
         # Both flags against a brute-force loop over every opponent profile.
         for report in (transmit, idle):
-            mine = report.strategy is Action.TRANSMIT
-            payoff_pairs = []
-            for opponents in itertools.product((True, False), repeat=game.n - 1):
-                payoff_pairs.append(
-                    tuple(
-                        pure_payoff_oracle(
-                            i, opponents[:i] + (own,) + opponents[i:], ages,
-                            lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision,
-                        )
-                        for own in (mine, not mine)
-                    )
-                )
-            weakly = all(u_mine >= u_other for u_mine, u_other in payoff_pairs)
-            strictly = any(u_mine > u_other for u_mine, u_other in payoff_pairs)
+            weakly, strictly = dominance_oracle(game, i, report.strategy is Action.TRANSMIT)
             assert report.weakly_dominant == weakly
-            assert report.strictly_better_somewhere == (weakly and strictly)
+            assert report.strictly_better_somewhere == strictly
 
 
 def test_dominance_rejects_out_of_range_node():
@@ -179,26 +165,7 @@ def test_pure_nash_set_interface():
 @given(games_st(min_n=2, max_n=6))
 def test_pure_nash_soundness_against_independent_oracle(game):
     """Membership must coincide with an independently coded deviation test."""
-    lengths = game.slot_lengths
-    ages = tuple(game.initial_ages)
-    returned = set(enumerate_pure_nash(game).profiles)
-    for bits in itertools.product((True, False), repeat=game.n):
-        stable = True
-        for i in range(game.n):
-            current = pure_payoff_oracle(
-                i, bits, ages, lengths.sigma_idle, lengths.sigma_success,
-                lengths.sigma_collision,
-            )
-            flipped = bits[:i] + (not bits[i],) + bits[i + 1 :]
-            deviated = pure_payoff_oracle(
-                i, flipped, ages, lengths.sigma_idle, lengths.sigma_success,
-                lengths.sigma_collision,
-            )
-            if deviated > current:
-                stable = False
-                break
-        profile = tuple(Action.TRANSMIT if b else Action.IDLE for b in bits)
-        assert (profile in returned) == stable
+    assert set(enumerate_pure_nash(game).profiles) == pure_nash_oracle(game)
 
 
 # ---------------------------------------------------------------------------

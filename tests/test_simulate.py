@@ -1,10 +1,7 @@
 """Monte Carlo slot simulator: determinism, convergence, and trajectories."""
 
 import math
-import os
-import subprocess
 import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -121,10 +118,11 @@ def test_determinism_identical_seeds_identical_stats():
     assert c != a
 
 
-def test_chunking_does_not_change_results():
+def test_chunking_does_not_change_results(monkeypatch):
     profile = StrategyProfile((0.3, 0.4, 0.2))
     whole = run_monte_carlo(GAME, profile, 5000, seed=42)
-    chunked = run_monte_carlo(GAME, profile, 5000, seed=42, chunk_slots=7)
+    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 7)
+    chunked = run_monte_carlo(GAME, profile, 5000, seed=42)
     assert whole == chunked
 
 
@@ -158,28 +156,27 @@ def test_run_monte_carlo_matches_slot_by_slot_sampling():
     "start, stop, chunk_slots",
     [(0, 50, 7), (13, 50, 7), (5, 41, 1), (33, 34, 4), (0, 50, 1 << 16)],
 )
-def test_span_variates_are_the_single_stream_slice(n, start, stop, chunk_slots):
+def test_span_variates_are_the_single_stream_slice(monkeypatch, n, start, stop, chunk_slots):
+    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", chunk_slots)
     reference = np.random.default_rng(2024).random((50, n))
-    variates = [
-        block.copy() for block in simulate._slot_variates(n, 2024, start, stop, chunk_slots)
-    ]
+    variates = [block.copy() for block in simulate._slot_variates(n, 2024, start, stop)]
     assert all(len(block) <= chunk_slots for block in variates)
     assert np.array_equal(np.concatenate(variates), reference[start:stop])
     taus = np.linspace(0.2, 0.8, n)
-    transmits = [
-        block.copy() for block in simulate._slot_draws(taus, 2024, start, stop, chunk_slots)
-    ]
-    assert np.array_equal(np.concatenate(transmits), reference[start:stop] < taus)
+    draws = [(t.copy(), c) for t, c in simulate._slot_draws(taus, 2024, start, stop)]
+    expected = reference[start:stop] < taus
+    assert np.array_equal(np.concatenate([t for t, _ in draws]), expected)
+    assert np.array_equal(np.concatenate([c for _, c in draws]), expected.sum(axis=1))
 
 
-def test_span_counts_add_up_to_one_span():
+def test_span_counts_add_up_to_one_span(monkeypatch):
     taus = np.array([0.3, 0.4, 0.2])
-    whole = simulate._span_counts(taus, 8, 0, 5000, 1 << 16)
+    whole = simulate._span_counts(taus, 8, 0, 5000)
     for bounds in ([0, 1, 777, 778, 3001, 5000], [0, 2500, 5000], [0, 4999, 5000]):
         for chunk_slots in (1 << 16, 7):
+            monkeypatch.setattr(simulate, "_CHUNK_SLOTS", chunk_slots)
             parts = [
-                simulate._span_counts(taus, 8, lo, hi, chunk_slots)
-                for lo, hi in zip(bounds, bounds[1:])
+                simulate._span_counts(taus, 8, lo, hi) for lo, hi in zip(bounds, bounds[1:])
             ]
             assert sum(p[0] for p in parts) == whole[0]
             assert sum(p[1] for p in parts) == whole[1]
@@ -189,46 +186,20 @@ def test_span_counts_add_up_to_one_span():
 @pytest.mark.parametrize("cpus", [1, 2, 5])
 def test_threaded_spans_match_slot_by_slot_sampling(monkeypatch, cpus):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 7)
     profile = StrategyProfile((0.3, 0.4, 0.2))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a lost count would show
     try:
-        stats = run_monte_carlo(GAME, profile, 5000, seed=77, chunk_slots=7)
+        stats = run_monte_carlo(GAME, profile, 5000, seed=77)
     finally:
         sys.setswitchinterval(interval)
     assert (
         stats.idle_count, stats.collision_count, stats.success_count_per_node
     ) == slot_by_slot_counts(profile, LENGTHS, 5000, seed=77)
+    monkeypatch.undo()
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     assert stats == run_monte_carlo(GAME, profile, 5000, seed=77)
-
-
-def test_chunk_slots_below_one_is_refused_at_the_call():
-    # In a fresh interpreter with a timeout, so that a return of the old
-    # endless loop fails instead of hanging the suite.
-    code = """
-        from aoi_csma_game import (
-            AgeVector, GameInstance, SlotLengths, StrategyProfile,
-            run_monte_carlo, simulate_age_trajectory,
-        )
-        game = GameInstance(2, SlotLengths(0.01, 1.01, 2.02), AgeVector((2.02, 3.03)))
-        for chunk_slots in (0, -3):
-            for run in (run_monte_carlo, simulate_age_trajectory):
-                try:
-                    run(game, StrategyProfile((0.5, 0.5)), 10, 1, chunk_slots=chunk_slots)
-                except ValueError as exc:
-                    print(exc)
-    """
-    package_root = os.path.dirname(os.path.dirname(simulate.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root), timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "chunk_slots must be at least 1, got 0", "chunk_slots must be at least 1, got 0",
-        "chunk_slots must be at least 1, got -3", "chunk_slots must be at least 1, got -3",
-    ]
 
 
 def test_symmetric_profile_frequencies_converge():
@@ -305,9 +276,9 @@ def test_reference_equilibrium_monte_carlo_agreement():
 # sequential age trajectories
 
 
-def trajectory(game, profile, slots, seed, **kwargs):
+def trajectory(game, profile, slots, seed):
     """All blocks of one run joined: times (slots + 1,), ages (slots + 1, n)."""
-    blocks = list(simulate_age_trajectory(game, profile, slots, seed, **kwargs))
+    blocks = list(simulate_age_trajectory(game, profile, slots, seed))
     return np.concatenate([t for t, _ in blocks]), np.concatenate([a for _, a in blocks])
 
 
@@ -379,11 +350,12 @@ def test_trajectory_increments_are_slot_durations_or_resets():
 
 
 @pytest.mark.parametrize("taus", [(0.4, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
-def test_trajectory_is_chunk_invariant(taus):
+def test_trajectory_is_chunk_invariant(monkeypatch, taus):
     profile = StrategyProfile(taus)
     times, ages = trajectory(GAME, profile, 2000, seed=13)
     for chunk_slots in (1, 7):
-        times_c, ages_c = trajectory(GAME, profile, 2000, seed=13, chunk_slots=chunk_slots)
+        monkeypatch.setattr(simulate, "_CHUNK_SLOTS", chunk_slots)
+        times_c, ages_c = trajectory(GAME, profile, 2000, seed=13)
         assert np.array_equal(times_c, times)
         assert np.array_equal(ages_c, ages)
 
@@ -396,10 +368,9 @@ def test_trajectory_matches_slot_by_slot_rebuild():
     )
 
 
-def test_trajectory_blocks_hold_at_most_chunk_slots_rows():
-    blocks = list(
-        simulate_age_trajectory(GAME, StrategyProfile((0.4, 0.3, 0.2)), 50, seed=3, chunk_slots=7)
-    )
+def test_trajectory_blocks_hold_at_most_chunk_slots_rows(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 7)
+    blocks = list(simulate_age_trajectory(GAME, StrategyProfile((0.4, 0.3, 0.2)), 50, seed=3))
     assert [len(t) for t, _ in blocks] == [1] + [7] * 7 + [1]
     assert all(a.shape == (len(t), 3) for t, a in blocks)
 
