@@ -153,7 +153,7 @@ def parse_scenario(data: Any) -> Scenario:
     sigma_success = float(_require(data, "sigma_success", (int, float)))
     sigma_collision = float(_require(data, "sigma_collision", (int, float)))
     ages_raw = _require(data, "initial_ages", list)
-    seed = _require(data, "seed", int)
+    seed = _require(data, "seed", int, minimum=0)
     num_slots = _require(data, "num_slots", int, minimum=1)
     if len(ages_raw) != n:
         raise ScenarioError(f"initial_ages has {len(ages_raw)} entries for n = {n}")

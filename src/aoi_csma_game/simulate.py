@@ -12,7 +12,8 @@ each node's transmit decision consumes exactly one uniform variate per slot,
 in node-index order within the slot. Identical inputs replay bit-identically.
 A span of slots starting at slot s reads the same stream from a PCG64
 generator advanced by ``s * n`` variates, so splitting a run into spans or
-chunks never changes a draw.
+chunks never changes a draw. A chunk holds at most 2**16 slots and at most
+2**18 variates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .game import GameInstance, StrategyProfile, _check_entries
 
 _CHUNK_SLOTS = 1 << 16
-_CHUNK_VARIATES = 1 << 19
+_CHUNK_VARIATES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,12 @@ class SimStats:
             )
 
 
-def _check_run(game, profile, num_slots):
+def _check_run(game, profile, num_slots, seed):
     _check_entries("profile", profile, game.n)
     if num_slots < 1:
         raise ValueError(f"num_slots must be at least 1, got {num_slots}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _chunk_rows(n):
@@ -79,13 +82,23 @@ def _slot_variates(n, seed, start, stop):
 
 def _slot_draws(taus, seed, start, stop):
     """Yield ``(transmits, counts)`` per chunk of slots `start`..`stop`: the
-    boolean ``uniform < tau`` block, a view of one reused buffer, and each
-    slot's number of transmitters."""
+    ``uniform < tau`` block as float32 0/1 values, a view of one reused
+    buffer, and each slot's number of transmitters as float32.
+
+    Counting is a float32 ``einsum``, which is exact at every n: each partial
+    sum of 0/1 values below 2**24 is an exact integer, so a row sums to 0
+    only with no transmitter and to exactly 1 only with one, and a sum of two
+    or more ones rounds to a value of at least 2. A chunk's per-node
+    successes are at most 2**16 < 2**24, so they are exact too. ``einsum``
+    is used rather than a matrix product, which would dispatch to a
+    multithreaded BLAS and oversubscribe the span threads.
+    """
     n = len(taus)
-    transmits = np.empty((min(_chunk_rows(n), stop - start), n), dtype=bool)
+    transmits = np.empty((min(_chunk_rows(n), stop - start), n), dtype=np.float32)
+    ones = np.ones(n, dtype=np.float32)
     for uniforms in _slot_variates(n, seed, start, stop):
-        block = np.less(uniforms, taus, out=transmits[: len(uniforms)])
-        yield block, np.count_nonzero(block, axis=1)
+        block = np.less(uniforms, taus, out=transmits[: len(uniforms)], casting="unsafe")
+        yield block, np.einsum("ij,j->i", block, ones)
 
 
 def _span_counts(taus, seed, start, stop):
@@ -94,7 +107,8 @@ def _span_counts(taus, seed, start, stop):
     successes = np.zeros(len(taus), dtype=np.int64)
     for transmits, counts in _slot_draws(taus, seed, start, stop):
         idle += int(np.count_nonzero(counts == 0))
-        successes += np.count_nonzero(transmits[counts == 1], axis=0)
+        lone = (counts == 1).astype(np.float32)
+        successes += np.einsum("i,ij->j", lone, transmits).astype(np.int64)
     return idle, stop - start - idle - int(successes.sum()), successes
 
 
@@ -120,10 +134,11 @@ def run_monte_carlo(
 
     The slots are split into one contiguous span per usable CPU (never more
     spans than chunks), each counted on its own thread; numpy releases the
-    GIL while it fills and compares. Integer counts add up the same in any
-    order, so the result does not depend on the CPU count or chunk size.
+    GIL while it fills, compares and counts. Integer counts add up the same
+    in any order, so the result does not depend on the CPU count or chunk
+    size.
     """
-    _check_run(game, profile, num_slots)
+    _check_run(game, profile, num_slots, seed)
     taus = np.asarray(profile.taus)
     num_spans = min(_usable_cpus(), -(-num_slots // _chunk_rows(game.n)))
     bounds = [num_slots * k // num_spans for k in range(num_spans + 1)]
@@ -181,10 +196,10 @@ def simulate_age_trajectory(
     ``ages[t, i]`` node i's age at ``times[t]``. Node i's age at a boundary
     is sigma_success if it just succeeded, otherwise its previous age plus
     the realized slot duration.
-    A chunk holds at most 2**16 slots and at most 2**19 variates, so a
+    A chunk holds at most 2**16 slots and at most 2**18 variates, so a
     block's memory does not grow with `num_slots` or with n.
     """
-    _check_run(game, profile, num_slots)
+    _check_run(game, profile, num_slots, seed)
     return _trajectory_blocks(game, np.asarray(profile.taus), num_slots, seed)
 
 
@@ -201,11 +216,12 @@ def _trajectory_blocks(game, taus, num_slots, seed):
         lone = counts == 1
         # Summing from the carried clock keeps every time bit-identical to
         # one cumulative sum over the whole run, whatever the chunk size.
-        times = np.cumsum(np.concatenate(([now], slot_duration[np.minimum(counts, 2)])))[1:]
+        kinds = np.minimum(counts, 2).astype(np.intp)  # idle, success, collision
+        times = np.cumsum(np.concatenate(([now], slot_duration[kinds])))[1:]
         slot = np.arange(1, len(times) + 1)
         ages = np.empty((len(times), game.n))
         for i in range(game.n):
-            last_win = np.maximum.accumulate(np.where(lone & transmits[:, i], slot, 0))
+            last_win = np.maximum.accumulate(np.where(lone & (transmits[:, i] == 1), slot, 0))
             reset = np.where(last_win > 0, times[last_win - 1], reset_at[i])
             ages[:, i] = np.where(
                 np.isnan(reset), initial[i] + times, lengths.sigma_success + (times - reset)

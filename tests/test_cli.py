@@ -301,6 +301,23 @@ def test_simulate_infeasible_without_taus_exits_1(tmp_path, capsys):
     assert "taus" in err
 
 
+@pytest.mark.parametrize(
+    "seed, extra, message",
+    [
+        (-5, [], "field 'seed' must be >= 0, got -5"),
+        (42, ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    ],
+)
+def test_simulate_negative_seed_exits_1_naming_seed(tmp_path, capsys, seed, extra, message):
+    path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2], seed=seed))
+    code = cli.main(["simulate", "--scenario", path, *extra])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith(message + "\n")
+
+
 def test_simulate_seed_override_changes_output(tmp_path, capsys):
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2], num_slots=2000))
     cli.main(["simulate", "--scenario", path, "--seed", "1"])

@@ -162,3 +162,9 @@ def test_num_slots_must_be_positive(tmp_path):
     data = dict(VALID, num_slots=0)
     with pytest.raises(ScenarioError, match="num_slots"):
         load_scenario(write_scenario(tmp_path, data))
+
+
+def test_negative_seed_is_named(tmp_path):
+    data = dict(VALID, seed=-5)
+    with pytest.raises(ScenarioError, match="field 'seed' must be >= 0, got -5"):
+        load_scenario(write_scenario(tmp_path, data))

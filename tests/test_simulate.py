@@ -82,6 +82,8 @@ def test_run_monte_carlo_validates_inputs():
         run_monte_carlo(GAME, StrategyProfile((0.5, 0.5, 0.5)), 0, seed=1)
     with pytest.raises(ValueError, match="entries for n"):
         run_monte_carlo(GAME, StrategyProfile((0.5, 0.5)), 10, seed=1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        run_monte_carlo(GAME, StrategyProfile((0.5, 0.5, 0.5)), 10, seed=-1)
 
 
 def test_single_idle_slot_stats():
@@ -200,6 +202,48 @@ def test_threaded_spans_match_slot_by_slot_sampling(monkeypatch, cpus):
     monkeypatch.undo()
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     assert stats == run_monte_carlo(GAME, profile, 5000, seed=77)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "taus",
+    [
+        (1 / 300,) * 300,  # idles, lone successes and collisions
+        (1.0,) * 257 + (0.0,) * 43,  # 257 transmitters: a uint8 count would read 1
+    ],
+)
+def test_wide_game_counts_match_slot_by_slot_sampling(monkeypatch, cpus, taus):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 100)  # fewer rows than nodes
+    n = len(taus)
+    game = GameInstance(n, LENGTHS, AgeVector((2.02,) * n))
+    profile = StrategyProfile(taus)
+    stats = run_monte_carlo(game, profile, 1000, seed=5)
+    expected = slot_by_slot_counts(profile, LENGTHS, 1000, seed=5)
+    assert (
+        stats.idle_count, stats.collision_count, stats.success_count_per_node
+    ) == expected
+    if taus[0] < 1.0:
+        assert expected[0] > 0 and expected[1] > 0 and sum(expected[2]) > 0
+
+
+def test_one_row_chunks_match_slot_by_slot_sampling(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 8)
+    assert simulate._chunk_rows(10) == 1
+    game = GameInstance(10, LENGTHS, AgeVector((2.02,) * 10))
+    profile = StrategyProfile(tuple(np.linspace(0.02, 0.3, 10)))
+    stats = run_monte_carlo(game, profile, 300, seed=21)
+    assert (
+        stats.idle_count, stats.collision_count, stats.success_count_per_node
+    ) == slot_by_slot_counts(profile, LENGTHS, 300, seed=21)
+
+
+def test_certain_transmitter_wins_every_slot_in_a_wide_game():
+    n = 300
+    game = GameInstance(n, LENGTHS, AgeVector((2.02,) * n))
+    stats = run_monte_carlo(game, StrategyProfile((0.0,) * 7 + (1.0,) + (0.0,) * 292), 2000, seed=4)
+    assert stats.success_count_per_node == (0,) * 7 + (2000,) + (0,) * 292
+    assert stats.idle_count == stats.collision_count == 0
 
 
 def test_symmetric_profile_frequencies_converge():
@@ -380,7 +424,7 @@ def test_trajectory_blocks_are_capped_by_variates_for_wide_games():
     game = GameInstance(n, LENGTHS, AgeVector((2.02,) * n))
     blocks = list(simulate_age_trajectory(game, StrategyProfile((0.05,) * n), 40_000, seed=3))
     assert sum(len(t) for t, _ in blocks) == 40_001
-    assert max(len(t) for t, _ in blocks) <= max(1, 2**19 // n)
+    assert max(len(t) for t, _ in blocks) <= max(1, simulate._CHUNK_VARIATES // n)
 
 
 def test_trajectory_validates_inputs():
@@ -389,3 +433,5 @@ def test_trajectory_validates_inputs():
         simulate_age_trajectory(GAME, StrategyProfile((0.5, 0.5, 0.5)), 0, seed=1)
     with pytest.raises(ValueError, match="entries for n"):
         simulate_age_trajectory(GAME, StrategyProfile((0.5, 0.5)), 10, seed=1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        simulate_age_trajectory(GAME, StrategyProfile((0.5, 0.5, 0.5)), 10, seed=-1)
