@@ -9,11 +9,12 @@ the reference-table self-check finds a mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
-from pathlib import Path
 
 from .equilibrium import (
+    SingularGameError,
     check_weak_dominance,
     enumerate_pure_nash,
     msne_closed_form,
@@ -38,24 +39,12 @@ from .simulate import run_monte_carlo, simulate_age_trajectory
 _CELL = "%.12g"
 
 
-def _num(x: float) -> str:
-    return _CELL % x
-
-
 def _four(x: float) -> str:
     return format(x, ".4f")
 
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
-
-
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -160,35 +149,34 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    if scenario.sweep is None:
+    sweep = scenario.sweep
+    if sweep is None:
         raise ScenarioError(f"{args.scenario}: scenario has no sweep block")
     game = scenario.game()
     n = game.n
-    node = scenario.sweep.node - 1
+    ages = list(game.initial_ages)
     header = (
         ["swept_age"]
         + [f"tau_{k + 1}" for k in range(n)]
         + ["feasible"]
         + [f"psucc_{k + 1}" for k in range(n)]
     )
-    lines = [",".join(header)]
-    for value in scenario.sweep.values(scenario.sigma_success):
-        ages = list(scenario.initial_ages)
-        ages[node] = value
-        swept_game = GameInstance(n, scenario.slot_lengths, tuple(ages))
-        result = msne_closed_form(swept_game)
-        taus = list(result.raw_taus)
-        psucc = [t * q0 for t, (q0, _, _) in zip(taus, others_transmitting(taus))]
-        cells = (
-            [_num(value)]
-            + [_num(t) for t in taus]
-            + [str(result.feasible).lower()]
-            + [_num(p) for p in psucc]
-        )
-        lines.append(",".join(cells))
-    _write_lines(args.out, lines)
+    row = ",".join([_CELL] * (n + 1) + ["%s"] + [_CELL] * n) + "\n"
+    singular = (math.nan,) * n
+    with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as out:
+        out.write(",".join(header) + "\n")
+        for value in sweep.values(scenario.sigma_success):
+            ages[sweep.node - 1] = value
+            try:
+                result = msne_closed_form(GameInstance(n, game.slot_lengths, tuple(ages)))
+            except SingularGameError:
+                out.write(row % (value, *singular, "false", *singular))
+                continue
+            taus = result.raw_taus
+            psucc = [t * q0 for t, (q0, _, _) in zip(taus, others_transmitting(taus))]
+            out.write(row % (value, *taus, str(result.feasible).lower(), *psucc))
     if args.out is not None:
-        print(f"sweep written to {args.out} ({len(lines) - 1} points)")
+        print(f"sweep written to {args.out} ({sweep.steps} points)")
     return 0
 
 
@@ -210,8 +198,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lengths = game.slot_lengths
     seed = scenario.seed if args.seed is None else args.seed
     num_slots = scenario.num_slots if args.slots is None else args.slots
-    if num_slots < 1:
-        raise ScenarioError(f"num_slots must be at least 1, got {num_slots}")
     profile, source = _simulation_profile(scenario, game)
     stats = run_monte_carlo(game, profile, num_slots, seed)
 

@@ -19,13 +19,15 @@ Ages (and sweep bounds) are either absolute durations or
 ``{"value": v, "unit": "sigma_s"}`` pairs meaning v times sigma_success.
 ``sweep`` and ``taus`` are optional; ``sweep.node`` is 1-based, matching the
 node numbering in printed tables and CSV headers. Loading re-checks every
-model invariant and names the offending field in the error; raw values are
-kept verbatim so a loaded scenario re-emits exactly.
+model invariant (a sweep grid at its endpoints) and names the offending
+field; raw values are kept verbatim so a loaded scenario re-emits exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -76,11 +78,25 @@ class SweepSpec:
     stop_raw: Any
     steps: int
 
-    def values(self, sigma_success: float) -> tuple[float, ...]:
+    def values(self, sigma_success: float) -> Iterator[float]:
+        """Generator of the grid points ``start + k * step``, k = 0 .. steps - 1.
+
+        Checks at the call that the first and last points are finite and at
+        least sigma_success; rounding keeps the points monotone in k, so the
+        endpoints bound every point."""
         start = _resolve_duration(self.start_raw, sigma_success, "sweep.from")
         stop = _resolve_duration(self.stop_raw, sigma_success, "sweep.to")
         step = (stop - start) / (self.steps - 1)
-        return tuple(start + k * step for k in range(self.steps))
+        for k in (0, self.steps - 1):
+            value = start + k * step  # point 0 is NaN when step is infinite
+            if not math.isfinite(value):
+                raise ScenarioError(f"sweep value {value} (point {k}) is not finite")
+            if value < sigma_success:
+                raise ScenarioError(
+                    f"sweep value {value} (point {k}) violates age >= sigma_success "
+                    f"({sigma_success})"
+                )
+        return (start + k * step for k in range(self.steps))
 
 
 @dataclass(frozen=True)
@@ -197,17 +213,11 @@ def parse_scenario(data: Any) -> Scenario:
     )
     # Re-check every SlotLengths/AgeVector/GameInstance invariant at load.
     try:
-        game = scenario.game()
+        scenario.game()
     except (ValueError, TypeError) as exc:
         raise ScenarioError(str(exc)) from exc
     if sweep is not None:
-        for k, value in enumerate(sweep.values(sigma_success)):
-            if value < sigma_success:
-                raise ScenarioError(
-                    f"sweep value {value} (point {k}) violates age >= sigma_success "
-                    f"({sigma_success})"
-                )
-    del game
+        sweep.values(sigma_success)
     return scenario
 
 

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import tracemalloc
 
 import pytest
 
@@ -240,6 +242,65 @@ def test_sweep_unwritable_out_exits_1(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_sweep_singular_point_gets_a_nan_row(tmp_path, capsys):
+    # Node 1's closed-form denominator is 1.25 - age_2, so it vanishes mid-grid.
+    data = {
+        "n": 2,
+        "sigma_idle": 0.25,
+        "sigma_success": 1.0,
+        "sigma_collision": 0.5,
+        "initial_ages": [2.0, 1.0],
+        "seed": 42,
+        "num_slots": 5000,
+        "sweep": {"node": 2, "from": 1.0, "to": 1.5, "steps": 3},
+    }
+    code = cli.main(["sweep", "--scenario", write(tmp_path, data)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err == ""
+    header, *rows = out.splitlines()
+    assert header == "swept_age,tau_1,tau_2,feasible,psucc_1,psucc_2"
+    assert rows[1] == "1.25,nan,nan,false,nan,nan"
+    for row in (rows[0], rows[2]):
+        cells = row.split(",")
+        assert all(math.isfinite(float(c)) for c in cells[:3] + cells[4:])
+
+
+def test_sweep_memory_does_not_grow_with_steps(tmp_path, capsys):
+    out_path = str(tmp_path / "sweep.csv")
+    # Warm up, so that one-off allocations on a first call are not traced.
+    warm_up = write(tmp_path, sweep_scenario(steps=3))
+    assert cli.main(["sweep", "--scenario", warm_up, "--out", out_path]) == 0
+    path = write(tmp_path, sweep_scenario(steps=5000), name="long.json")
+    tracemalloc.start()
+    try:
+        code = cli.main(["sweep", "--scenario", path, "--out", out_path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.endswith("(5000 points)\n")
+    # Holding the 5000 CSV lines before writing them peaks near 2 MB.
+    assert peak < 1024 * 1024
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+@pytest.mark.parametrize(
+    "bound", [{"to": float("inf")}, {"from": float("nan")}], ids=["to-infinity", "from-nan"]
+)
+def test_non_finite_sweep_bound_is_refused_at_load(tmp_path, capsys, command, bound):
+    data = sweep_scenario()
+    data["sweep"].update(bound)
+    data["taus"] = [0.4, 0.3, 0.2]
+    code = cli.main([command, "--scenario", write(tmp_path, data)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith(": sweep value nan (point 0) is not finite\n")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -316,6 +377,16 @@ def test_simulate_negative_seed_exits_1_naming_seed(tmp_path, capsys, seed, extr
     assert out == ""
     assert err.startswith("error: ")
     assert err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("slots", [0, -3])
+def test_simulate_slots_below_one_exits_1(tmp_path, capsys, slots):
+    path = write(tmp_path, scenario_dict())
+    code = cli.main(["simulate", "--scenario", path, "--slots", str(slots)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: num_slots must be at least 1, got {slots}\n"
 
 
 def test_simulate_seed_override_changes_output(tmp_path, capsys):

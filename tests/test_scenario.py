@@ -1,6 +1,7 @@
 """Scenario file loading, validation, and exact round-tripping."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -51,7 +52,7 @@ def test_load_valid_scenario(tmp_path):
 
 def test_sweep_values_are_inclusive_linear_grid(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, VALID))
-    values = scenario.sweep.values(scenario.sigma_success)
+    values = tuple(scenario.sweep.values(scenario.sigma_success))
     assert len(values) == 5
     assert values[0] == pytest.approx(3 * 1.01, abs=1e-12)
     assert values[-1] == pytest.approx(4 * 1.01, abs=1e-12)
@@ -140,6 +141,34 @@ def test_sweep_range_below_success_length(tmp_path):
     data = dict(VALID, sweep=dict(VALID["sweep"], **{"from": 0.5}))
     with pytest.raises(ScenarioError, match="sweep value"):
         load_scenario(write_scenario(tmp_path, data))
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"to": float("inf")}, r"sweep value nan \(point 0\) is not finite"),
+        ({"from": float("nan")}, r"sweep value nan \(point 0\) is not finite"),
+        ({"to": 0.5}, r"sweep value 0\.5 \(point 4\) violates age >= sigma_success"),
+    ],
+    ids=["to-infinity", "from-nan", "descending-below"],
+)
+def test_sweep_bounds_are_checked_at_both_endpoints(tmp_path, bounds, message):
+    # json writes the literals Infinity and NaN, which json.loads accepts.
+    data = dict(VALID, sweep=dict(VALID["sweep"], **bounds))
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(write_scenario(tmp_path, data))
+
+
+def test_sweep_grid_is_not_held_in_memory_at_load(tmp_path):
+    path = write_scenario(tmp_path, dict(VALID, sweep=dict(VALID["sweep"], steps=10**6)))
+    tracemalloc.start()
+    try:
+        load_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A tuple of the 10**6 grid points alone would take 32 MB.
+    assert peak < 256 * 1024
 
 
 def test_bad_taus_rejected(tmp_path):
