@@ -11,10 +11,11 @@ interior equilibrium to the starting ages.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .game import Action, GameInstance, StrategyProfile, actions_to_string, others_transmitting
+from .game import Action, GameInstance, StrategyProfile, actions_from_string, others_transmitting
 from .game import _check_entries, _check_node_index, _count_payoff
 
 MAX_ENUMERATION_NODES = 20
@@ -46,21 +47,47 @@ class DominanceReport:
 
 @dataclass(frozen=True)
 class PureNashSet:
-    """Pure action profiles that survive the unilateral-deviation test."""
+    """Pure action profiles that survive the unilateral-deviation test.
 
-    profiles: frozenset[tuple[Action, ...]]
+    The profiles are held as transmitter-count classes, not one by one. A
+    class ``(k, forced, free)`` stands for every profile of the `n` nodes
+    whose transmitters number exactly k, include every node in `forced`
+    and otherwise come from `free`.
+    """
 
-    def __contains__(self, profile: tuple[Action, ...]) -> bool:
-        return profile in self.profiles
+    n: int
+    classes: tuple[tuple[int, frozenset[int], tuple[int, ...]], ...]
+
+    def __contains__(self, profile: Sequence[Action]) -> bool:
+        if len(profile) != self.n or not all(isinstance(a, Action) for a in profile):
+            return False
+        transmitters = {i for i, a in enumerate(profile) if a is Action.TRANSMIT}
+        for k, forced, free in self.classes:
+            if k == len(transmitters):
+                return forced <= transmitters and transmitters - forced <= set(free)
+        return False
 
     def __len__(self) -> int:
-        return len(self.profiles)
+        return sum(math.comb(len(free), k - len(forced)) for k, forced, free in self.classes)
 
     def __iter__(self) -> Iterator[tuple[Action, ...]]:
-        return iter(sorted(self.profiles, key=actions_to_string))
+        return map(actions_from_string, self.as_strings())
 
     def as_strings(self) -> tuple[str, ...]:
-        return tuple(sorted(map(actions_to_string, self.profiles)))
+        """Every profile as a ``T``/``I`` string, in sorted order."""
+        profiles = []
+        for k, forced, free in self.classes:
+            row = ["I"] * self.n
+            for i in forced:
+                row[i] = "T"
+            for chosen in itertools.combinations(free, k - len(forced)):
+                for i in chosen:
+                    row[i] = "T"
+                profiles.append("".join(row))
+                for i in chosen:
+                    row[i] = "I"
+        profiles.sort()
+        return tuple(profiles)
 
 
 @dataclass(frozen=True)
@@ -120,26 +147,24 @@ def enumerate_pure_nash(game: GameInstance) -> PureNashSet:
     A profile survives when no node can strictly improve its payoff by
     flipping only its own action; payoff ties do not disqualify. With k
     transmitters, a transmitter faces k - 1 transmitting others and an
-    idler faces k.
+    idler faces k, so each k yields at most one class: the nodes that would
+    gain by transmitting are forced to, and the transmitters are those plus
+    any nodes that lose nothing either way.
     """
     if game.n > MAX_ENUMERATION_NODES:
         raise ValueError(
             f"exhaustive enumeration capped at {MAX_ENUMERATION_NODES} nodes, got {game.n}"
         )
     nodes = range(game.n)
-    equilibria = []
+    classes = []
     for k in range(game.n + 1):
         may_transmit = {i for i in nodes if k > 0 and _keeps(game, i, True, k - 1)}
         may_idle = {i for i in nodes if k < game.n and _keeps(game, i, False, k)}
-        forced = set(nodes) - may_idle  # must transmit, so must also be able to
-        if len(forced) > k or not forced <= may_transmit:
-            continue
-        for chosen in itertools.combinations(sorted(may_transmit & may_idle), k - len(forced)):
-            transmitters = forced.union(chosen)
-            equilibria.append(
-                tuple(Action.TRANSMIT if i in transmitters else Action.IDLE for i in nodes)
-            )
-    return PureNashSet(frozenset(equilibria))
+        forced = frozenset(nodes) - may_idle  # must transmit, so must also be able to
+        free = tuple(sorted(may_transmit & may_idle))
+        if forced <= may_transmit and len(forced) <= k <= len(forced) + len(free):
+            classes.append((k, forced, free))
+    return PureNashSet(game.n, tuple(classes))
 
 
 def _indifference_gaps(

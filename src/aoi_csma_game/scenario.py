@@ -58,7 +58,14 @@ def _resolve_duration(raw: Any, sigma_success: float, field: str) -> float:
     raise ScenarioError(f"{field} must be a number or a value/unit pair, got {raw!r}")
 
 
-def _require(data: dict, field: str, kind: type, *, minimum: float | None = None) -> Any:
+def _require(
+    data: dict,
+    field: str,
+    kind: type,
+    *,
+    minimum: float | None = None,
+    maximum: float | None = None,
+) -> Any:
     if field not in data:
         raise ScenarioError(f"missing required field '{field}'")
     value = data[field]
@@ -66,6 +73,8 @@ def _require(data: dict, field: str, kind: type, *, minimum: float | None = None
         raise ScenarioError(f"field '{field}' must be {kind.__name__}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ScenarioError(f"field '{field}' must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:  # not echoed: it may run to 4300 digits
+        raise ScenarioError(f"field '{field}' must be <= {maximum}")
     return value
 
 
@@ -185,7 +194,9 @@ def parse_scenario(data: Any) -> Scenario:
         node = _require(block, "node", int)
         if not 1 <= node <= n:
             raise ScenarioError(f"sweep.node must be in 1..{n}, got {node}")
-        steps = _require(block, "steps", int, minimum=2)
+        # Up to 2**53 every grid index converts to a float exactly; a larger
+        # JSON integer may not convert at all.
+        steps = _require(block, "steps", int, minimum=2, maximum=2**53)
         if "from" not in block or "to" not in block:
             raise ScenarioError("sweep requires both 'from' and 'to'")
         sweep = SweepSpec(node=node, start_raw=block["from"], stop_raw=block["to"], steps=steps)

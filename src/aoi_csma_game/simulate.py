@@ -22,10 +22,14 @@ import os
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .game import GameInstance, StrategyProfile, _check_entries
+
+# numpy is imported by each function that uses it, so that importing the
+# package (and running the commands that never sample) does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK_SLOTS = 1 << 16
 _CHUNK_VARIATES = 1 << 18
@@ -72,6 +76,8 @@ def _slot_variates(n, seed, start, stop):
     whatever the span bounds and chunk size. Each block is a view of one
     reused buffer, valid until the next block is requested.
     """
+    import numpy as np
+
     bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
     bit_generator.advance(start * n)
     rng = np.random.Generator(bit_generator)
@@ -93,6 +99,8 @@ def _slot_draws(taus, seed, start, stop):
     is used rather than a matrix product, which would dispatch to a
     multithreaded BLAS and oversubscribe the span threads.
     """
+    import numpy as np
+
     n = len(taus)
     transmits = np.empty((min(_chunk_rows(n), stop - start), n), dtype=np.float32)
     ones = np.ones(n, dtype=np.float32)
@@ -103,6 +111,8 @@ def _slot_draws(taus, seed, start, stop):
 
 def _span_counts(taus, seed, start, stop):
     """(idle, collision, per-node successes) over slots `start`..`stop`."""
+    import numpy as np
+
     idle = 0
     successes = np.zeros(len(taus), dtype=np.int64)
     for transmits, counts in _slot_draws(taus, seed, start, stop):
@@ -138,6 +148,8 @@ def run_monte_carlo(
     in any order, so the result does not depend on the CPU count or chunk
     size.
     """
+    import numpy as np
+
     _check_run(game, profile, num_slots, seed)
     taus = np.asarray(profile.taus)
     num_spans = min(_usable_cpus(), -(-num_slots // _chunk_rows(game.n)))
@@ -199,11 +211,15 @@ def simulate_age_trajectory(
     A chunk holds at most 2**16 slots and at most 2**18 variates, so a
     block's memory does not grow with `num_slots` or with n.
     """
+    import numpy as np
+
     _check_run(game, profile, num_slots, seed)
     return _trajectory_blocks(game, np.asarray(profile.taus), num_slots, seed)
 
 
 def _trajectory_blocks(game, taus, num_slots, seed):
+    import numpy as np
+
     lengths = game.slot_lengths
     initial = np.asarray(game.initial_ages, dtype=float)
     yield np.zeros(1), initial[np.newaxis, :]

@@ -301,6 +301,21 @@ def test_non_finite_sweep_bound_is_refused_at_load(tmp_path, capsys, command, bo
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+def test_huge_sweep_steps_is_refused_at_load(tmp_path, capsys, command):
+    # json reads 10**400 as an int that no float can hold.
+    data = sweep_scenario(steps=10**400)
+    data["taus"] = [0.4, 0.3, 0.2]
+    code = cli.main([command, "--scenario", write(tmp_path, data)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "field 'steps' must be <= 9007199254740992" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -456,6 +471,37 @@ def test_cli_import_leaves_out_concurrent_futures():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_loads_numpy_only_to_simulate(tmp_path, capsys):
+    # Importing numpy takes about 0.1 s, which analyze, table1 and sweep
+    # would pay on every start without using it.
+    import subprocess
+    import sys
+
+    path = write(tmp_path, sweep_scenario())
+    out_path = tmp_path / "trajectory.csv"
+    simulate = ["simulate", "--scenario", path, "--slots", "20000", "--seed", "7"]
+    simulate += ["--out", str(out_path)]
+    script = f"""
+import contextlib, io, sys
+from aoi_csma_game import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in ({["analyze", "--scenario", path]!r}, ["table1", "--check"],
+                 {["sweep", "--scenario", path]!r}):
+        assert cli.main(argv) == 0, argv
+print("numpy" in sys.modules)
+assert cli.main({simulate!r}) == 0
+print("numpy" in sys.modules)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines(keepends=True)
+    assert (lines[0], lines[-1]) == ("False\n", "True\n")
+    assert sha256(out_path.read_bytes()) == TRAJECTORY_ROW_IV_SHA256
+    assert cli.main(simulate) == 0
+    assert capsys.readouterr().out == "".join(lines[1:-1])
+    assert sha256(out_path.read_bytes()) == TRAJECTORY_ROW_IV_SHA256
+
+
 # ---------------------------------------------------------------------------
 # byte stability: sha256 of reference outputs, so that any change to the
 # printed table or the seeded CSVs has to be made on purpose
@@ -463,6 +509,34 @@ def test_cli_import_leaves_out_concurrent_futures():
 TABLE1_CHECK_SHA256 = "a9990adfb5aa44816a88ef349d7b7042696e67c074c8b23b2efa9621624bcc76"
 SWEEP_ROW_IV_SHA256 = "749af2712e5f660db1d2814c93c9b706e1fe3afec4ac6180f262473b6f200719"
 TRAJECTORY_ROW_IV_SHA256 = "6fdf3e19c91dbe709191bb019a22ff11503124b74ed730f6b0a85378a4e338f0"
+# `analyze` at n = 13 with short collisions (sigma_c = sigma_s / 2) and ages
+# drawn uniformly from [sigma_s, 4 sigma_s]: 8178 pure Nash profiles.
+ANALYZE_SHORT_N13 = scenario_dict(
+    n=13,
+    sigma_collision=0.505,
+    initial_ages=[
+        2.434375, 3.216641, 1.930367, 3.698514, 2.252568, 3.181342, 1.81362,
+        1.752855, 3.472122, 2.519853, 2.270092, 3.21511, 3.928646,
+    ],
+)
+ANALYZE_SHORT_N13_SHA256 = "217de7b487d19a2310932435048bed3845a507ef44eae58f652261b1513e5f3e"
+# `analyze` at n = 8 with sigma_c = sigma_s and repeated ages: an idler facing
+# one transmitter ties with transmitting, so every pure Nash test is a tie.
+ANALYZE_EQUAL_N8 = scenario_dict(
+    n=8,
+    sigma_collision=1.01,
+    initial_ages=[
+        {"value": 2, "unit": "sigma_s"},
+        {"value": 2, "unit": "sigma_s"},
+        {"value": 2, "unit": "sigma_s"},
+        {"value": 3, "unit": "sigma_s"},
+        {"value": 3, "unit": "sigma_s"},
+        {"value": 1.5, "unit": "sigma_s"},
+        4.04,
+        {"value": 2, "unit": "sigma_s"},
+    ],
+)
+ANALYZE_EQUAL_N8_SHA256 = "d70fe5350de78b7e51a53c4a5cb300d145251d32ba46c0a6db232e9f4537e14d"
 
 
 def sha256(data: bytes) -> str:
@@ -487,3 +561,19 @@ def test_simulate_trajectory_csv_is_byte_stable(tmp_path, capsys):
     argv = ["simulate", "--scenario", path, "--slots", "20000", "--seed", "7"]
     assert cli.main(argv + ["--out", str(out_path)]) == 0
     assert sha256(out_path.read_bytes()) == TRAJECTORY_ROW_IV_SHA256
+
+
+@pytest.mark.parametrize(
+    "data, digest",
+    [
+        (ANALYZE_SHORT_N13, ANALYZE_SHORT_N13_SHA256),
+        (ANALYZE_EQUAL_N8, ANALYZE_EQUAL_N8_SHA256),
+    ],
+    ids=["short-n13", "equal-n8"],
+)
+def test_analyze_output_is_byte_stable(tmp_path, capsys, monkeypatch, data, digest):
+    # A relative path keeps the report's "scenario:" line fixed.
+    write(tmp_path, data)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", "--scenario", "scenario.json"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == digest

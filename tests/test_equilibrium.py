@@ -14,6 +14,7 @@ from aoi_csma_game import (
     SingularGameError,
     SlotLengths,
     StrategyProfile,
+    actions_from_string,
     check_weak_dominance,
     enumerate_pure_nash,
     monotonicity_derivatives,
@@ -159,13 +160,46 @@ def test_pure_nash_set_interface():
     ttt = (Action.TRANSMIT,) * 3
     assert ttt in nash
     assert list(nash.as_strings()) == sorted(nash.as_strings())
+    assert list(nash) == [actions_from_string(s) for s in nash.as_strings()]
+    assert "TTT" not in nash  # a string is not an action profile
+
+
+@pytest.mark.parametrize(
+    "toward, expected_class, expected",
+    [
+        (0.0, (1, frozenset({0}), (1, 2)), ("ITT", "TII", "TIT", "TTI", "TTT")),
+        (2.0, (2, frozenset(), (1, 2)), ("IIT", "ITI", "ITT", "TII", "TTT")),
+    ],
+    ids=["forced-and-free", "free-and-barred"],
+)
+def test_classes_that_split_the_nodes(toward, expected_class, expected):
+    """sigma_c one ulp from sigma_s: age + sigma_c rounds onto age + sigma_s
+    for the old nodes but not for the young node 0, so node 0 strictly
+    prefers one action where the old nodes tie. One ulp below, node 0 must
+    transmit with one transmitter; one ulp above, it must idle with two."""
+    lengths = SlotLengths(0.01, 1.01, math.nextafter(1.01, toward))
+    game = GameInstance(3, lengths, AgeVector((1.01, 10.1, 10.1)))
+    nash = enumerate_pure_nash(game)
+    assert expected_class in nash.classes
+    assert nash.as_strings() == expected
+    every = itertools.product((Action.TRANSMIT, Action.IDLE), repeat=3)
+    assert {profile for profile in every if profile in nash} == pure_nash_oracle(game)
+    assert len(nash) == len(expected)
 
 
 @settings(max_examples=60, deadline=None)
 @given(games_st(min_n=2, max_n=6))
 def test_pure_nash_soundness_against_independent_oracle(game):
     """Membership must coincide with an independently coded deviation test."""
-    assert set(enumerate_pure_nash(game).profiles) == pure_nash_oracle(game)
+    nash = enumerate_pure_nash(game)
+    oracle = pure_nash_oracle(game)
+    assert set(nash) == oracle
+    assert len(nash) == len(oracle)
+    assert all(profile in nash for profile in oracle)
+    every = itertools.product((Action.TRANSMIT, Action.IDLE), repeat=game.n)
+    assert {profile for profile in every if profile in nash} == oracle
+    assert (Action.TRANSMIT,) * (game.n + 1) not in nash
+    assert (Action.IDLE,) * (game.n - 1) not in nash
 
 
 # ---------------------------------------------------------------------------

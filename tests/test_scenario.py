@@ -137,6 +137,13 @@ def test_sweep_needs_at_least_two_steps(tmp_path):
         load_scenario(write_scenario(tmp_path, data))
 
 
+def test_sweep_steps_are_capped_where_indices_stay_exact_floats():
+    scenario = parse_scenario(dict(VALID, sweep=dict(VALID["sweep"], steps=2**53)))
+    assert next(scenario.sweep.values(1.01)) == 3 * 1.01
+    with pytest.raises(ScenarioError, match="'steps' must be <= 9007199254740992"):
+        parse_scenario(dict(VALID, sweep=dict(VALID["sweep"], steps=2**53 + 1)))
+
+
 def test_sweep_range_below_success_length(tmp_path):
     data = dict(VALID, sweep=dict(VALID["sweep"], **{"from": 0.5}))
     with pytest.raises(ScenarioError, match="sweep value"):
