@@ -48,8 +48,7 @@ def _yesno(flag: bool) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    game = scenario.game()
+    game = load_scenario(args.scenario).game
     lengths = game.slot_lengths
     # Both may refuse the scenario; do so before any of the report is printed.
     result = msne_closed_form(game)
@@ -152,7 +151,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = scenario.sweep
     if sweep is None:
         raise ScenarioError(f"{args.scenario}: scenario has no sweep block")
-    game = scenario.game()
+    game = scenario.game
     n = game.n
     ages = list(game.initial_ages)
     header = (
@@ -165,7 +164,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     singular = (math.nan,) * n
     with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as out:
         out.write(",".join(header) + "\n")
-        for value in sweep.values(scenario.sigma_success):
+        for value in sweep.values():
             ages[sweep.node - 1] = value
             try:
                 result = msne_closed_form(GameInstance(n, game.slot_lengths, tuple(ages)))
@@ -180,10 +179,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulation_profile(scenario: Scenario, game: GameInstance) -> tuple[StrategyProfile, str]:
-    if scenario.taus is not None:
-        return StrategyProfile(scenario.taus), "explicit taus from scenario"
-    result = msne_closed_form(game)
+def _simulation_profile(scenario: Scenario) -> tuple[StrategyProfile, str]:
+    if scenario.profile is not None:
+        return scenario.profile, "explicit taus from scenario"
+    result = msne_closed_form(scenario.game)
     if not result.feasible:
         raise ScenarioError(
             "closed-form equilibrium is infeasible for this scenario; "
@@ -194,22 +193,12 @@ def _simulation_profile(scenario: Scenario, game: GameInstance) -> tuple[Strateg
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    game = scenario.game()
+    game = scenario.game
     lengths = game.slot_lengths
     seed = scenario.seed if args.seed is None else args.seed
     num_slots = scenario.num_slots if args.slots is None else args.slots
-    profile, source = _simulation_profile(scenario, game)
+    profile, source = _simulation_profile(scenario)
     stats = run_monte_carlo(game, profile, num_slots, seed)
-
-    print(f"scenario: {args.scenario}")
-    print(f"profile source: {source}")
-    print("taus: " + ", ".join(format(t, ".6f") for t in profile))
-    print(f"slots: {num_slots}, seed: {seed}")
-    print(
-        f"counts: idle={stats.idle_count} collision={stats.collision_count} "
-        f"success=({', '.join(str(c) for c in stats.success_count_per_node)})"
-    )
-    print()
 
     rows = []
     p_idle = idle_probability(profile)
@@ -241,29 +230,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         )
 
-    print(f"{'quantity':<14} {'analytic':>14} {'empirical':>14} {'|diff|':>12} {'3*SE':>12} within")
-    all_within = True
-    for name, analytic, empirical, se in rows:
-        diff = abs(analytic - empirical)
-        band = 3.0 * se
-        within = diff <= band
-        all_within = all_within and within
+    # Opened before the first print, so an unwritable path prints only the error.
+    with contextlib.nullcontext() if args.out is None else open(args.out, "w") as out:
+        print(f"scenario: {args.scenario}")
+        print(f"profile source: {source}")
+        print("taus: " + ", ".join(format(t, ".6f") for t in profile))
+        print(f"slots: {num_slots}, seed: {seed}")
         print(
-            f"{name:<14} {analytic:>14.6f} {empirical:>14.6f} "
-            f"{diff:>12.2e} {band:>12.2e} {_yesno(within)}"
+            f"counts: idle={stats.idle_count} collision={stats.collision_count} "
+            f"success=({', '.join(str(c) for c in stats.success_count_per_node)})"
         )
-    print()
-    print(f"all quantities within 3 standard errors: {_yesno(all_within)}")
+        print()
+        print(
+            f"{'quantity':<14} {'analytic':>14} {'empirical':>14} {'|diff|':>12} "
+            f"{'3*SE':>12} within"
+        )
+        all_within = True
+        for name, analytic, empirical, se in rows:
+            diff = abs(analytic - empirical)
+            band = 3.0 * se
+            within = diff <= band
+            all_within = all_within and within
+            print(
+                f"{name:<14} {analytic:>14.6f} {empirical:>14.6f} "
+                f"{diff:>12.2e} {band:>12.2e} {_yesno(within)}"
+            )
+        print()
+        print(f"all quantities within 3 standard errors: {_yesno(all_within)}")
 
-    if args.out is not None:
-        row = ",".join([_CELL] * (game.n + 1)) + "\n"
-        written = 0
-        with open(args.out, "w") as out:
+        if out is not None:
+            row = ",".join([_CELL] * (game.n + 1)) + "\n"
+            written = 0
             out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(game.n)]) + "\n")
             for times, ages in simulate_age_trajectory(game, profile, num_slots, seed):
                 out.writelines(row % (t, *a) for t, a in zip(times.tolist(), ages.tolist()))
                 written += len(times)
-        print(f"trajectory written to {args.out} ({written} breakpoints)")
+            print(f"trajectory written to {args.out} ({written} breakpoints)")
     return 0
 
 

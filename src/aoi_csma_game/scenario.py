@@ -18,9 +18,9 @@ A scenario file looks like::
 Ages (and sweep bounds) are either absolute durations or
 ``{"value": v, "unit": "sigma_s"}`` pairs meaning v times sigma_success.
 ``sweep`` and ``taus`` are optional; ``sweep.node`` is 1-based, matching the
-node numbering in printed tables and CSV headers. Loading re-checks every
-model invariant (a sweep grid at its endpoints) and names the offending
-field; raw values are kept verbatim so a loaded scenario re-emits exactly.
+node numbering in printed tables and CSV headers. Loading builds the game
+instance and the taus' profile once, checks every model invariant (a sweep
+grid at its endpoints) and names the offending field.
 """
 
 from __future__ import annotations
@@ -32,29 +32,34 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .game import AgeVector, GameInstance, SlotLengths
+from .game import AgeVector, GameInstance, SlotLengths, StrategyProfile
 
 
 class ScenarioError(ValueError):
     """A scenario file is malformed or violates a model invariant."""
 
 
-def _resolve_duration(raw: Any, sigma_success: float, field: str) -> float:
-    if isinstance(raw, bool):
+def _float(raw: Any, field: str) -> float:
+    """A JSON number as a float; a JSON integer may be too large for one."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"{field} must be a number, got {raw!r}")
-    if isinstance(raw, (int, float)):
+    try:
         return float(raw)
+    except OverflowError:
+        raise ScenarioError(f"{field} is too large to convert to a float") from None
+
+
+def _duration(raw: Any, sigma_success: float, field: str) -> float:
+    if isinstance(raw, (int, float)):
+        return _float(raw, field)
     if isinstance(raw, dict):
-        extra = set(raw) - {"value", "unit"}
-        if extra or set(raw) != {"value", "unit"}:
+        if set(raw) != {"value", "unit"}:
             raise ScenarioError(
                 f"{field} must have exactly the keys 'value' and 'unit', got {sorted(raw)}"
             )
         if raw["unit"] != "sigma_s":
             raise ScenarioError(f"{field}.unit must be 'sigma_s', got {raw['unit']!r}")
-        if isinstance(raw["value"], bool) or not isinstance(raw["value"], (int, float)):
-            raise ScenarioError(f"{field}.value must be a number, got {raw['value']!r}")
-        return float(raw["value"]) * sigma_success
+        return _float(raw["value"], f"{field}.value") * sigma_success
     raise ScenarioError(f"{field} must be a number or a value/unit pair, got {raw!r}")
 
 
@@ -69,6 +74,8 @@ def _require(
     if field not in data:
         raise ScenarioError(f"missing required field '{field}'")
     value = data[field]
+    if kind is float:
+        return _float(value, f"field '{field}'")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ScenarioError(f"field '{field}' must be {kind.__name__}, got {value!r}")
     if minimum is not None and value < minimum:
@@ -83,86 +90,62 @@ class SweepSpec:
     """Sweep of one node's starting age over an inclusive linear range."""
 
     node: int  # 1-based, as printed in tables and CSV headers
-    start_raw: Any
-    stop_raw: Any
+    start: float
+    stop: float
     steps: int
 
-    def values(self, sigma_success: float) -> Iterator[float]:
-        """Generator of the grid points ``start + k * step``, k = 0 .. steps - 1.
-
-        Checks at the call that the first and last points are finite and at
-        least sigma_success; rounding keeps the points monotone in k, so the
-        endpoints bound every point."""
-        start = _resolve_duration(self.start_raw, sigma_success, "sweep.from")
-        stop = _resolve_duration(self.stop_raw, sigma_success, "sweep.to")
-        step = (stop - start) / (self.steps - 1)
-        for k in (0, self.steps - 1):
-            value = start + k * step  # point 0 is NaN when step is infinite
-            if not math.isfinite(value):
-                raise ScenarioError(f"sweep value {value} (point {k}) is not finite")
-            if value < sigma_success:
-                raise ScenarioError(
-                    f"sweep value {value} (point {k}) violates age >= sigma_success "
-                    f"({sigma_success})"
-                )
-        return (start + k * step for k in range(self.steps))
+    def values(self) -> Iterator[float]:
+        """Generator of the grid points ``start + k * step``, k = 0 .. steps - 1."""
+        step = (self.stop - self.start) / (self.steps - 1)
+        return (self.start + k * step for k in range(self.steps))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario; raw age entries are preserved for exact re-emission."""
+    """A validated scenario: the game, its run settings, sweep and taus."""
 
-    n: int
-    sigma_idle: float
-    sigma_success: float
-    sigma_collision: float
-    initial_ages_raw: tuple[Any, ...]
+    game: GameInstance
     seed: int
     num_slots: int
     sweep: SweepSpec | None = None
-    taus: tuple[float, ...] | None = None
+    profile: StrategyProfile | None = None
 
-    @property
-    def slot_lengths(self) -> SlotLengths:
-        return SlotLengths(self.sigma_idle, self.sigma_success, self.sigma_collision)
 
-    @property
-    def initial_ages(self) -> tuple[float, ...]:
-        return tuple(
-            _resolve_duration(raw, self.sigma_success, f"initial_ages[{i}]")
-            for i, raw in enumerate(self.initial_ages_raw)
-        )
+def _parse_sweep(block: Any, n: int, sigma_success: float) -> SweepSpec:
+    """Check a sweep block, with its grid's first and last points.
 
-    def game(self) -> GameInstance:
-        return GameInstance(self.n, self.slot_lengths, AgeVector(self.initial_ages))
-
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "n": self.n,
-            "sigma_idle": self.sigma_idle,
-            "sigma_success": self.sigma_success,
-            "sigma_collision": self.sigma_collision,
-            "initial_ages": list(self.initial_ages_raw),
-            "seed": self.seed,
-            "num_slots": self.num_slots,
-        }
-        if self.sweep is not None:
-            data["sweep"] = {
-                "node": self.sweep.node,
-                "from": self.sweep.start_raw,
-                "to": self.sweep.stop_raw,
-                "steps": self.sweep.steps,
-            }
-        if self.taus is not None:
-            data["taus"] = list(self.taus)
-        return data
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+    Rounding keeps the points monotone in k, so the endpoints bound every
+    point; the grid itself is never held."""
+    if not isinstance(block, dict):
+        raise ScenarioError("sweep must be an object")
+    extra = set(block) - {"node", "from", "to", "steps"}
+    if extra:
+        raise ScenarioError(f"unknown sweep fields: {sorted(extra)}")
+    node = _require(block, "node", int)
+    if not 1 <= node <= n:
+        raise ScenarioError(f"sweep.node must be in 1..{n}, got {node}")
+    # Up to 2**53 every grid index converts to a float exactly; a larger
+    # JSON integer may not convert at all.
+    steps = _require(block, "steps", int, minimum=2, maximum=2**53)
+    if "from" not in block or "to" not in block:
+        raise ScenarioError("sweep requires both 'from' and 'to'")
+    start = _duration(block["from"], sigma_success, "sweep.from")
+    stop = _duration(block["to"], sigma_success, "sweep.to")
+    step = (stop - start) / (steps - 1)
+    for k in (0, steps - 1):
+        value = start + k * step  # point 0 is NaN when step is infinite
+        if not math.isfinite(value):
+            raise ScenarioError(f"sweep value {value} (point {k}) is not finite")
+        if value < sigma_success:
+            raise ScenarioError(
+                f"sweep value {value} (point {k}) violates age >= sigma_success "
+                f"({sigma_success})"
+            )
+    return SweepSpec(node, start, stop, steps)
 
 
 def parse_scenario(data: Any) -> Scenario:
-    """Validate a decoded scenario document and re-check all model invariants."""
+    """Validate a decoded scenario document and build its game and profile."""
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario must be a JSON object, got {type(data).__name__}")
     known = {
@@ -174,62 +157,35 @@ def parse_scenario(data: Any) -> Scenario:
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
 
     n = _require(data, "n", int)
-    sigma_idle = float(_require(data, "sigma_idle", (int, float)))
-    sigma_success = float(_require(data, "sigma_success", (int, float)))
-    sigma_collision = float(_require(data, "sigma_collision", (int, float)))
+    sigma_idle, sigma_success, sigma_collision = (
+        _require(data, field, float)
+        for field in ("sigma_idle", "sigma_success", "sigma_collision")
+    )
     ages_raw = _require(data, "initial_ages", list)
     seed = _require(data, "seed", int, minimum=0)
     num_slots = _require(data, "num_slots", int, minimum=1)
     if len(ages_raw) != n:
         raise ScenarioError(f"initial_ages has {len(ages_raw)} entries for n = {n}")
-
-    sweep = None
-    if "sweep" in data:
-        block = data["sweep"]
-        if not isinstance(block, dict):
-            raise ScenarioError("sweep must be an object")
-        extra = set(block) - {"node", "from", "to", "steps"}
-        if extra:
-            raise ScenarioError(f"unknown sweep fields: {sorted(extra)}")
-        node = _require(block, "node", int)
-        if not 1 <= node <= n:
-            raise ScenarioError(f"sweep.node must be in 1..{n}, got {node}")
-        # Up to 2**53 every grid index converts to a float exactly; a larger
-        # JSON integer may not convert at all.
-        steps = _require(block, "steps", int, minimum=2, maximum=2**53)
-        if "from" not in block or "to" not in block:
-            raise ScenarioError("sweep requires both 'from' and 'to'")
-        sweep = SweepSpec(node=node, start_raw=block["from"], stop_raw=block["to"], steps=steps)
+    ages = [
+        _duration(raw, sigma_success, f"initial_ages[{i}]") for i, raw in enumerate(ages_raw)
+    ]
 
     taus = None
     if "taus" in data:
-        raw_taus = data["taus"]
-        if not isinstance(raw_taus, list) or len(raw_taus) != n:
+        if not isinstance(data["taus"], list) or len(data["taus"]) != n:
             raise ScenarioError(f"taus must be a list of {n} probabilities")
-        for i, t in enumerate(raw_taus):
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= t <= 1:
-                raise ScenarioError(f"taus[{i}] = {t!r} is not a probability in [0, 1]")
-        taus = tuple(float(t) for t in raw_taus)
+        taus = [_float(t, f"taus[{i}]") for i, t in enumerate(data["taus"])]
 
-    scenario = Scenario(
-        n=n,
-        sigma_idle=sigma_idle,
-        sigma_success=sigma_success,
-        sigma_collision=sigma_collision,
-        initial_ages_raw=tuple(ages_raw),
-        seed=seed,
-        num_slots=num_slots,
-        sweep=sweep,
-        taus=taus,
-    )
-    # Re-check every SlotLengths/AgeVector/GameInstance invariant at load.
+    # Every SlotLengths/AgeVector/GameInstance/StrategyProfile invariant.
     try:
-        scenario.game()
-    except (ValueError, TypeError) as exc:
+        lengths = SlotLengths(sigma_idle, sigma_success, sigma_collision)
+        game = GameInstance(n, lengths, AgeVector(ages))
+        profile = None if taus is None else StrategyProfile(taus)
+    except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    if sweep is not None:
-        sweep.values(sigma_success)
-    return scenario
+
+    sweep = None if "sweep" not in data else _parse_sweep(data["sweep"], n, sigma_success)
+    return Scenario(game, seed, num_slots, sweep, profile)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -245,6 +201,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the int/str conversion digit limit
+        raise ScenarioError(f"{path}: {exc}") from exc
     try:
         return parse_scenario(data)
     except ScenarioError as exc:

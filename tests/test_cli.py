@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -316,6 +317,47 @@ def test_huge_sweep_steps_is_refused_at_load(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+HUGE_INT = "1" + "0" * 400  # json reads it as an int that no float can hold
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+@pytest.mark.parametrize(
+    "literal, replacement",
+    [
+        ('"sigma_collision": 2.02', f'"sigma_collision": {HUGE_INT}'),
+        ('"value": 2,', f'"value": {HUGE_INT},'),
+        ('{"value": 2, "unit": "sigma_s"}', HUGE_INT),
+        ('"to": {"value": 4, "unit": "sigma_s"}', f'"to": {HUGE_INT}'),
+        ("0.2]", f"{HUGE_INT}]"),
+        pytest.param(
+            '"seed": 42',
+            '"seed": ' + "7" * 5000,
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this interpreter has no int/str conversion digit limit",
+            ),
+        ),
+    ],
+    ids=["sigma_collision", "age-value", "age", "sweep-to", "tau", "seed-5000-digits"],
+)
+def test_huge_json_number_is_one_error_line_with_the_path(
+    tmp_path, capsys, command, literal, replacement
+):
+    data = sweep_scenario()
+    data["taus"] = [0.4, 0.3, 0.2]
+    text = json.dumps(data)
+    assert text.count(literal) == 1
+    path = tmp_path / "scenario.json"
+    path.write_text(text.replace(literal, replacement))
+    code = cli.main([command, "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -397,11 +439,15 @@ def test_simulate_negative_seed_exits_1_naming_seed(tmp_path, capsys, seed, extr
 @pytest.mark.parametrize("slots", [0, -3])
 def test_simulate_slots_below_one_exits_1(tmp_path, capsys, slots):
     path = write(tmp_path, scenario_dict())
-    code = cli.main(["simulate", "--scenario", path, "--slots", str(slots)])
+    out_path = tmp_path / "trajectory.csv"
+    code = cli.main(
+        ["simulate", "--scenario", path, "--slots", str(slots), "--out", str(out_path)]
+    )
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
     assert err == f"error: num_slots must be at least 1, got {slots}\n"
+    assert not out_path.exists()
 
 
 def test_simulate_seed_override_changes_output(tmp_path, capsys):
@@ -435,7 +481,9 @@ def test_simulate_unwritable_out_exits_1(tmp_path, capsys):
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2], num_slots=200))
     out_path = tmp_path / "missing" / "trajectory.csv"
     assert cli.main(["simulate", "--scenario", path, "--out", str(out_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
     assert not out_path.exists()
 
 
