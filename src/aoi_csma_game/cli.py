@@ -35,8 +35,12 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import run_monte_carlo, simulate_age_trajectory
 
 
-# Full-precision decimal for CSV cells (12 significant digits).
+# Decimal for CSV cells: 12 significant digits, which do not round-trip
+# every double.
 _CELL = "%.12g"
+# Most cells the trajectory CSV formats with one `%` (a slice holds at least
+# one row), so the Python floats of a slice stay a bounded part of a block.
+_SLICE_CELLS = 1 << 16
 
 
 def _four(x: float) -> str:
@@ -259,12 +263,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"all quantities within 3 standard errors: {_yesno(all_within)}")
 
         if out is not None:
+            import numpy as np
+
             row = ",".join([_CELL] * (game.n + 1)) + "\n"
+            slice_rows = max(1, _SLICE_CELLS // (game.n + 1))
             written = 0
             out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(game.n)]) + "\n")
             for times, ages in simulate_age_trajectory(game, profile, num_slots, seed):
-                out.writelines(row % (t, *a) for t, a in zip(times.tolist(), ages.tolist()))
-                written += len(times)
+                table = np.column_stack((times, ages))
+                for lo in range(0, len(table), slice_rows):
+                    part = table[lo : lo + slice_rows]
+                    out.write((row * len(part)) % tuple(part.ravel().tolist()))
+                written += len(table)
             print(f"trajectory written to {args.out} ({written} breakpoints)")
     return 0
 

@@ -33,6 +33,8 @@ if TYPE_CHECKING:
 
 _CHUNK_SLOTS = 1 << 16
 _CHUNK_VARIATES = 1 << 18
+# The range of the int64 per-node success counters.
+_MAX_SLOTS = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,9 @@ def _check_run(game, profile, num_slots, seed):
     _check_entries("profile", profile, game.n)
     if num_slots < 1:
         raise ValueError(f"num_slots must be at least 1, got {num_slots}")
+    if num_slots > _MAX_SLOTS:
+        # The value is not echoed: it may run to thousands of digits.
+        raise ValueError(f"num_slots must be at most {_MAX_SLOTS}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 

@@ -4,14 +4,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import tracemalloc
 
 import pytest
 
-from aoi_csma_game import cli
+from aoi_csma_game import StrategyProfile, cli, simulate, simulate_age_trajectory
 from aoi_csma_game import game as game_module
 from aoi_csma_game.reference import REFERENCE_ROWS
+from aoi_csma_game.scenario import load_scenario
 
 
 def write(tmp_path, data, name="scenario.json"):
@@ -448,6 +450,82 @@ def test_simulate_slots_below_one_exits_1(tmp_path, capsys, slots):
     assert out == ""
     assert err == f"error: num_slots must be at least 1, got {slots}\n"
     assert not out_path.exists()
+
+
+def test_simulate_refuses_slots_past_the_success_counters(tmp_path):
+    # In a fresh interpreter with a timeout, so that a run that counts
+    # without end fails instead of hanging the suite.
+    import subprocess
+
+    path = tmp_path / "scenario.json"
+    text = json.dumps(scenario_dict(taus=[0.4, 0.3, 0.2]))
+    path.write_text(text.replace('"num_slots": 5000', '"num_slots": 1' + "0" * 400))
+    out_path = tmp_path / "trajectory.csv"
+    argv = ["simulate", "--scenario", str(path), "--out", str(out_path)]
+    script = f"""
+import contextlib, io
+from aoi_csma_game import cli
+for extra in ([], ["--slots", str(2**63)], ["--slots", "1" + "0" * 30]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main({argv!r} + extra) == 1, extra
+    assert out.getvalue() == "", extra
+"""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root), timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, ""), result.stderr
+    assert result.stderr == "error: num_slots must be at most 9223372036854775807\n" * 3
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "taus",
+    [(0.0, 1.0), (1.0, 0.0, 0.4), (0.0, 1.0) + (0.03,) * 38],
+    ids=["n2", "n3", "n40"],
+)
+def test_simulate_csv_slices_match_a_per_row_writer(tmp_path, capsys, monkeypatch, taus):
+    # 7-slot chunks written in 10-cell slices: 3, 2 and 1 rows per slice for
+    # n = 2, 3 and 40, so several blocks, short last slices and one-row slices.
+    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 7)
+    monkeypatch.setattr(cli, "_SLICE_CELLS", 10)
+    n = len(taus)
+    ages = [1.01 * (1 + 0.37 * k) for k in range(n)]
+    path = write(tmp_path, scenario_dict(n=n, initial_ages=ages, taus=list(taus), seed=11))
+    out_path = tmp_path / "trajectory.csv"
+    argv = ["simulate", "--scenario", path, "--slots", "50", "--out", str(out_path)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith("(51 breakpoints)\n")
+    row = ",".join([cli._CELL] * (n + 1)) + "\n"
+    expected = [",".join(["time"] + [f"age_{k + 1}" for k in range(n)]) + "\n"]
+    blocks = simulate_age_trajectory(load_scenario(path).game, StrategyProfile(taus), 50, 11)
+    for times, block in blocks:
+        expected += [row % (t, *a) for t, a in zip(times.tolist(), block.tolist())]
+    assert out_path.read_text() == "".join(expected)
+
+
+def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypatch):
+    # 1024-slot chunks written in 512-cell slices keep the traced runs short;
+    # 2500 and 10000 slots are 3 and 10 chunks.
+    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 1024)
+    monkeypatch.setattr(cli, "_SLICE_CELLS", 512)
+    path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
+    argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]
+    # Warm up, so that one-off allocations on a first call are not traced.
+    assert cli.main(argv + ["--slots", "100"]) == 0
+    for slots in (2500, 10000):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["--slots", str(slots)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out.endswith(f"({slots + 1} breakpoints)\n")
+        # Both peak near 250 KiB. Formatting a whole chunk in one `%`, or
+        # holding a chunk's rows as lists of floats, peaks near 360 KiB.
+        assert peak < 300 * 1024
 
 
 def test_simulate_seed_override_changes_output(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Monte Carlo slot simulator: determinism, convergence, and trajectories."""
 
 import math
+import os
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -84,6 +87,34 @@ def test_run_monte_carlo_validates_inputs():
         run_monte_carlo(GAME, StrategyProfile((0.5, 0.5)), 10, seed=1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         run_monte_carlo(GAME, StrategyProfile((0.5, 0.5, 0.5)), 10, seed=-1)
+
+
+def test_num_slots_past_the_success_counters_is_refused_at_the_call():
+    # In a fresh interpreter with a timeout, so that a run that counts
+    # without end fails instead of hanging the suite.
+    code = """
+        from aoi_csma_game import (
+            AgeVector, GameInstance, SlotLengths, StrategyProfile,
+            run_monte_carlo, simulate_age_trajectory,
+        )
+        game = GameInstance(2, SlotLengths(0.01, 1.01, 2.02), AgeVector((2.02, 3.03)))
+        profile = StrategyProfile((0.5, 0.5))
+        for num_slots in (2**63, 10**400):
+            for run in (run_monte_carlo, simulate_age_trajectory):
+                try:
+                    run(game, profile, num_slots, 1)
+                except ValueError as exc:
+                    print(exc)
+        # The largest count is accepted; its blocks are never requested.
+        simulate_age_trajectory(game, profile, 2**63 - 1, 1)
+    """
+    package_root = os.path.dirname(os.path.dirname(simulate.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["num_slots must be at most 9223372036854775807"] * 4
 
 
 def test_single_idle_slot_stats():
