@@ -38,9 +38,10 @@ from .simulate import run_monte_carlo, simulate_age_trajectory
 # Decimal for CSV cells: 12 significant digits, which do not round-trip
 # every double.
 _CELL = "%.12g"
-# Most cells the trajectory CSV formats with one `%` (a slice holds at least
-# one row), so the Python floats of a slice stay a bounded part of a block.
-_SLICE_CELLS = 1 << 16
+# Most cells the trajectory CSV formats at once (a slice holds at least one
+# row). The formatter's temporaries take about 90 bytes a cell, so a slice's
+# stay below the 2**16-slot block it is cut from.
+_SLICE_CELLS = 1 << 14
 
 
 def _four(x: float) -> str:
@@ -265,16 +266,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if out is not None:
             import numpy as np
 
-            row = ",".join([_CELL] * (game.n + 1)) + "\n"
+            from .csv_cells import format_cells
+
             slice_rows = max(1, _SLICE_CELLS // (game.n + 1))
             written = 0
             out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(game.n)]) + "\n")
             for times, ages in simulate_age_trajectory(game, profile, num_slots, seed):
                 table = np.column_stack((times, ages))
+                # Held past the block, these would stay alive while the next is built.
+                del times, ages
                 for lo in range(0, len(table), slice_rows):
-                    part = table[lo : lo + slice_rows]
-                    out.write((row * len(part)) % tuple(part.ravel().tolist()))
+                    out.write(format_cells(table[lo : lo + slice_rows]))
                 written += len(table)
+                del table
             print(f"trajectory written to {args.out} ({written} breakpoints)")
     return 0
 

@@ -250,3 +250,4 @@ def _trajectory_blocks(game, taus, num_slots, seed):
             reset_at[i] = reset[-1]
         yield times, ages
         now = times[-1]
+        del times, ages

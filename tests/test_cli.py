@@ -480,19 +480,33 @@ for extra in ([], ["--slots", str(2**63)], ["--slots", "1" + "0" * 30]):
     assert not out_path.exists()
 
 
+# Slot lengths of about 1e-6 put times and ages below 1e-4, and a first age of
+# 2e11 stays above 1e11: both are written by the `%` fallback, in rows whose
+# last age (0.5 and up) is not.
+TINY_SLOTS = {"sigma_idle": 1e-7, "sigma_success": 1e-6, "sigma_collision": 2e-6}
+
+
 @pytest.mark.parametrize(
-    "taus",
-    [(0.0, 1.0), (1.0, 0.0, 0.4), (0.0, 1.0) + (0.03,) * 38],
-    ids=["n2", "n3", "n40"],
+    "taus, overrides",
+    [
+        ((0.0, 1.0), {}),
+        ((1.0, 0.0, 0.4), {}),
+        ((0.0, 1.0) + (0.03,) * 38, {}),
+        ((0.0, 0.5, 0.3, 0.0), dict(TINY_SLOTS, initial_ages=[2e11, 3e-6, 1e-6, 0.5])),
+    ],
+    ids=["n2", "n3", "n40", "fallback"],
 )
-def test_simulate_csv_slices_match_a_per_row_writer(tmp_path, capsys, monkeypatch, taus):
-    # 7-slot chunks written in 10-cell slices: 3, 2 and 1 rows per slice for
-    # n = 2, 3 and 40, so several blocks, short last slices and one-row slices.
+def test_simulate_csv_slices_match_a_per_row_writer(
+    tmp_path, capsys, monkeypatch, taus, overrides
+):
+    # 7-slot chunks written in 10-cell slices: 3, 2, 2 and 1 rows per slice for
+    # n = 2, 3, 4 and 40, so several blocks, short last slices and one-row slices.
     monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 7)
     monkeypatch.setattr(cli, "_SLICE_CELLS", 10)
     n = len(taus)
     ages = [1.01 * (1 + 0.37 * k) for k in range(n)]
-    path = write(tmp_path, scenario_dict(n=n, initial_ages=ages, taus=list(taus), seed=11))
+    scenario = scenario_dict(n=n, initial_ages=ages, taus=list(taus), seed=11)
+    path = write(tmp_path, {**scenario, **overrides})
     out_path = tmp_path / "trajectory.csv"
     argv = ["simulate", "--scenario", path, "--slots", "50", "--out", str(out_path)]
     assert cli.main(argv) == 0
@@ -523,9 +537,32 @@ def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypa
             tracemalloc.stop()
         assert code == 0
         assert capsys.readouterr().out.endswith(f"({slots + 1} breakpoints)\n")
-        # Both peak near 250 KiB. Formatting a whole chunk in one `%`, or
-        # holding a chunk's rows as lists of floats, peaks near 360 KiB.
-        assert peak < 300 * 1024
+        # Both peak near 232 KiB, and the one-`%`-per-slice writer read 244 KiB.
+        # Formatting a whole chunk at once peaks near 560 KiB.
+        assert peak < 270 * 1024
+
+
+def test_simulate_out_holds_one_trajectory_block_at_a_time(tmp_path, capsys, monkeypatch):
+    # With 2048-slot chunks a block outweighs the 512-cell slices, so a writer
+    # that keeps the last block alive while the next one is built peaks higher
+    # once two full blocks meet (5000 slots) than with one (2500 slots).
+    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 2048)
+    monkeypatch.setattr(cli, "_SLICE_CELLS", 512)
+    path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
+    argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]
+    assert cli.main(argv + ["--slots", "100"]) == 0
+    peaks = []
+    for slots in (2500, 5000):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["--slots", str(slots)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    capsys.readouterr()
+    # 367 and 368 KiB; holding two blocks read 341 and 435 KiB.
+    assert peaks[1] < peaks[0] + 8 * 1024
 
 
 def test_simulate_seed_override_changes_output(tmp_path, capsys):
