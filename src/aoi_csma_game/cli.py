@@ -272,13 +272,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             written = 0
             out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(game.n)]) + "\n")
             for times, ages in simulate_age_trajectory(game, profile, num_slots, seed):
-                table = np.column_stack((times, ages))
+                for lo in range(0, len(times), slice_rows):
+                    hi = lo + slice_rows
+                    out.write(format_cells(np.column_stack((times[lo:hi], ages[lo:hi]))))
+                written += len(times)
                 # Held past the block, these would stay alive while the next is built.
                 del times, ages
-                for lo in range(0, len(table), slice_rows):
-                    out.write(format_cells(table[lo : lo + slice_rows]))
-                written += len(table)
-                del table
             print(f"trajectory written to {args.out} ({written} breakpoints)")
     return 0
 

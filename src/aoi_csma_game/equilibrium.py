@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 from .game import Action, GameInstance, StrategyProfile, actions_from_string, others_transmitting
-from .game import _check_entries, _check_node_index, _count_payoff
+from .game import _check_entries, _check_node_index, _count_payoff, _record
 
 MAX_ENUMERATION_NODES = 20
 
@@ -25,7 +24,7 @@ class SingularGameError(ValueError):
     """The closed-form equilibrium denominator vanishes for this instance."""
 
 
-@dataclass(frozen=True)
+@_record
 class DominanceReport:
     """Outcome of comparing one pure strategy against its alternative everywhere.
 
@@ -45,7 +44,7 @@ class DominanceReport:
         return self.weakly_dominant and self.strictly_better_somewhere
 
 
-@dataclass(frozen=True)
+@_record
 class PureNashSet:
     """Pure action profiles that survive the unilateral-deviation test.
 
@@ -90,7 +89,7 @@ class PureNashSet:
         return tuple(profiles)
 
 
-@dataclass(frozen=True)
+@_record
 class MsneResult:
     """Closed-form interior equilibrium values with their feasibility diagnostics.
 

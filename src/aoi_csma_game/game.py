@@ -13,7 +13,71 @@ import enum
 import itertools
 import math
 from collections.abc import Iterator, Sequence, Sized
-from dataclasses import dataclass, field
+
+
+def _record(cls):
+    """Make `cls` a frozen record of its annotated fields, in order.
+
+    Adds an ``__init__`` that takes the fields by position or keyword (a
+    class attribute named like a field is its default) and then calls
+    ``__post_init__`` if the class has one; ``__eq__`` between instances of
+    the same class and ``__hash__``, both over the field tuple; a
+    ``Name(field=value, ...)`` repr; and an ``AttributeError`` on any
+    assignment or deletion. The methods are closures over the field names,
+    so building a class generates no source and imports no module.
+    """
+    name = cls.__name__
+    fields = tuple(cls.__annotations__)
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def values(self):
+        return tuple([getattr(self, f) for f in fields])
+
+    def bind(args, kwargs):
+        """The field values, in order, from the arguments of a call."""
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        bound = {**defaults, **dict(zip(fields, args))}
+        for key, value in kwargs.items():
+            if key not in fields or key in fields[: len(args)]:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+            bound[key] = value
+        missing = [f for f in fields if f not in bound]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return [bound[f] for f in fields]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(fields):
+            args = bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = fields
+    return cls
 
 
 class Action(enum.Enum):
@@ -38,7 +102,7 @@ def actions_to_string(actions: Sequence[Action]) -> str:
     return "".join([a.value for a in actions])
 
 
-@dataclass(frozen=True)
+@_record
 class SlotLengths:
     """Durations of the three slot types, in one shared abstract time unit."""
 
@@ -66,7 +130,7 @@ class SlotLengths:
         return "short_collision" if self.short_collision else "long_collision"
 
 
-@dataclass(frozen=True)
+@_record
 class AgeVector:
     """Per-node update ages at the start of a slot."""
 
@@ -90,18 +154,16 @@ class AgeVector:
         return iter(self.ages)
 
 
-@dataclass(frozen=True)
+@_record
 class StrategyProfile:
     """Per-node transmit probabilities; pure profiles sit at the 0/1 corners.
 
     ``_others`` holds :func:`others_transmitting` of the taus, computed once
-    on construction; it takes no part in equality, hashing or repr.
+    on construction; it is not a field, so it takes no part in construction,
+    equality, hashing or repr.
     """
 
     taus: tuple[float, ...]
-    _others: tuple[tuple[float, float, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
@@ -136,7 +198,7 @@ class StrategyProfile:
         return iter(self.taus)
 
 
-@dataclass(frozen=True)
+@_record
 class GameInstance:
     """One-shot contention game: node count, slot lengths, and starting ages.
 
@@ -151,6 +213,8 @@ class GameInstance:
     initial_ages: AgeVector
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if not isinstance(self.initial_ages, AgeVector):
             object.__setattr__(self, "initial_ages", AgeVector(tuple(self.initial_ages)))
         if self.n < 2:
@@ -164,7 +228,7 @@ class GameInstance:
                 )
 
 
-@dataclass(frozen=True)
+@_record
 class AgePmf:
     """Discrete distribution of a node's age at the end of one slot.
 

@@ -8,15 +8,13 @@ The golden values are pinned at 4-decimal precision and back the CLI's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .game import AgeVector, GameInstance, SlotLengths
+from .game import AgeVector, GameInstance, SlotLengths, _record
 
 SIGMA_IDLE = 0.01
 SIGMA_SUCCESS = 1.01
 
 
-@dataclass(frozen=True)
+@_record
 class ReferenceRow:
     label: str
     sigma_collision: float

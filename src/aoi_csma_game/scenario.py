@@ -28,11 +28,10 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .game import AgeVector, GameInstance, SlotLengths, StrategyProfile
+from .game import AgeVector, GameInstance, SlotLengths, StrategyProfile, _record
 
 
 class ScenarioError(ValueError):
@@ -85,7 +84,7 @@ def _require(
     return value
 
 
-@dataclass(frozen=True)
+@_record
 class SweepSpec:
     """Sweep of one node's starting age over an inclusive linear range."""
 
@@ -100,7 +99,7 @@ class SweepSpec:
         return (self.start + k * step for k in range(self.steps))
 
 
-@dataclass(frozen=True)
+@_record
 class Scenario:
     """A validated scenario: the game, its run settings, sweep and taus."""
 

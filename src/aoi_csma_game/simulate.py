@@ -21,10 +21,9 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .game import GameInstance, StrategyProfile, _check_entries
+from .game import GameInstance, StrategyProfile, _check_entries, _record
 
 # numpy is imported by each function that uses it, so that importing the
 # package (and running the commands that never sample) does not load it.
@@ -37,7 +36,7 @@ _CHUNK_VARIATES = 1 << 18
 _MAX_SLOTS = (1 << 63) - 1
 
 
-@dataclass(frozen=True)
+@_record
 class SimStats:
     """Aggregate counts and restart-experiment age means over a simulation run."""
 

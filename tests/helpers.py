@@ -6,23 +6,33 @@ operations it checks. The dominance and pure-Nash oracles loop over every
 pure profile with an independently coded payoff case analysis. The slot
 sampler replays the simulator's variate stream one slot at a time, and the
 grid best-response oracle searches a node's own transmit probability with
-the generic mixed payoff.
+the generic mixed payoff. The frozen-dataclass twins of the value types are
+the oracle for their record methods.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
 
 from aoi_csma_game import (
     Action,
+    AgePmf,
     AgeVector,
+    DominanceReport,
     GameInstance,
+    MsneResult,
+    PureNashSet,
+    Scenario,
+    SimStats,
     SlotLengths,
     StrategyProfile,
+    SweepSpec,
     mixed_payoff,
 )
+from aoi_csma_game.reference import ReferenceRow
 
 
 def outcome_probabilities(taus, one=1.0):
@@ -216,3 +226,110 @@ def random_feasible_game(rng: np.random.Generator, n: int) -> GameInstance:
     assert interior_condition_holds(game)
     assert all(a >= floor for a in ages)
     return game
+
+
+# Frozen-dataclass twins of the package's value types: the same fields in the
+# same order with the same defaults, and none of the checks.
+
+
+@dataclasses.dataclass(frozen=True)
+class SlotLengthsTwin:
+    sigma_idle: float
+    sigma_success: float
+    sigma_collision: float
+
+
+@dataclasses.dataclass(frozen=True)
+class AgeVectorTwin:
+    ages: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class StrategyProfileTwin:
+    taus: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class GameInstanceTwin:
+    n: int
+    slot_lengths: SlotLengths
+    initial_ages: AgeVector
+
+
+@dataclasses.dataclass(frozen=True)
+class AgePmfTwin:
+    support: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class DominanceReportTwin:
+    node: int
+    strategy: Action
+    weakly_dominant: bool
+    strictly_better_somewhere: bool
+
+
+@dataclasses.dataclass(frozen=True)
+class PureNashSetTwin:
+    n: int
+    classes: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class MsneResultTwin:
+    raw_taus: tuple
+    feasible_per_node: tuple
+    feasible: bool
+    indifference_residuals: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepSpecTwin:
+    node: int
+    start: float
+    stop: float
+    steps: int
+
+
+@dataclasses.dataclass(frozen=True)
+class ScenarioTwin:
+    game: GameInstance
+    seed: int
+    num_slots: int
+    sweep: SweepSpec | None = None
+    profile: StrategyProfile | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceRowTwin:
+    label: str
+    sigma_collision: float
+    initial_ages: tuple
+    golden_taus: tuple
+    golden_pure_nash: frozenset
+    golden_feasible: bool
+
+
+@dataclasses.dataclass(frozen=True)
+class SimStatsTwin:
+    slots: int
+    idle_count: int
+    collision_count: int
+    success_count_per_node: tuple
+    mean_age_after_per_node: tuple
+
+
+RECORD_TWINS = {
+    SlotLengths: SlotLengthsTwin,
+    AgeVector: AgeVectorTwin,
+    StrategyProfile: StrategyProfileTwin,
+    GameInstance: GameInstanceTwin,
+    AgePmf: AgePmfTwin,
+    DominanceReport: DominanceReportTwin,
+    PureNashSet: PureNashSetTwin,
+    MsneResult: MsneResultTwin,
+    SweepSpec: SweepSpecTwin,
+    Scenario: ScenarioTwin,
+    ReferenceRow: ReferenceRowTwin,
+    SimStats: SimStatsTwin,
+}

@@ -1,6 +1,5 @@
 """Command-line behavior: exit codes, report contents, and CSV schemas."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +11,7 @@ import pytest
 
 from aoi_csma_game import StrategyProfile, cli, simulate, simulate_age_trajectory
 from aoi_csma_game import game as game_module
-from aoi_csma_game.reference import REFERENCE_ROWS
+from aoi_csma_game.reference import REFERENCE_ROWS, ReferenceRow
 from aoi_csma_game.scenario import load_scenario
 
 
@@ -146,9 +145,16 @@ def test_check_reference_rows_is_clean():
 
 
 def test_table1_self_check_detects_mismatch(monkeypatch, capsys):
-    corrupted = (dataclasses.replace(REFERENCE_ROWS[0], golden_taus=(0.1, 0.2, 0.3)),) + (
-        REFERENCE_ROWS[1:]
+    row = REFERENCE_ROWS[0]
+    wrong = ReferenceRow(
+        row.label,
+        row.sigma_collision,
+        row.initial_ages,
+        (0.1, 0.2, 0.3),
+        row.golden_pure_nash,
+        row.golden_feasible,
     )
+    corrupted = (wrong,) + REFERENCE_ROWS[1:]
     monkeypatch.setattr(cli, "REFERENCE_ROWS", corrupted)
     code = cli.main(["table1", "--check"])
     err = capsys.readouterr().err
@@ -615,23 +621,21 @@ def test_module_entry_point_runs(tmp_path):
     assert "self-check" in result.stdout
 
 
-def test_cli_import_leaves_out_concurrent_futures():
-    # Importing concurrent.futures (and the logging it pulls in) would add
-    # several milliseconds to every CLI start.
+def test_cli_import_leaves_out_costly_modules():
+    # Every CLI start would pay for these: numpy about 0.1 s, dataclasses
+    # (with the inspect it loads) 10-14 ms, and concurrent.futures (with
+    # logging) several ms. Only simulate loads numpy, when it runs.
     import subprocess
     import sys
 
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, aoi_csma_game.cli; print('concurrent.futures' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
+    costly = {"numpy", "dataclasses", "inspect", "concurrent.futures"}
+    script = (
+        "import sys; before = set(sys.modules); import aoi_csma_game.cli; "
+        f"print(sorted({costly!r} & (set(sys.modules) - before)))"
     )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout == "[]\n"
 
 
 def test_cli_loads_numpy_only_to_simulate(tmp_path, capsys):

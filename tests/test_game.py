@@ -79,6 +79,12 @@ def test_game_instance_rejects_single_node():
         GameInstance(1, LENGTHS, AgeVector((2.02, 2.02)))
 
 
+@pytest.mark.parametrize("n", [3.0, 2.5, float("nan"), True, False, "3"])
+def test_game_instance_refuses_a_non_int_node_count(n):
+    with pytest.raises(ValueError, match=r"^n must be an int, got "):
+        GameInstance(n, LENGTHS, AgeVector((2.02, 2.02, 2.02)))
+
+
 def test_game_instance_rejects_length_mismatch():
     with pytest.raises(ValueError, match="entries for n"):
         GameInstance(3, LENGTHS, AgeVector((2.02, 2.02)))
