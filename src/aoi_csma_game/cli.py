@@ -39,8 +39,9 @@ from .simulate import run_monte_carlo, simulate_age_trajectory
 # every double.
 _CELL = "%.12g"
 # Most cells the trajectory CSV formats at once (a slice holds at least one
-# row). The formatter's temporaries take about 90 bytes a cell, so a slice's
-# stay below the 2**16-slot block it is cut from.
+# row). The formatter's temporaries take about 90 bytes a cell, about 1.4 MB
+# a slice: more than the block it is cut from, which holds the ages of at
+# most 2**15 variates.
 _SLICE_CELLS = 1 << 14
 
 

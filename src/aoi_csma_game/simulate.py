@@ -12,8 +12,14 @@ each node's transmit decision consumes exactly one uniform variate per slot,
 in node-index order within the slot. Identical inputs replay bit-identically.
 A span of slots starting at slot s reads the same stream from a PCG64
 generator advanced by ``s * n`` variates, so splitting a run into spans or
-chunks never changes a draw. A chunk holds at most 2**16 slots and at most
-2**18 variates.
+chunks never changes a draw. A chunk holds at most 2**15 variates, so the
+buffers of a restart span take at most about 0.75 MB and fit a 1 MB L2
+cache.
+
+Both experiments read each slot as one outcome code: 0 for idle, n + j for
+a lone success by node j and 2n for a collision. The restart experiment
+counts the codes; the trajectory takes each slot's duration and each node's
+resets from them.
 """
 
 from __future__ import annotations
@@ -30,8 +36,10 @@ from .game import GameInstance, StrategyProfile, _check_entries, _record
 if TYPE_CHECKING:
     import numpy as np
 
+# Caps on the slots and on the variates of a chunk; at n >= 2 the variate
+# cap is the one that binds.
 _CHUNK_SLOTS = 1 << 16
-_CHUNK_VARIATES = 1 << 18
+_CHUNK_VARIATES = 1 << 15
 # The range of the int64 per-node success counters.
 _MAX_SLOTS = (1 << 63) - 1
 
@@ -90,40 +98,45 @@ def _slot_variates(n, seed, start, stop):
         yield rng.random(out=uniforms[: stop - lo])
 
 
-def _slot_draws(taus, seed, start, stop):
-    """Yield ``(transmits, counts)`` per chunk of slots `start`..`stop`: the
-    ``uniform < tau`` block as float32 0/1 values, a view of one reused
-    buffer, and each slot's number of transmitters as float32.
+def _slot_outcomes(taus, seed, start, stop):
+    """Yield the outcome codes of slots `start`..`stop`, one ``intp`` array
+    per chunk: 0 for an idle slot, n + j for a lone success by node j, and
+    2n for a collision.
 
-    Counting is a float32 ``einsum``, which is exact at every n: each partial
-    sum of 0/1 values below 2**24 is an exact integer, so a row sums to 0
-    only with no transmitter and to exactly 1 only with one, and a sum of two
-    or more ones rounds to a value of at least 2. A chunk's per-node
-    successes are at most 2**16 < 2**24, so they are exact too. ``einsum``
-    is used rather than a matrix product, which would dispatch to a
-    multithreaded BLAS and oversubscribe the span threads.
+    A code is the slot's 0/1 transmit row summed by one float64 ``einsum``
+    against the weights n + j, capped at 2n. No transmitter sums to 0 and a
+    lone transmitter j to exactly n + j, one weight among zeros. Two or more
+    sum to at least 2n under any summation order, because each weight is at
+    least n and rounding to nearest is monotone. So the code is exact at
+    every n whose weights are exact doubles, and every partial sum is an
+    exact integer anyway while n * 2n < 2**53. ``einsum`` is used rather
+    than a matrix product, which would dispatch to a multithreaded BLAS and
+    oversubscribe the span threads.
     """
     import numpy as np
 
     n = len(taus)
-    transmits = np.empty((min(_chunk_rows(n), stop - start), n), dtype=np.float32)
-    ones = np.ones(n, dtype=np.float32)
+    weights = np.arange(n, 2 * n, dtype=float)
+    # Each node's tau on every row of a chunk. Compared with a broadcast
+    # tau row instead, numpy would run the comparison through a buffer, at
+    # about half the speed.
+    thresholds = np.tile(taus, (min(_chunk_rows(n), stop - start), 1))
     for uniforms in _slot_variates(n, seed, start, stop):
-        block = np.less(uniforms, taus, out=transmits[: len(uniforms)], casting="unsafe")
-        yield block, np.einsum("ij,j->i", block, ones)
+        transmits = np.less(uniforms, thresholds[: len(uniforms)], out=uniforms)
+        # Unnamed, the codes are freed as soon as the caller drops them.
+        yield np.minimum(np.einsum("ij,j->i", transmits, weights), 2 * n).astype(np.intp)
 
 
 def _span_counts(taus, seed, start, stop):
     """(idle, collision, per-node successes) over slots `start`..`stop`."""
     import numpy as np
 
-    idle = 0
-    successes = np.zeros(len(taus), dtype=np.int64)
-    for transmits, counts in _slot_draws(taus, seed, start, stop):
-        idle += int(np.count_nonzero(counts == 0))
-        lone = (counts == 1).astype(np.float32)
-        successes += np.einsum("i,ij->j", lone, transmits).astype(np.int64)
-    return idle, stop - start - idle - int(successes.sum()), successes
+    n = len(taus)
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    for codes in _slot_outcomes(taus, seed, start, stop):
+        counts += np.bincount(codes, minlength=len(counts))
+        del codes  # before the next chunk is drawn
+    return int(counts[0]), int(counts[-1]), counts[n:-1]
 
 
 def _usable_cpus():
@@ -212,8 +225,8 @@ def simulate_age_trajectory(
     ``ages[t, i]`` node i's age at ``times[t]``. Node i's age at a boundary
     is sigma_success if it just succeeded, otherwise its previous age plus
     the realized slot duration.
-    A chunk holds at most 2**16 slots and at most 2**18 variates, so a
-    block's memory does not grow with `num_slots` or with n.
+    A chunk holds at most 2**15 variates, so a block's memory does not grow
+    with `num_slots` or with n.
     """
     import numpy as np
 
@@ -224,29 +237,43 @@ def simulate_age_trajectory(
 def _trajectory_blocks(game, taus, num_slots, seed):
     import numpy as np
 
+    n = game.n
     lengths = game.slot_lengths
     initial = np.asarray(game.initial_ages, dtype=float)
     yield np.zeros(1), initial[np.newaxis, :]
-    slot_duration = np.array(
-        [lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision]
-    )
+    # Indexed by outcome code: idle, (codes 1..n-1 never occur), a lone
+    # success by each node, collision.
+    slot_duration = np.full(2 * n + 1, lengths.sigma_success)
+    slot_duration[0], slot_duration[-1] = lengths.sigma_idle, lengths.sigma_collision
     now = 0.0
-    reset_at = np.full(game.n, np.nan)  # time of each node's last success, NaN before
-    for transmits, counts in _slot_draws(taus, seed, 0, num_slots):
-        lone = counts == 1
+    reset_at = np.full(n, -np.inf)  # time of each node's last success, -inf before
+    # Each slot's time in every column. Filled by assignment, which takes no
+    # buffer, it lets the age arithmetic run between same-shape arrays: numpy
+    # would buffer a broadcast column, up to 8192 elements a call.
+    row_times = np.empty((min(_chunk_rows(n), num_slots), n))
+    for codes in _slot_outcomes(taus, seed, 0, num_slots):
         # Summing from the carried clock keeps every time bit-identical to
         # one cumulative sum over the whole run, whatever the chunk size.
-        kinds = np.minimum(counts, 2).astype(np.intp)  # idle, success, collision
-        times = np.cumsum(np.concatenate(([now], slot_duration[kinds])))[1:]
-        slot = np.arange(1, len(times) + 1)
-        ages = np.empty((len(times), game.n))
-        for i in range(game.n):
-            last_win = np.maximum.accumulate(np.where(lone & (transmits[:, i] == 1), slot, 0))
-            reset = np.where(last_win > 0, times[last_win - 1], reset_at[i])
-            ages[:, i] = np.where(
-                np.isnan(reset), initial[i] + times, lengths.sigma_success + (times - reset)
-            )
-            reset_at[i] = reset[-1]
+        times = np.cumsum(np.concatenate(([now], slot_duration[codes])))[1:]
+        # Built in place: each node's last reset time, then its age. Times
+        # never decrease, so the running maximum of the success times
+        # scattered over the carried ones is the time of the latest success.
+        ages = np.empty((len(times), n))
+        ages[...] = reset_at
+        lone = np.flatnonzero((codes >= n) & (codes < 2 * n))
+        ages[lone, codes[lone] - n] = times[lone]
+        np.maximum.accumulate(ages, axis=0, out=ages)
+        reset_at = ages[-1].copy()
+        # A node that has yet to succeed keeps -inf, in a prefix of its column,
+        # so the rows to patch are at most as many as the -inf cells.
+        never = ages == -np.inf
+        unset_rows = min(len(times), int(np.count_nonzero(never)))
+        block_times = row_times[: len(times)]
+        block_times[...] = times[:, np.newaxis]
+        np.subtract(block_times, ages, out=ages)
+        ages += lengths.sigma_success
+        np.add(block_times[:unset_rows], initial, out=ages[:unset_rows], where=never[:unset_rows])
         yield times, ages
         now = times[-1]
-        del times, ages
+        # Held into the next chunk, these would stay alive while it is built.
+        del codes, lone, never, times, ages

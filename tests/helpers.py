@@ -4,7 +4,8 @@ The outcome oracle enumerates all 2^n transmit patterns with their Bernoulli
 weights, deliberately sharing no code with the closed-form probability
 operations it checks. The dominance and pure-Nash oracles loop over every
 pure profile with an independently coded payoff case analysis. The slot
-sampler replays the simulator's variate stream one slot at a time, and the
+sampler replays the simulator's variate stream one slot at a time, the
+outcome-code oracle decodes a whole transmit matrix of that stream, and the
 grid best-response oracle searches a node's own transmit probability with
 the generic mixed payoff. The frozen-dataclass twins of the value types are
 the oracle for their record methods.
@@ -152,6 +153,17 @@ def slot_by_slot_counts(profile, slot_lengths, slots, seed):
         else:
             successes[winner] += 1
     return idle, collision, tuple(successes)
+
+
+def slot_outcome_codes(taus, seed, start, stop):
+    """Outcome codes of slots `start`..`stop`, decoded from the transmit
+    matrix ``default_rng(seed).random((stop, n)) < taus``: 0 for idle,
+    n + j for a lone success by node j, 2n for a collision."""
+    n = len(taus)
+    transmits = np.random.default_rng(seed).random((stop, n))[start:] < np.asarray(taus)
+    counts = transmits.sum(axis=1)
+    lone_codes = n + transmits.argmax(axis=1)
+    return np.where(counts == 0, 0, np.where(counts == 1, lone_codes, 2 * n))
 
 
 def response_payoffs(game, i, opponent_taus, grid_size):

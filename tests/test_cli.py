@@ -543,7 +543,7 @@ def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypa
             tracemalloc.stop()
         assert code == 0
         assert capsys.readouterr().out.endswith(f"({slots + 1} breakpoints)\n")
-        # Both peak near 232 KiB, and the one-`%`-per-slice writer read 244 KiB.
+        # Both peak near 210 KiB, and the one-`%`-per-slice writer read 244 KiB.
         # Formatting a whole chunk at once peaks near 560 KiB.
         assert peak < 270 * 1024
 
@@ -567,7 +567,7 @@ def test_simulate_out_holds_one_trajectory_block_at_a_time(tmp_path, capsys, mon
             tracemalloc.stop()
         assert code == 0
     capsys.readouterr()
-    # 367 and 368 KiB; holding two blocks read 341 and 435 KiB.
+    # 331 and 332 KiB; holding two blocks read 341 and 435 KiB.
     assert peaks[1] < peaks[0] + 8 * 1024
 
 

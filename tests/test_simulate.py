@@ -5,9 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_csma_game import (
     AgeVector,
@@ -26,7 +30,7 @@ from aoi_csma_game import (
 )
 from aoi_csma_game import simulate
 from aoi_csma_game.reference import REFERENCE_ROWS
-from helpers import sample_slot, slot_by_slot_counts
+from helpers import sample_slot, slot_by_slot_counts, slot_outcome_codes
 
 LENGTHS = SlotLengths(0.01, 1.01, 2.02)
 GAME = GameInstance(3, LENGTHS, AgeVector((2.02, 3.03, 3.03)))
@@ -196,10 +200,42 @@ def test_span_variates_are_the_single_stream_slice(monkeypatch, n, start, stop, 
     assert all(len(block) <= chunk_slots for block in variates)
     assert np.array_equal(np.concatenate(variates), reference[start:stop])
     taus = np.linspace(0.2, 0.8, n)
-    draws = [(t.copy(), c) for t, c in simulate._slot_draws(taus, 2024, start, stop)]
-    expected = reference[start:stop] < taus
-    assert np.array_equal(np.concatenate([t for t, _ in draws]), expected)
-    assert np.array_equal(np.concatenate([c for _, c in draws]), expected.sum(axis=1))
+    codes = list(simulate._slot_outcomes(taus, 2024, start, stop))
+    assert all(len(c) <= chunk_slots for c in codes)
+    assert np.array_equal(np.concatenate(codes), slot_outcome_codes(taus, 2024, start, stop))
+
+
+def outcome_codes(taus, seed, start, stop):
+    return np.concatenate(list(simulate._slot_outcomes(taus, seed, start, stop)))
+
+
+@pytest.mark.parametrize(
+    "taus, code",
+    [
+        ((0.0,) * 4096 + (1.0,), 2 * 4097 - 1),  # a lone success by the last of 4097 nodes
+        ((1.0,) * 4097, 2 * 4097),
+        ((1.0,) * 300, 2 * 300),
+    ],
+    ids=["lone-last-of-4097", "all-of-4097", "all-of-300"],
+)
+def test_outcome_codes_are_exact_in_wide_games(taus, code):
+    assert np.array_equal(outcome_codes(np.array(taus), 6, 3, 40), np.full(37, code))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    taus=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=400
+    ),
+    seed=st.integers(0, 2**32),
+    bounds=st.tuples(st.integers(0, 30), st.integers(1, 30)),
+    chunk_slots=st.integers(1, 40),
+)
+def test_outcome_codes_match_the_decoded_transmit_matrix(taus, seed, bounds, chunk_slots):
+    start, stop = bounds[0], bounds[0] + bounds[1]
+    with mock.patch.object(simulate, "_CHUNK_SLOTS", chunk_slots):
+        codes = outcome_codes(np.array(taus), seed, start, stop)
+    assert np.array_equal(codes, slot_outcome_codes(taus, seed, start, stop))
 
 
 def test_span_counts_add_up_to_one_span(monkeypatch):
@@ -267,6 +303,28 @@ def test_one_row_chunks_match_slot_by_slot_sampling(monkeypatch):
     assert (
         stats.idle_count, stats.collision_count, stats.success_count_per_node
     ) == slot_by_slot_counts(profile, LENGTHS, 300, seed=21)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_restart_memory_does_not_grow_with_slots(monkeypatch, cpus):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    profile = StrategyProfile((0.3, 0.4, 0.2))
+    run_monte_carlo(GAME, profile, 1000, seed=3)  # one-off allocations are not traced
+    peaks = []
+    for slots in (200_000, 800_000):  # 19 and 74 chunks of 10922 slots
+        tracemalloc.start()
+        try:
+            run_monte_carlo(GAME, profile, slots, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # A span holds one chunk of uniforms and one of thresholds (8 bytes a
+    # variate each) and at most two arrays of 8 bytes a slot: with 3 nodes,
+    # below 3 * 8 bytes a variate in all. Both runs peak near 686 KiB a span;
+    # the float32 counting kernel with 2**18-variate chunks read 3.1 MiB.
+    assert max(peaks) < cpus * 3 * 8 * simulate._CHUNK_VARIATES
+    if cpus == 1:  # how long two spans' buffers coexist depends on the threads
+        assert peaks[1] < peaks[0] + 8 * 1024
 
 
 def test_certain_transmitter_wins_every_slot_in_a_wide_game():
@@ -441,6 +499,22 @@ def test_trajectory_matches_slot_by_slot_rebuild():
     assert np.column_stack((times, ages)).tolist() == rebuild_trajectory(
         GAME, profile, 3000, seed=77
     )
+
+
+@pytest.mark.parametrize("n", [40, 150])
+@pytest.mark.parametrize("certain", [True, False], ids=["certain", "no-certain"])
+def test_wide_trajectory_matches_slot_by_slot_rebuild(monkeypatch, n, certain):
+    # Node 0 never transmits, so its age never resets. With a certain node 1
+    # every slot is its success or a collision; without one, idles, lone
+    # successes and collisions all occur.
+    game = GameInstance(n, LENGTHS, AgeVector(tuple(np.linspace(1.01, 9.0, n))))
+    tau_1 = 1.0 if certain else 1.0 / n
+    profile = StrategyProfile((0.0, tau_1) + tuple(np.linspace(0.1, 1.0, n - 2) / n))
+    expected = rebuild_trajectory(game, profile, 600, seed=19)
+    for chunk_slots in (1, 7, 64, 1 << 16):
+        monkeypatch.setattr(simulate, "_CHUNK_SLOTS", chunk_slots)
+        times, ages = trajectory(game, profile, 600, seed=19)
+        assert np.column_stack((times, ages)).tolist() == expected
 
 
 def test_trajectory_blocks_hold_at_most_chunk_slots_rows(monkeypatch):
