@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterator, Sequence
 
 from .game import Action, GameInstance, StrategyProfile, actions_from_string, others_transmitting
-from .game import _check_entries, _check_node_index, _count_payoff, _record
+from .game import _check_action, _check_entries, _check_node_index, _count_payoff, _record
 
 MAX_ENUMERATION_NODES = 20
 
@@ -128,6 +128,7 @@ def check_weak_dominance(game: GameInstance, i: int, strategy: Action) -> Domina
     two or more pays alike, so the counts 0, 1 and 2 cover every profile.
     """
     _check_node_index(i, game.n)
+    _check_action("strategy", strategy)
     transmits = strategy is Action.TRANSMIT
     counts = range(min(game.n - 1, 2) + 1)
     at_least = all(_keeps(game, i, transmits, k) for k in counts)

@@ -90,6 +90,13 @@ class Action(enum.Enum):
         return self.value
 
 
+def _check_action(name: str, action: object) -> None:
+    # An action string such as "T" would otherwise read as IDLE, since it is
+    # not Action.TRANSMIT.
+    if not isinstance(action, Action):
+        raise ValueError(f"{name} = {action!r} is not an Action")
+
+
 def actions_from_string(s: str) -> tuple[Action, ...]:
     """Parse a compact action string like ``"TTI"`` into an action tuple."""
     try:
@@ -243,10 +250,13 @@ class AgePmf:
         if len(set(values)) != len(values):
             raise ValueError("support values must be distinct")
         for value, prob in self.support:
+            if not math.isfinite(value):
+                raise ValueError(f"age {value} is not finite")
             if prob < 0.0:
                 raise ValueError(f"probability {prob} at age {value} is negative")
         mass = math.fsum(p for _, p in self.support)
-        if abs(mass - 1.0) > 1e-12:
+        # Written so that a nan mass (from a nan probability) is refused too.
+        if not abs(mass - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {mass}, expected 1 within 1e-12")
 
     def total_mass(self) -> float:
@@ -328,7 +338,8 @@ def collision_probability(profile: StrategyProfile) -> float:
 
 
 def _check_age(age_before: float, slot_lengths: SlotLengths) -> None:
-    if age_before < slot_lengths.sigma_success:
+    # Also refuses nan and inf.
+    if not slot_lengths.sigma_success <= age_before < math.inf:
         raise ValueError(
             f"age_before = {age_before} violates age >= sigma_success "
             f"({slot_lengths.sigma_success})"
@@ -397,6 +408,8 @@ def _count_payoff(game: GameInstance, i: int, transmits: bool, others: int) -> f
 def pure_payoff(i: int, game: GameInstance, actions: Sequence[Action]) -> float:
     """Node i's payoff when every node plays a pure transmit/idle action."""
     _check_entries("actions", actions, game.n)
+    for k, action in enumerate(actions):
+        _check_action(f"actions[{k}]", action)
     _check_node_index(i, game.n)
     transmits = actions[i] is Action.TRANSMIT
     transmitters = sum(1 for a in actions if a is Action.TRANSMIT)

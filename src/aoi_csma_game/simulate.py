@@ -12,14 +12,14 @@ each node's transmit decision consumes exactly one uniform variate per slot,
 in node-index order within the slot. Identical inputs replay bit-identically.
 A span of slots starting at slot s reads the same stream from a PCG64
 generator advanced by ``s * n`` variates, so splitting a run into spans or
-chunks never changes a draw. A chunk holds at most 2**15 variates, so the
-buffers of a restart span take at most about 0.75 MB and fit a 1 MB L2
-cache.
+chunks never changes a draw. ``_CHUNK_VARIATES`` is the one chunk size: a
+chunk holds at most 2**15 variates (but at least one slot), so the buffers
+of a restart span take at most about 0.75 MB and fit a 1 MB L2 cache.
 
 Both experiments read each slot as one outcome code: 0 for idle, n + j for
 a lone success by node j and 2n for a collision. The restart experiment
-counts the codes; the trajectory takes each slot's duration and each node's
-resets from them.
+counts the codes of each span into one vector; the trajectory takes each
+slot's duration and each node's resets from them.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ from .game import GameInstance, StrategyProfile, _check_entries, _record
 if TYPE_CHECKING:
     import numpy as np
 
-# Caps on the slots and on the variates of a chunk; at n >= 2 the variate
-# cap is the one that binds.
-_CHUNK_SLOTS = 1 << 16
+# Variates per chunk: the simulator's one chunk size.
 _CHUNK_VARIATES = 1 << 15
 # The range of the int64 per-node success counters.
 _MAX_SLOTS = (1 << 63) - 1
@@ -74,34 +72,20 @@ def _check_run(game, profile, num_slots, seed):
 
 
 def _chunk_rows(n):
-    """Slots per chunk for n nodes: at most _CHUNK_SLOTS slots and at most
-    _CHUNK_VARIATES variates, but at least one slot."""
-    return max(1, min(_CHUNK_SLOTS, _CHUNK_VARIATES // n))
-
-
-def _slot_variates(n, seed, start, stop):
-    """Yield ``(rows, n)`` blocks of the uniforms drawn for slots `start`..`stop`.
-
-    The generator is advanced past the ``start * n`` variates that earlier
-    slots consume, so any span reads exactly its part of the single
-    ``default_rng(seed)`` stream (slot-major, node order within a slot),
-    whatever the span bounds and chunk size. Each block is a view of one
-    reused buffer, valid until the next block is requested.
-    """
-    import numpy as np
-
-    bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
-    bit_generator.advance(start * n)
-    rng = np.random.Generator(bit_generator)
-    uniforms = np.empty((min(_chunk_rows(n), stop - start), n))
-    for lo in range(start, stop, len(uniforms)):
-        yield rng.random(out=uniforms[: stop - lo])
+    """Slots per chunk for n nodes: at most _CHUNK_VARIATES variates, but at
+    least one slot."""
+    return max(1, _CHUNK_VARIATES // n)
 
 
 def _slot_outcomes(taus, seed, start, stop):
     """Yield the outcome codes of slots `start`..`stop`, one ``intp`` array
     per chunk: 0 for an idle slot, n + j for a lone success by node j, and
     2n for a collision.
+
+    The generator is advanced past the ``start * n`` variates that earlier
+    slots consume, so any span reads exactly its part of the single
+    ``default_rng(seed)`` stream (slot-major, node order within a slot),
+    whatever the span bounds and chunk size.
 
     A code is the slot's 0/1 transmit row summed by one float64 ``einsum``
     against the weights n + j, capped at 2n. No transmitter sums to 0 and a
@@ -116,27 +100,34 @@ def _slot_outcomes(taus, seed, start, stop):
     import numpy as np
 
     n = len(taus)
-    weights = np.arange(n, 2 * n, dtype=float)
+    bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
+    bit_generator.advance(start * n)
+    rng = np.random.Generator(bit_generator)
+    rows = min(_chunk_rows(n), stop - start)
+    uniforms = np.empty((rows, n))
     # Each node's tau on every row of a chunk. Compared with a broadcast
     # tau row instead, numpy would run the comparison through a buffer, at
     # about half the speed.
-    thresholds = np.tile(taus, (min(_chunk_rows(n), stop - start), 1))
-    for uniforms in _slot_variates(n, seed, start, stop):
-        transmits = np.less(uniforms, thresholds[: len(uniforms)], out=uniforms)
+    thresholds = np.tile(taus, (rows, 1))
+    weights = np.arange(n, 2 * n, dtype=float)
+    for lo in range(start, stop, rows):
+        block = rng.random(out=uniforms[: stop - lo])
+        transmits = np.less(block, thresholds[: len(block)], out=block)
         # Unnamed, the codes are freed as soon as the caller drops them.
         yield np.minimum(np.einsum("ij,j->i", transmits, weights), 2 * n).astype(np.intp)
 
 
 def _span_counts(taus, seed, start, stop):
-    """(idle, collision, per-node successes) over slots `start`..`stop`."""
+    """The ``int64`` counts of each outcome code over slots `start`..`stop`,
+    indexed by code: idle, n - 1 codes that never occur, a lone success by
+    each node, collision."""
     import numpy as np
 
-    n = len(taus)
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    counts = np.zeros(2 * len(taus) + 1, dtype=np.int64)
     for codes in _slot_outcomes(taus, seed, start, stop):
         counts += np.bincount(codes, minlength=len(counts))
         del codes  # before the next chunk is drawn
-    return int(counts[0]), int(counts[-1]), counts[n:-1]
+    return counts
 
 
 def _usable_cpus():
@@ -188,9 +179,8 @@ def run_monte_carlo(
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    idle = sum(r[0] for r in results)
-    collision = sum(r[1] for r in results)
-    successes = sum(r[2] for r in results)
+    counts = sum(results)
+    idle, collision, successes = int(counts[0]), int(counts[-1]), counts[game.n : -1]
     lengths = game.slot_lengths
     total_duration = (
         idle * lengths.sigma_idle

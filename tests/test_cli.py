@@ -507,9 +507,9 @@ def test_simulate_csv_slices_match_a_per_row_writer(
 ):
     # 7-slot chunks written in 10-cell slices: 3, 2, 2 and 1 rows per slice for
     # n = 2, 3, 4 and 40, so several blocks, short last slices and one-row slices.
-    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 7)
-    monkeypatch.setattr(cli, "_SLICE_CELLS", 10)
     n = len(taus)
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * n)
+    monkeypatch.setattr(cli, "_SLICE_CELLS", 10)
     ages = [1.01 * (1 + 0.37 * k) for k in range(n)]
     scenario = scenario_dict(n=n, initial_ages=ages, taus=list(taus), seed=11)
     path = write(tmp_path, {**scenario, **overrides})
@@ -527,8 +527,10 @@ def test_simulate_csv_slices_match_a_per_row_writer(
 
 def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypatch):
     # 1024-slot chunks written in 512-cell slices keep the traced runs short;
-    # 2500 and 10000 slots are 3 and 10 chunks.
-    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 1024)
+    # 2500 and 10000 slots are 3 and 10 chunks. With one CPU the restart
+    # experiment counts one span, so no second span's buffers are traced.
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 1024 * 3)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(cli, "_SLICE_CELLS", 512)
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
     argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]
@@ -551,8 +553,11 @@ def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypa
 def test_simulate_out_holds_one_trajectory_block_at_a_time(tmp_path, capsys, monkeypatch):
     # With 2048-slot chunks a block outweighs the 512-cell slices, so a writer
     # that keeps the last block alive while the next one is built peaks higher
-    # once two full blocks meet (5000 slots) than with one (2500 slots).
-    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 2048)
+    # once two full blocks meet (5000 slots) than with one (2500 slots). With
+    # one CPU the restart experiment counts one span, so whether two spans'
+    # buffers meet does not depend on how the threads are scheduled.
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 2048 * 3)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(cli, "_SLICE_CELLS", 512)
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
     argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]

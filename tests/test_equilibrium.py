@@ -107,6 +107,14 @@ def test_dominance_rejects_out_of_range_node():
             check_weak_dominance(game, i, Action.TRANSMIT)
 
 
+@pytest.mark.parametrize("strategy", ["T", "I", True, None])
+def test_dominance_refuses_a_non_action_strategy(strategy):
+    # "T" is not Action.TRANSMIT, so unchecked it would be judged as idling.
+    game = GameInstance(3, SHORT, AgeVector((2.02, 3.03, 3.03)))
+    with pytest.raises(ValueError, match="strategy = .* is not an Action"):
+        check_weak_dominance(game, 0, strategy)
+
+
 def test_float_tie_keeps_profiles_and_strictness():
     """sigma_c one ulp above sigma_s: age + sigma_c rounds onto age + sigma_s.
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from aoi_csma_game import (
     Action,
+    AgePmf,
     AgeVector,
     GameInstance,
     SlotLengths,
@@ -234,6 +235,30 @@ def test_age_pmf_rejects_age_below_success_length():
         age_pmf(0, 0.5, PROFILE, LENGTHS)
 
 
+@pytest.mark.parametrize("age", [float("nan"), float("inf")])
+@pytest.mark.parametrize("profile", [PROFILE, StrategyProfile((1.0, 0.0, 0.0))])
+def test_age_operations_refuse_non_finite_ages(age, profile):
+    # With profile (1, 0, 0) an inf age would give inf * 0 = nan as the mean.
+    for operation in (age_pmf, expected_age_after):
+        with pytest.raises(ValueError, match="sigma_success"):
+            operation(0, age, profile, LENGTHS)
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        (((1.0, float("nan")),), "sum to nan"),
+        (((1.0, 0.5), (2.0, float("nan"))), "sum to nan"),
+        (((1.0, float("inf")),), "sum to inf"),
+        (((float("inf"), 1.0),), "age inf is not finite"),
+        (((1.0, 0.5), (float("nan"), 0.5)), "age nan is not finite"),
+    ],
+)
+def test_age_pmf_record_refuses_non_finite_entries(support, message):
+    with pytest.raises(ValueError, match=message):
+        AgePmf(support)
+
+
 def test_expected_age_trivial_cases():
     assert expected_age_after(0, 2.02, StrategyProfile((1.0, 0.0, 0.0)), LENGTHS) == 1.01
     assert expected_age_after(0, 2.02, StrategyProfile((0.0, 0.0, 0.0)), LENGTHS) == 2.03
@@ -273,6 +298,13 @@ def test_pure_payoff_case_analysis():
 def test_pure_payoff_rejects_length_mismatch():
     with pytest.raises(ValueError, match="entries for n"):
         pure_payoff(0, GAME3, actions_from_string("TT"))
+
+
+@pytest.mark.parametrize("actions", ["TII", ("T", "I", "I"), (Action.TRANSMIT, "I", Action.IDLE)])
+def test_pure_payoff_refuses_non_action_entries(actions):
+    # "T" is not Action.TRANSMIT, so unchecked it would count as idling.
+    with pytest.raises(ValueError, match=r"actions\[\d\] = '[TI]' is not an Action"):
+        pure_payoff(0, GAME3, actions)
 
 
 def test_mixed_payoff_trivial_cases():

@@ -158,7 +158,7 @@ def test_determinism_identical_seeds_identical_stats():
 def test_chunking_does_not_change_results(monkeypatch):
     profile = StrategyProfile((0.3, 0.4, 0.2))
     whole = run_monte_carlo(GAME, profile, 5000, seed=42)
-    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 7)
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * 3)
     chunked = run_monte_carlo(GAME, profile, 5000, seed=42)
     assert whole == chunked
 
@@ -194,15 +194,17 @@ def test_run_monte_carlo_matches_slot_by_slot_sampling():
     [(0, 50, 7), (13, 50, 7), (5, 41, 1), (33, 34, 4), (0, 50, 1 << 16)],
 )
 def test_span_variates_are_the_single_stream_slice(monkeypatch, n, start, stop, chunk_slots):
-    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", chunk_slots)
-    reference = np.random.default_rng(2024).random((50, n))
-    variates = [block.copy() for block in simulate._slot_variates(n, 2024, start, stop)]
-    assert all(len(block) <= chunk_slots for block in variates)
-    assert np.array_equal(np.concatenate(variates), reference[start:stop])
+    # Each chunk decodes its own rows of default_rng(2024), and no chunk
+    # holds more slots than the chunk size allows.
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * n)
     taus = np.linspace(0.2, 0.8, n)
-    codes = list(simulate._slot_outcomes(taus, 2024, start, stop))
-    assert all(len(c) <= chunk_slots for c in codes)
-    assert np.array_equal(np.concatenate(codes), slot_outcome_codes(taus, 2024, start, stop))
+    expected = slot_outcome_codes(taus, 2024, start, stop)
+    lo = 0
+    for codes in simulate._slot_outcomes(taus, 2024, start, stop):
+        assert 1 <= len(codes) <= chunk_slots
+        assert np.array_equal(codes, expected[lo : lo + len(codes)])
+        lo += len(codes)
+    assert lo == stop - start
 
 
 def outcome_codes(taus, seed, start, stop):
@@ -233,7 +235,7 @@ def test_outcome_codes_are_exact_in_wide_games(taus, code):
 )
 def test_outcome_codes_match_the_decoded_transmit_matrix(taus, seed, bounds, chunk_slots):
     start, stop = bounds[0], bounds[0] + bounds[1]
-    with mock.patch.object(simulate, "_CHUNK_SLOTS", chunk_slots):
+    with mock.patch.object(simulate, "_CHUNK_VARIATES", chunk_slots * len(taus)):
         codes = outcome_codes(np.array(taus), seed, start, stop)
     assert np.array_equal(codes, slot_outcome_codes(taus, seed, start, stop))
 
@@ -243,19 +245,17 @@ def test_span_counts_add_up_to_one_span(monkeypatch):
     whole = simulate._span_counts(taus, 8, 0, 5000)
     for bounds in ([0, 1, 777, 778, 3001, 5000], [0, 2500, 5000], [0, 4999, 5000]):
         for chunk_slots in (1 << 16, 7):
-            monkeypatch.setattr(simulate, "_CHUNK_SLOTS", chunk_slots)
+            monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * 3)
             parts = [
                 simulate._span_counts(taus, 8, lo, hi) for lo, hi in zip(bounds, bounds[1:])
             ]
-            assert sum(p[0] for p in parts) == whole[0]
-            assert sum(p[1] for p in parts) == whole[1]
-            assert np.array_equal(sum(p[2] for p in parts), whole[2])
+            assert np.array_equal(sum(parts), whole)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 5])
 def test_threaded_spans_match_slot_by_slot_sampling(monkeypatch, cpus):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 7)
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * 3)
     profile = StrategyProfile((0.3, 0.4, 0.2))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a lost count would show
@@ -281,8 +281,8 @@ def test_threaded_spans_match_slot_by_slot_sampling(monkeypatch, cpus):
 )
 def test_wide_game_counts_match_slot_by_slot_sampling(monkeypatch, cpus, taus):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 100)  # fewer rows than nodes
     n = len(taus)
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 100 * n)  # fewer rows than nodes
     game = GameInstance(n, LENGTHS, AgeVector((2.02,) * n))
     profile = StrategyProfile(taus)
     stats = run_monte_carlo(game, profile, 1000, seed=5)
@@ -487,7 +487,7 @@ def test_trajectory_is_chunk_invariant(monkeypatch, taus):
     profile = StrategyProfile(taus)
     times, ages = trajectory(GAME, profile, 2000, seed=13)
     for chunk_slots in (1, 7):
-        monkeypatch.setattr(simulate, "_CHUNK_SLOTS", chunk_slots)
+        monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * 3)
         times_c, ages_c = trajectory(GAME, profile, 2000, seed=13)
         assert np.array_equal(times_c, times)
         assert np.array_equal(ages_c, ages)
@@ -511,14 +511,15 @@ def test_wide_trajectory_matches_slot_by_slot_rebuild(monkeypatch, n, certain):
     tau_1 = 1.0 if certain else 1.0 / n
     profile = StrategyProfile((0.0, tau_1) + tuple(np.linspace(0.1, 1.0, n - 2) / n))
     expected = rebuild_trajectory(game, profile, 600, seed=19)
-    for chunk_slots in (1, 7, 64, 1 << 16):
-        monkeypatch.setattr(simulate, "_CHUNK_SLOTS", chunk_slots)
+    # The last chunk size is the default: 819 or 218 slots a chunk.
+    for chunk_variates in (n, 7 * n, 64 * n, simulate._CHUNK_VARIATES):
+        monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_variates)
         times, ages = trajectory(game, profile, 600, seed=19)
         assert np.column_stack((times, ages)).tolist() == expected
 
 
 def test_trajectory_blocks_hold_at_most_chunk_slots_rows(monkeypatch):
-    monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 7)
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * 3)
     blocks = list(simulate_age_trajectory(GAME, StrategyProfile((0.4, 0.3, 0.2)), 50, seed=3))
     assert [len(t) for t, _ in blocks] == [1] + [7] * 7 + [1]
     assert all(a.shape == (len(t), 3) for t, a in blocks)
