@@ -24,7 +24,6 @@ from .equilibrium import (
 from .game import (
     Action,
     AgePmf,
-    AgeVector,
     GameInstance,
     SlotLengths,
     StrategyProfile,
@@ -50,7 +49,6 @@ from .simulate import (
 __all__ = [
     "Action",
     "AgePmf",
-    "AgeVector",
     "DominanceReport",
     "GameInstance",
     "MAX_ENUMERATION_NODES",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from collections.abc import Iterator, Sequence, Sized
+from collections.abc import Iterable, Iterator, Sequence, Sized
 
 
 def _record(cls):
@@ -138,30 +138,6 @@ class SlotLengths:
 
 
 @_record
-class AgeVector:
-    """Per-node update ages at the start of a slot."""
-
-    ages: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ages", tuple(float(a) for a in self.ages))
-        if len(self.ages) < 2:
-            raise ValueError(f"need ages for at least 2 nodes, got {len(self.ages)}")
-        for i, age in enumerate(self.ages):
-            if not (age > 0.0 and math.isfinite(age)):
-                raise ValueError(f"ages[{i}] must be a positive finite duration, got {age}")
-
-    def __len__(self) -> int:
-        return len(self.ages)
-
-    def __getitem__(self, i: int) -> float:
-        return self.ages[i]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.ages)
-
-
-@_record
 class StrategyProfile:
     """Per-node transmit probabilities; pure profiles sit at the 0/1 corners.
 
@@ -209,30 +185,24 @@ class StrategyProfile:
 class GameInstance:
     """One-shot contention game: node count, slot lengths, and starting ages.
 
-    Every starting age must be at least sigma_success, since that is the
-    minimum time any delivered update has already aged by the time it is
-    received. Single-node "games" are rejected: without contention there is
+    Every starting age must be finite and at least sigma_success, since that
+    is the minimum time any delivered update has already aged by the time it
+    is received. Single-node "games" are rejected: without contention there is
     nothing to model and the interior equilibrium formula degenerates.
     """
 
     n: int
     slot_lengths: SlotLengths
-    initial_ages: AgeVector
+    initial_ages: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise ValueError(f"n must be an int, got {self.n!r}")
-        if not isinstance(self.initial_ages, AgeVector):
-            object.__setattr__(self, "initial_ages", AgeVector(tuple(self.initial_ages)))
+        object.__setattr__(self, "initial_ages", tuple(map(float, self.initial_ages)))
         if self.n < 2:
             raise ValueError(f"need at least 2 contending nodes, got n = {self.n}")
         _check_entries("initial_ages", self.initial_ages, self.n)
-        floor = self.slot_lengths.sigma_success
-        for i, age in enumerate(self.initial_ages):
-            if age < floor:
-                raise ValueError(
-                    f"initial_ages[{i}] = {age} violates age >= sigma_success ({floor})"
-                )
+        _check_ages(self.initial_ages, self.slot_lengths.sigma_success, "initial_ages[{i}] = {age}")
 
 
 @_record
@@ -272,6 +242,21 @@ class AgePmf:
 def _check_entries(name: str, entries: Sized, n: int) -> None:
     if len(entries) != n:
         raise ValueError(f"{name} has {len(entries)} entries for n = {n} nodes")
+
+
+def _check_ages(ages: Iterable[float], sigma_success: float, name: str) -> None:
+    """Refuse an age that is not finite or is below sigma_success.
+
+    A delivered update is already sigma_success old when it arrives, so no
+    age can be smaller. ``name`` is formatted with the refused age's
+    position ``i`` and value ``age`` only when one is refused.
+    """
+    for i, age in enumerate(ages):
+        if not sigma_success <= age < math.inf:  # also refuses nan
+            label = name.format(i=i, age=age)
+            if not math.isfinite(age):
+                raise ValueError(f"{label} is not finite")
+            raise ValueError(f"{label} violates age >= sigma_success ({sigma_success})")
 
 
 def _check_node_index(i: int, n: int) -> None:
@@ -337,15 +322,6 @@ def collision_probability(profile: StrategyProfile) -> float:
     return _slot_outcomes(0, profile)[3]
 
 
-def _check_age(age_before: float, slot_lengths: SlotLengths) -> None:
-    # Also refuses nan and inf.
-    if not slot_lengths.sigma_success <= age_before < math.inf:
-        raise ValueError(
-            f"age_before = {age_before} violates age >= sigma_success "
-            f"({slot_lengths.sigma_success})"
-        )
-
-
 def age_pmf(
     i: int, age_before: float, profile: StrategyProfile, slot_lengths: SlotLengths
 ) -> AgePmf:
@@ -356,7 +332,7 @@ def age_pmf(
     and busy when sigma_collision == sigma_success) are merged into a single
     support point; zero-probability outcomes are dropped.
     """
-    _check_age(age_before, slot_lengths)
+    _check_ages((age_before,), slot_lengths.sigma_success, "age_before = {age}")
     idle, own, busy, collision = _slot_outcomes(i, profile)
     points = (
         (age_before + slot_lengths.sigma_idle, idle),
@@ -379,7 +355,7 @@ def expected_age_after(
     Equals the mean of :func:`age_pmf`: the age survives with probability
     (1 - p_success_i) and every slot adds its expected realized length.
     """
-    _check_age(age_before, slot_lengths)
+    _check_ages((age_before,), slot_lengths.sigma_success, "age_before = {age}")
     idle, own, busy, collision = _slot_outcomes(i, profile)
     expected_slot = (
         idle * slot_lengths.sigma_idle

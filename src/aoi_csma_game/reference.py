@@ -8,7 +8,7 @@ The golden values are pinned at 4-decimal precision and back the CLI's
 
 from __future__ import annotations
 
-from .game import AgeVector, GameInstance, SlotLengths, _record
+from .game import GameInstance, SlotLengths, _record
 
 SIGMA_IDLE = 0.01
 SIGMA_SUCCESS = 1.01
@@ -25,7 +25,7 @@ class ReferenceRow:
 
     def game(self) -> GameInstance:
         lengths = SlotLengths(SIGMA_IDLE, SIGMA_SUCCESS, self.sigma_collision)
-        return GameInstance(3, lengths, AgeVector(self.initial_ages))
+        return GameInstance(3, lengths, self.initial_ages)
 
 
 _PREFER_TRANSMIT = frozenset({"TTT", "TIT", "ITT", "TTI"})

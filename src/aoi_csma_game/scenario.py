@@ -26,12 +26,11 @@ grid at its endpoints) and names the offending field.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
-from .game import AgeVector, GameInstance, SlotLengths, StrategyProfile, _record
+from .game import GameInstance, SlotLengths, StrategyProfile, _check_ages, _record
 
 
 class ScenarioError(ValueError):
@@ -131,15 +130,11 @@ def _parse_sweep(block: Any, n: int, sigma_success: float) -> SweepSpec:
     start = _duration(block["from"], sigma_success, "sweep.from")
     stop = _duration(block["to"], sigma_success, "sweep.to")
     step = (stop - start) / (steps - 1)
-    for k in (0, steps - 1):
-        value = start + k * step  # point 0 is NaN when step is infinite
-        if not math.isfinite(value):
-            raise ScenarioError(f"sweep value {value} (point {k}) is not finite")
-        if value < sigma_success:
-            raise ScenarioError(
-                f"sweep value {value} (point {k}) violates age >= sigma_success "
-                f"({sigma_success})"
-            )
+    try:
+        for k in (0, steps - 1):  # point 0 is NaN when step is infinite
+            _check_ages((start + k * step,), sigma_success, f"sweep value {{age}} (point {k})")
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     return SweepSpec(node, start, stop, steps)
 
 
@@ -175,10 +170,10 @@ def parse_scenario(data: Any) -> Scenario:
             raise ScenarioError(f"taus must be a list of {n} probabilities")
         taus = [_float(t, f"taus[{i}]") for i, t in enumerate(data["taus"])]
 
-    # Every SlotLengths/AgeVector/GameInstance/StrategyProfile invariant.
+    # Every SlotLengths/GameInstance/StrategyProfile invariant.
     try:
         lengths = SlotLengths(sigma_idle, sigma_success, sigma_collision)
-        game = GameInstance(n, lengths, AgeVector(ages))
+        game = GameInstance(n, lengths, ages)
         profile = None if taus is None else StrategyProfile(taus)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

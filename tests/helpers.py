@@ -21,7 +21,6 @@ import numpy as np
 from aoi_csma_game import (
     Action,
     AgePmf,
-    AgeVector,
     DominanceReport,
     GameInstance,
     MsneResult,
@@ -209,7 +208,7 @@ def random_slot_lengths(rng: np.random.Generator, collision_ratio: tuple[float, 
 def random_game(rng: np.random.Generator, n: int, lengths: SlotLengths) -> GameInstance:
     """Random instance with ages drawn from [sigma_success, 10 sigma_success]."""
     ages = lengths.sigma_success * (1.0 + 9.0 * rng.random(n))
-    return GameInstance(n, lengths, AgeVector(tuple(float(a) for a in ages)))
+    return GameInstance(n, lengths, ages)
 
 
 def interior_condition_holds(game: GameInstance) -> bool:
@@ -227,14 +226,14 @@ def random_feasible_game(rng: np.random.Generator, n: int) -> GameInstance:
     floor = 1.001 * lengths.sigma_success
     for _ in range(200):
         ages = tuple(float(a) for a in lengths.sigma_success * (1.001 + 9.0 * rng.random(n)))
-        game = GameInstance(n, lengths, AgeVector(ages))
+        game = GameInstance(n, lengths, ages)
         if interior_condition_holds(game):
             return game
     # Near-equal ages always satisfy the interior condition.
     base = float(rng.uniform(1.1, 10.0)) * lengths.sigma_success
     jitter = 0.001 * lengths.sigma_idle * rng.random(n)
     ages = tuple(float(base + j) for j in jitter)
-    game = GameInstance(n, lengths, AgeVector(ages))
+    game = GameInstance(n, lengths, ages)
     assert interior_condition_holds(game)
     assert all(a >= floor for a in ages)
     return game
@@ -252,11 +251,6 @@ class SlotLengthsTwin:
 
 
 @dataclasses.dataclass(frozen=True)
-class AgeVectorTwin:
-    ages: tuple
-
-
-@dataclasses.dataclass(frozen=True)
 class StrategyProfileTwin:
     taus: tuple
 
@@ -265,7 +259,7 @@ class StrategyProfileTwin:
 class GameInstanceTwin:
     n: int
     slot_lengths: SlotLengths
-    initial_ages: AgeVector
+    initial_ages: tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -333,7 +327,6 @@ class SimStatsTwin:
 
 RECORD_TWINS = {
     SlotLengths: SlotLengthsTwin,
-    AgeVector: AgeVectorTwin,
     StrategyProfile: StrategyProfileTwin,
     GameInstance: GameInstanceTwin,
     AgePmf: AgePmfTwin,

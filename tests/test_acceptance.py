@@ -16,7 +16,6 @@ import numpy as np
 
 from aoi_csma_game import (
     Action,
-    AgeVector,
     GameInstance,
     StrategyProfile,
     age_pmf,
@@ -175,7 +174,7 @@ def test_criterion_07_age_sensitivity_derivatives():
             step = 1e-5 * game.slot_lengths.sigma_success
 
             def tau_i_at(ages):
-                shifted = GameInstance(n, game.slot_lengths, AgeVector(tuple(ages)))
+                shifted = GameInstance(n, game.slot_lengths, ages)
                 return msne_closed_form(shifted).raw_taus[i]
 
             for target, analytic in ((i, own), (j, cross)):
@@ -229,7 +228,7 @@ def test_criterion_09_success_probability_sweep():
         for value in swept:
             ages = base_ages.copy()
             ages[2] = float(value)
-            game = GameInstance(3, lengths, AgeVector(tuple(ages)))
+            game = GameInstance(3, lengths, ages)
             result = msne_closed_form(game)
             assert result.feasible
             profile = result.profile()

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 from aoi_csma_game import (
     Action,
-    AgeVector,
     GameInstance,
     SingularGameError,
     SlotLengths,
@@ -47,7 +46,7 @@ ROW = {row.label: row for row in REFERENCE_ROWS}
 
 
 def test_transmit_weakly_dominant_when_collisions_short():
-    game = GameInstance(3, SHORT, AgeVector((1.01, 2.02, 3.03)))
+    game = GameInstance(3, SHORT, (1.01, 2.02, 3.03))
     for i in range(3):
         report = check_weak_dominance(game, i, Action.TRANSMIT)
         assert report.node == i
@@ -59,14 +58,14 @@ def test_transmit_weakly_dominant_when_collisions_short():
 
 
 def test_no_weakly_dominant_strategy_when_collisions_long():
-    game = GameInstance(3, LONG, AgeVector((2.02, 3.03, 3.03)))
+    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
     for i in range(3):
         for action in (Action.TRANSMIT, Action.IDLE):
             assert not check_weak_dominance(game, i, action).weakly_dominant
 
 
 def test_boundary_equal_lengths_transmit_dominant_strict_only_at_all_idle():
-    game = GameInstance(3, EQUAL, AgeVector((2.02, 2.02, 2.02)))
+    game = GameInstance(3, EQUAL, (2.02, 2.02, 2.02))
     report = check_weak_dominance(game, 0, Action.TRANSMIT)
     assert report.weakly_dominant
     assert report.strictly_better_somewhere
@@ -101,7 +100,7 @@ def test_dominance_regime_dichotomy_property(game):
 
 
 def test_dominance_rejects_out_of_range_node():
-    game = GameInstance(3, LONG, AgeVector((2.02, 3.03, 3.03)))
+    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
     for i in (-1, 3):
         with pytest.raises(IndexError):
             check_weak_dominance(game, i, Action.TRANSMIT)
@@ -110,7 +109,7 @@ def test_dominance_rejects_out_of_range_node():
 @pytest.mark.parametrize("strategy", ["T", "I", True, None])
 def test_dominance_refuses_a_non_action_strategy(strategy):
     # "T" is not Action.TRANSMIT, so unchecked it would be judged as idling.
-    game = GameInstance(3, SHORT, AgeVector((2.02, 3.03, 3.03)))
+    game = GameInstance(3, SHORT, (2.02, 3.03, 3.03))
     with pytest.raises(ValueError, match="strategy = .* is not an Action"):
         check_weak_dominance(game, 0, strategy)
 
@@ -122,7 +121,7 @@ def test_float_tie_keeps_profiles_and_strictness():
     payoffs, not by the sign of sigma_s - sigma_c.
     """
     lengths = SlotLengths(0.01, 1.01, math.nextafter(1.01, 2.0))
-    game = GameInstance(2, lengths, AgeVector((10.1, 10.1)))
+    game = GameInstance(2, lengths, (10.1, 10.1))
     assert frozenset(enumerate_pure_nash(game).as_strings()) == {"IT", "TI", "TT"}
     for i in range(2):
         report = check_weak_dominance(game, i, Action.TRANSMIT)
@@ -142,22 +141,22 @@ def test_reference_rows_pure_nash_sets(label):
 
 
 def test_two_node_pure_nash_long_collisions():
-    game = GameInstance(2, LONG, AgeVector((2.02, 2.02)))
+    game = GameInstance(2, LONG, (2.02, 2.02))
     assert frozenset(enumerate_pure_nash(game).as_strings()) == {"TI", "IT"}
 
 
 def test_two_node_pure_nash_equal_lengths():
-    game = GameInstance(2, EQUAL, AgeVector((2.02, 2.02)))
+    game = GameInstance(2, EQUAL, (2.02, 2.02))
     assert frozenset(enumerate_pure_nash(game).as_strings()) == {"TT", "TI", "IT"}
 
 
 def test_two_node_pure_nash_short_collisions():
-    game = GameInstance(2, SHORT, AgeVector((2.02, 2.02)))
+    game = GameInstance(2, SHORT, (2.02, 2.02))
     assert frozenset(enumerate_pure_nash(game).as_strings()) == {"TT"}
 
 
 def test_enumeration_guard_rejects_large_games():
-    game = GameInstance(21, LONG, AgeVector((2.02,) * 21))
+    game = GameInstance(21, LONG, (2.02,) * 21)
     with pytest.raises(ValueError, match="capped"):
         enumerate_pure_nash(game)
 
@@ -186,7 +185,7 @@ def test_classes_that_split_the_nodes(toward, expected_class, expected):
     prefers one action where the old nodes tie. One ulp below, node 0 must
     transmit with one transmitter; one ulp above, it must idle with two."""
     lengths = SlotLengths(0.01, 1.01, math.nextafter(1.01, toward))
-    game = GameInstance(3, lengths, AgeVector((1.01, 10.1, 10.1)))
+    game = GameInstance(3, lengths, (1.01, 10.1, 10.1))
     nash = enumerate_pure_nash(game)
     assert expected_class in nash.classes
     assert nash.as_strings() == expected
@@ -262,7 +261,7 @@ def test_feasible_rows_have_vanishing_residuals():
 
 
 def test_two_node_symmetric_feasible_equilibrium():
-    game = GameInstance(2, LONG, AgeVector((2.02, 2.02)))
+    game = GameInstance(2, LONG, (2.02, 2.02))
     result = msne_closed_form(game)
     assert result.feasible
     assert result.raw_taus[0] == result.raw_taus[1]
@@ -272,7 +271,7 @@ def test_two_node_symmetric_feasible_equilibrium():
 
 
 def test_singular_denominator_raises():
-    game = GameInstance(2, SlotLengths(0.25, 1.0, 0.5), AgeVector((1.25, 1.0)))
+    game = GameInstance(2, SlotLengths(0.25, 1.0, 0.5), (1.25, 1.0))
     with pytest.raises(SingularGameError, match="denominator"):
         msne_closed_form(game)
 
@@ -316,7 +315,7 @@ def test_equal_ages_give_equal_taus():
         n = int(rng.integers(2, 6))
         lengths = random_slot_lengths(rng, collision_ratio=(0.05, 3.0))
         age = float(lengths.sigma_success * rng.uniform(1.0, 10.0))
-        game = GameInstance(n, lengths, AgeVector((age,) * n))
+        game = GameInstance(n, lengths, (age,) * n)
         result = msne_closed_form(game)
         assert len(set(result.raw_taus)) == 1
 
@@ -334,7 +333,7 @@ def test_verify_indifference_at_reference_equilibrium():
 
 
 def test_lone_node_strictly_prefers_transmit():
-    game = GameInstance(3, LONG, AgeVector((2.02, 3.03, 3.03)))
+    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
     residuals = verify_indifference(game, StrategyProfile((0.0, 0.0, 0.0)))
     for i in range(3):
         expected = (game.initial_ages[i] + 0.01) - 1.01
@@ -344,7 +343,7 @@ def test_lone_node_strictly_prefers_transmit():
 
 def test_indifference_breaks_off_equilibrium():
     row_iv_taus = msne_closed_form(ROW["IV"].game()).profile()
-    perturbed = GameInstance(3, LONG, AgeVector((2.02, 3.03, 3.03 + 1.01)))
+    perturbed = GameInstance(3, LONG, (2.02, 3.03, 3.03 + 1.01))
     residuals = verify_indifference(perturbed, row_iv_taus)
     assert abs(residuals[2]) > 1e-6
 
@@ -359,14 +358,14 @@ def test_verify_indifference_rejects_length_mismatch():
 
 
 def test_best_response_against_silent_opponents_is_transmit():
-    game = GameInstance(3, LONG, AgeVector((2.02, 3.03, 3.03)))
+    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
     tau, payoff = best_response_oracle(game, 0, (0.0, 0.0))
     assert tau == 1.0
     assert payoff == -1.01
 
 
 def test_best_response_against_certain_transmitter_is_idle():
-    game = GameInstance(3, LONG, AgeVector((2.02, 3.03, 3.03)))
+    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
     tau, payoff = best_response_oracle(game, 0, (1.0, 0.0))
     assert tau == 0.0
     assert payoff == -(2.02 + 1.01)
@@ -404,7 +403,7 @@ def test_derivative_signs_for_long_collisions():
 
 
 def test_two_node_own_derivative_vanishes():
-    game = GameInstance(2, LONG, AgeVector((2.02, 3.03)))
+    game = GameInstance(2, LONG, (2.02, 3.03))
     own, cross = monotonicity_derivatives(game, 0, 1)
     assert own == 0.0
     assert cross > 0.0
@@ -421,7 +420,7 @@ def test_derivatives_match_finite_differences():
         step = 1e-5 * game.slot_lengths.sigma_success
 
         def tau_i_at(ages):
-            shifted = GameInstance(n, game.slot_lengths, AgeVector(tuple(ages)))
+            shifted = GameInstance(n, game.slot_lengths, ages)
             return msne_closed_form(shifted).raw_taus[i]
 
         ages = list(game.initial_ages)
@@ -445,7 +444,7 @@ def test_derivatives_validate_inputs():
         monotonicity_derivatives(game, 1, 1)
     with pytest.raises(IndexError):
         monotonicity_derivatives(game, 0, 5)
-    singular = GameInstance(2, SlotLengths(0.25, 1.0, 0.5), AgeVector((1.25, 1.0)))
+    singular = GameInstance(2, SlotLengths(0.25, 1.0, 0.5), (1.25, 1.0))
     with pytest.raises(SingularGameError):
         monotonicity_derivatives(singular, 1, 0)
 

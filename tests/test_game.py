@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from aoi_csma_game import (
     Action,
     AgePmf,
-    AgeVector,
     GameInstance,
     SlotLengths,
     StrategyProfile,
@@ -56,9 +55,25 @@ def test_slot_regime_classification_is_total():
     assert SlotLengths(0.01, 1.01, 1.0100001).regime() == "long_collision"
 
 
-def test_age_vector_needs_two_entries():
-    with pytest.raises(ValueError, match="at least 2"):
-        AgeVector((2.02,))
+@pytest.mark.parametrize(
+    "age, message",
+    [
+        (float("nan"), "initial_ages[1] = nan is not finite"),
+        (float("inf"), "initial_ages[1] = inf is not finite"),
+        (-1.0, "initial_ages[1] = -1.0 violates age >= sigma_success (1.01)"),
+        (0.5, "initial_ages[1] = 0.5 violates age >= sigma_success (1.01)"),
+    ],
+)
+def test_game_instance_refuses_non_finite_or_too_small_ages(age, message):
+    with pytest.raises(ValueError) as info:
+        GameInstance(3, LENGTHS, (2.02, age, 3.03))
+    assert str(info.value) == message
+
+
+def test_game_instance_holds_its_ages_as_a_tuple_of_floats():
+    ages = GameInstance(2, LENGTHS, [2, 3.03]).initial_ages
+    assert ages == (2.0, 3.03)
+    assert type(ages) is tuple and all(type(a) is float for a in ages)
 
 
 def test_strategy_profile_rejects_bad_probability():
@@ -77,23 +92,23 @@ def test_strategy_profile_purity():
 
 def test_game_instance_rejects_single_node():
     with pytest.raises(ValueError, match="at least 2 contending nodes"):
-        GameInstance(1, LENGTHS, AgeVector((2.02, 2.02)))
+        GameInstance(1, LENGTHS, (2.02, 2.02))
 
 
 @pytest.mark.parametrize("n", [3.0, 2.5, float("nan"), True, False, "3"])
 def test_game_instance_refuses_a_non_int_node_count(n):
     with pytest.raises(ValueError, match=r"^n must be an int, got "):
-        GameInstance(n, LENGTHS, AgeVector((2.02, 2.02, 2.02)))
+        GameInstance(n, LENGTHS, (2.02, 2.02, 2.02))
 
 
 def test_game_instance_rejects_length_mismatch():
     with pytest.raises(ValueError, match="entries for n"):
-        GameInstance(3, LENGTHS, AgeVector((2.02, 2.02)))
+        GameInstance(3, LENGTHS, (2.02, 2.02))
 
 
 def test_game_instance_rejects_age_below_success_length():
     with pytest.raises(ValueError, match="sigma_success"):
-        GameInstance(2, LENGTHS, AgeVector((1.0, 2.02)))
+        GameInstance(2, LENGTHS, (1.0, 2.02))
 
 
 def test_action_string_round_trip():
@@ -240,7 +255,7 @@ def test_age_pmf_rejects_age_below_success_length():
 def test_age_operations_refuse_non_finite_ages(age, profile):
     # With profile (1, 0, 0) an inf age would give inf * 0 = nan as the mean.
     for operation in (age_pmf, expected_age_after):
-        with pytest.raises(ValueError, match="sigma_success"):
+        with pytest.raises(ValueError, match=f"^age_before = {age} is not finite$"):
             operation(0, age, profile, LENGTHS)
 
 
@@ -278,7 +293,7 @@ def test_expected_age_equals_pmf_mean():
 # ---------------------------------------------------------------------------
 # payoffs
 
-GAME3 = GameInstance(3, LENGTHS, AgeVector((2.02, 3.03, 3.03)))
+GAME3 = GameInstance(3, LENGTHS, (2.02, 3.03, 3.03))
 
 
 def test_pure_payoff_case_analysis():
@@ -352,7 +367,7 @@ def games_st(draw, min_n=2, max_n=4):
     ages = tuple(
         lengths.sigma_success * (1.0 + draw(st.floats(0.0, 9.0))) for _ in range(n)
     )
-    return GameInstance(n, lengths, AgeVector(ages))
+    return GameInstance(n, lengths, ages)
 
 
 @given(profiles_st())

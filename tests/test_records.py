@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from aoi_csma_game import (
     Action,
     AgePmf,
-    AgeVector,
     DominanceReport,
     GameInstance,
     MsneResult,
@@ -52,7 +51,7 @@ def game_args(draw):
     lengths = SlotLengths(*draw(slot_lengths_args()))
     n = draw(st.integers(2, 4))
     factors = draw(st.lists(st.floats(1.0, 9.0), min_size=n, max_size=n))
-    ages = AgeVector(tuple(lengths.sigma_success * f for f in factors))
+    ages = tuple(lengths.sigma_success * f for f in factors)
     return n, lengths, ages
 
 
@@ -82,7 +81,6 @@ def sim_stats_args(draw):
 # Positional arguments of one valid instance of each type.
 ARGS = {
     SlotLengths: slot_lengths_args(),
-    AgeVector: st.tuples(tuples_of(positive, min_size=2)),
     StrategyProfile: st.tuples(tuples_of(probability, min_size=1)),
     GameInstance: game_args(),
     AgePmf: age_pmf_args(),

@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 from aoi_csma_game import (
-    AgeVector,
     GameInstance,
     ScenarioError,
     SlotLengths,
@@ -47,7 +46,7 @@ def write_scenario(tmp_path, data, name="scenario.json"):
 def test_load_valid_scenario(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, VALID))
     lengths = SlotLengths(0.01, 1.01, 2.02)
-    assert scenario.game == GameInstance(3, lengths, AgeVector((2 * 1.01, 3 * 1.01, 3.03)))
+    assert scenario.game == GameInstance(3, lengths, (2 * 1.01, 3 * 1.01, 3.03))
     assert scenario.seed == 42
     assert scenario.num_slots == 1000
     assert scenario.sweep == SweepSpec(node=3, start=3 * 1.01, stop=4 * 1.01, steps=5)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_csma_game import (
-    AgeVector,
     GameInstance,
     SimStats,
     SlotLengths,
@@ -33,7 +33,7 @@ from aoi_csma_game.reference import REFERENCE_ROWS
 from helpers import sample_slot, slot_by_slot_counts, slot_outcome_codes
 
 LENGTHS = SlotLengths(0.01, 1.01, 2.02)
-GAME = GameInstance(3, LENGTHS, AgeVector((2.02, 3.03, 3.03)))
+GAME = GameInstance(3, LENGTHS, (2.02, 3.03, 3.03))
 ROW_IV = next(r for r in REFERENCE_ROWS if r.label == "IV")
 
 
@@ -57,7 +57,7 @@ def test_sample_slot_nobody_transmits_is_idle():
 
 
 def test_sample_slot_everyone_transmits_is_collision():
-    game = GameInstance(2, LENGTHS, AgeVector((2.02, 3.03)))
+    game = GameInstance(2, LENGTHS, (2.02, 3.03))
     stats = run_monte_carlo(game, StrategyProfile((1.0, 1.0)), 20, seed=0)
     assert stats.collision_count == 20
     assert stats.idle_count == 0
@@ -98,10 +98,10 @@ def test_num_slots_past_the_success_counters_is_refused_at_the_call():
     # without end fails instead of hanging the suite.
     code = """
         from aoi_csma_game import (
-            AgeVector, GameInstance, SlotLengths, StrategyProfile,
+            GameInstance, SlotLengths, StrategyProfile,
             run_monte_carlo, simulate_age_trajectory,
         )
-        game = GameInstance(2, SlotLengths(0.01, 1.01, 2.02), AgeVector((2.02, 3.03)))
+        game = GameInstance(2, SlotLengths(0.01, 1.01, 2.02), (2.02, 3.03))
         profile = StrategyProfile((0.5, 0.5))
         for num_slots in (2**63, 10**400):
             for run in (run_monte_carlo, simulate_age_trajectory):
@@ -271,6 +271,25 @@ def test_threaded_spans_match_slot_by_slot_sampling(monkeypatch, cpus):
     assert stats == run_monte_carlo(GAME, profile, 5000, seed=77)
 
 
+def test_a_span_error_is_raised_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    span_counts = simulate._span_counts
+    raised = []
+
+    def failing_span_counts(taus, seed, start, stop):
+        if start > 0:
+            raised.append(RuntimeError(f"span from slot {start} failed"))
+            raise raised[-1]
+        return span_counts(taus, seed, start, stop)
+
+    monkeypatch.setattr(simulate, "_span_counts", failing_span_counts)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^span from slot 25000 failed$") as info:
+        run_monte_carlo(GAME, StrategyProfile((0.3, 0.4, 0.2)), 50_000, seed=1)
+    assert info.value is raised[0]
+    assert threading.active_count() == threads_before
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "taus",
@@ -283,7 +302,7 @@ def test_wide_game_counts_match_slot_by_slot_sampling(monkeypatch, cpus, taus):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
     n = len(taus)
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 100 * n)  # fewer rows than nodes
-    game = GameInstance(n, LENGTHS, AgeVector((2.02,) * n))
+    game = GameInstance(n, LENGTHS, (2.02,) * n)
     profile = StrategyProfile(taus)
     stats = run_monte_carlo(game, profile, 1000, seed=5)
     expected = slot_by_slot_counts(profile, LENGTHS, 1000, seed=5)
@@ -297,7 +316,7 @@ def test_wide_game_counts_match_slot_by_slot_sampling(monkeypatch, cpus, taus):
 def test_one_row_chunks_match_slot_by_slot_sampling(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 8)
     assert simulate._chunk_rows(10) == 1
-    game = GameInstance(10, LENGTHS, AgeVector((2.02,) * 10))
+    game = GameInstance(10, LENGTHS, (2.02,) * 10)
     profile = StrategyProfile(tuple(np.linspace(0.02, 0.3, 10)))
     stats = run_monte_carlo(game, profile, 300, seed=21)
     assert (
@@ -329,14 +348,14 @@ def test_restart_memory_does_not_grow_with_slots(monkeypatch, cpus):
 
 def test_certain_transmitter_wins_every_slot_in_a_wide_game():
     n = 300
-    game = GameInstance(n, LENGTHS, AgeVector((2.02,) * n))
+    game = GameInstance(n, LENGTHS, (2.02,) * n)
     stats = run_monte_carlo(game, StrategyProfile((0.0,) * 7 + (1.0,) + (0.0,) * 292), 2000, seed=4)
     assert stats.success_count_per_node == (0,) * 7 + (2000,) + (0,) * 292
     assert stats.idle_count == stats.collision_count == 0
 
 
 def test_symmetric_profile_frequencies_converge():
-    game = GameInstance(2, LENGTHS, AgeVector((2.02, 2.02)))
+    game = GameInstance(2, LENGTHS, (2.02, 2.02))
     profile = StrategyProfile((0.5, 0.5))
     slots = 1_000_000
     stats = run_monte_carlo(game, profile, slots, seed=2718)
@@ -507,7 +526,7 @@ def test_wide_trajectory_matches_slot_by_slot_rebuild(monkeypatch, n, certain):
     # Node 0 never transmits, so its age never resets. With a certain node 1
     # every slot is its success or a collision; without one, idles, lone
     # successes and collisions all occur.
-    game = GameInstance(n, LENGTHS, AgeVector(tuple(np.linspace(1.01, 9.0, n))))
+    game = GameInstance(n, LENGTHS, np.linspace(1.01, 9.0, n))
     tau_1 = 1.0 if certain else 1.0 / n
     profile = StrategyProfile((0.0, tau_1) + tuple(np.linspace(0.1, 1.0, n - 2) / n))
     expected = rebuild_trajectory(game, profile, 600, seed=19)
@@ -527,7 +546,7 @@ def test_trajectory_blocks_hold_at_most_chunk_slots_rows(monkeypatch):
 
 def test_trajectory_blocks_are_capped_by_variates_for_wide_games():
     n = 30
-    game = GameInstance(n, LENGTHS, AgeVector((2.02,) * n))
+    game = GameInstance(n, LENGTHS, (2.02,) * n)
     blocks = list(simulate_age_trajectory(game, StrategyProfile((0.05,) * n), 40_000, seed=3))
     assert sum(len(t) for t, _ in blocks) == 40_001
     assert max(len(t) for t, _ in blocks) <= max(1, simulate._CHUNK_VARIATES // n)
