@@ -32,17 +32,16 @@ from .game import (
 )
 from .reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
 from .scenario import Scenario, ScenarioError, load_scenario
-from .simulate import run_monte_carlo, simulate_age_trajectory
+from .simulate import SimStats, run_monte_carlo, simulate_age_trajectory
 
 
 # Decimal for CSV cells: 12 significant digits, which do not round-trip
 # every double.
 _CELL = "%.12g"
 # Most cells the trajectory CSV formats at once (a slice holds at least one
-# row). The formatter's temporaries take about 90 bytes a cell, about 1.4 MB
-# a slice: more than the block it is cut from, which holds the ages of at
-# most 2**15 variates.
-_SLICE_CELLS = 1 << 14
+# row). The formatter's temporaries take about 90 bytes a cell, about 0.37 MB
+# a slice. The largest, eight 4-byte words a cell, takes 128 KiB.
+_SLICE_CELLS = 1 << 12
 
 
 def _four(x: float) -> str:
@@ -204,7 +203,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     num_slots = scenario.num_slots if args.slots is None else args.slots
     profile, source = _simulation_profile(scenario)
-    stats = run_monte_carlo(game, profile, num_slots, seed)
+    if args.out is None:
+        stats = run_monte_carlo(game, profile, num_slots, seed)
+    else:
+        # The call refuses a bad run before the file is created. The pass that
+        # writes the trajectory also counts its slots for the report, which
+        # is printed after it, so an unwritable path prints only the error.
+        blocks = simulate_age_trajectory(game, profile, num_slots, seed)
+        with open(args.out, "w") as out:
+            stats = _write_trajectory(out, game.n, blocks)
 
     rows = []
     p_idle = idle_probability(profile)
@@ -236,51 +243,55 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         )
 
-    # Opened before the first print, so an unwritable path prints only the error.
-    with contextlib.nullcontext() if args.out is None else open(args.out, "w") as out:
-        print(f"scenario: {args.scenario}")
-        print(f"profile source: {source}")
-        print("taus: " + ", ".join(format(t, ".6f") for t in profile))
-        print(f"slots: {num_slots}, seed: {seed}")
+    print(f"scenario: {args.scenario}")
+    print(f"profile source: {source}")
+    print("taus: " + ", ".join(format(t, ".6f") for t in profile))
+    print(f"slots: {num_slots}, seed: {seed}")
+    print(
+        f"counts: idle={stats.idle_count} collision={stats.collision_count} "
+        f"success=({', '.join(str(c) for c in stats.success_count_per_node)})"
+    )
+    print()
+    print(
+        f"{'quantity':<14} {'analytic':>14} {'empirical':>14} {'|diff|':>12} "
+        f"{'3*SE':>12} within"
+    )
+    all_within = True
+    for name, analytic, empirical, se in rows:
+        diff = abs(analytic - empirical)
+        band = 3.0 * se
+        within = diff <= band
+        all_within = all_within and within
         print(
-            f"counts: idle={stats.idle_count} collision={stats.collision_count} "
-            f"success=({', '.join(str(c) for c in stats.success_count_per_node)})"
+            f"{name:<14} {analytic:>14.6f} {empirical:>14.6f} "
+            f"{diff:>12.2e} {band:>12.2e} {_yesno(within)}"
         )
-        print()
-        print(
-            f"{'quantity':<14} {'analytic':>14} {'empirical':>14} {'|diff|':>12} "
-            f"{'3*SE':>12} within"
-        )
-        all_within = True
-        for name, analytic, empirical, se in rows:
-            diff = abs(analytic - empirical)
-            band = 3.0 * se
-            within = diff <= band
-            all_within = all_within and within
-            print(
-                f"{name:<14} {analytic:>14.6f} {empirical:>14.6f} "
-                f"{diff:>12.2e} {band:>12.2e} {_yesno(within)}"
-            )
-        print()
-        print(f"all quantities within 3 standard errors: {_yesno(all_within)}")
-
-        if out is not None:
-            import numpy as np
-
-            from .csv_cells import format_cells
-
-            slice_rows = max(1, _SLICE_CELLS // (game.n + 1))
-            written = 0
-            out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(game.n)]) + "\n")
-            for times, ages in simulate_age_trajectory(game, profile, num_slots, seed):
-                for lo in range(0, len(times), slice_rows):
-                    hi = lo + slice_rows
-                    out.write(format_cells(np.column_stack((times[lo:hi], ages[lo:hi]))))
-                written += len(times)
-                # Held past the block, these would stay alive while the next is built.
-                del times, ages
-            print(f"trajectory written to {args.out} ({written} breakpoints)")
+    print()
+    print(f"all quantities within 3 standard errors: {_yesno(all_within)}")
+    if args.out is not None:
+        print(f"trajectory written to {args.out} ({num_slots + 1} breakpoints)")
     return 0
+
+
+def _write_trajectory(out, n: int, blocks) -> SimStats:
+    """Write the `simulate_age_trajectory` `blocks` of an n-node game to
+    `out` as CSV, and return the `SimStats` the exhausted generator returns."""
+    import numpy as np
+
+    from .csv_cells import format_cells
+
+    slice_rows = max(1, _SLICE_CELLS // (n + 1))
+    out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(n)]) + "\n")
+    while True:
+        try:
+            times, ages = next(blocks)
+        except StopIteration as done:
+            return done.value
+        for lo in range(0, len(times), slice_rows):
+            hi = lo + slice_rows
+            out.write(format_cells(np.column_stack((times[lo:hi], ages[lo:hi]))))
+        # Held past the block, these would stay alive while the next is built.
+        del times, ages
 
 
 def _freq_se(p: float, num_slots: int) -> float:

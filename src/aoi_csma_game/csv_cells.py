@@ -38,15 +38,18 @@ def _digit_tables() -> np.ndarray:
     plain (``0042``), no leading zeros (``\\0\\042``, 0 is ``\\0\\0\\00``) and
     no trailing zeros (``42\\0\\0``, 0 is all NUL).
     """
-    j = np.arange(10000)
-    digits = np.stack([j // 1000, j // 100 % 10, j // 10 % 10, j % 10], axis=1)
+    # Built in uint8 and bool: int64 temporaries would take up to 960 KB, and
+    # freeing them raises glibc's mmap threshold for the rest of the run.
+    j = np.arange(10000, dtype=np.uint16)
+    digits = np.stack([j // 1000, j // 100 % 10, j // 10 % 10, j % 10], axis=1).astype(np.uint8)
     nonzero = digits != 0
-    leading = np.cumsum(nonzero, axis=1) == 0
+    leading = ~np.logical_or.accumulate(nonzero, axis=1)
     leading[:, 3] = False
-    trailing = np.cumsum(nonzero[:, ::-1], axis=1)[:, ::-1] == 0
-    ascii_ = digits + ord("0")
-    tables = [ascii_, np.where(leading, 0, ascii_), np.where(trailing, 0, ascii_)]
-    return np.concatenate(tables).astype(np.uint8).view(np.uint32).ravel()
+    trailing = ~np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    ascii_ = digits + np.uint8(ord("0"))
+    blank = np.uint8(0)
+    tables = [ascii_, np.where(leading, blank, ascii_), np.where(trailing, blank, ascii_)]
+    return np.concatenate(tables).view(np.uint32).ravel()
 
 
 _GROUPS = _digit_tables()

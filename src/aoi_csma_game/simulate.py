@@ -19,14 +19,17 @@ of a restart span take at most about 0.75 MB and fit a 1 MB L2 cache.
 Both experiments read each slot as one outcome code: 0 for idle, n + j for
 a lone success by node j and 2n for a collision. The restart experiment
 counts the codes of each span into one vector; the trajectory takes each
-slot's duration and each node's resets from them.
+slot's duration and each node's resets from them, and counts them into the
+same vector as it goes. One helper turns such a vector into `SimStats`, so a
+single trajectory pass also yields the restart experiment's statistics:
+``simulate --out`` samples each slot once and starts no span threads.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Iterator
+from collections.abc import Generator
 from typing import TYPE_CHECKING
 
 from .game import GameInstance, StrategyProfile, _check_entries, _record
@@ -179,7 +182,12 @@ def run_monte_carlo(
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    counts = sum(results)
+    return _sim_stats(game, sum(results), num_slots)
+
+
+def _sim_stats(game, counts, num_slots):
+    """The restart experiment's `SimStats` from the ``int64`` counts of each
+    outcome code over `num_slots` slots."""
     idle, collision, successes = int(counts[0]), int(counts[-1]), counts[game.n : -1]
     lengths = game.slot_lengths
     total_duration = (
@@ -206,7 +214,7 @@ def simulate_age_trajectory(
     profile: StrategyProfile,
     num_slots: int,
     seed: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Generator[tuple[np.ndarray, np.ndarray], None, SimStats]:
     """Sequential multi-slot run where ages carry over between slots.
 
     Inputs are checked at the call. The result is a generator of
@@ -217,6 +225,10 @@ def simulate_age_trajectory(
     the realized slot duration.
     A chunk holds at most 2**15 variates, so a block's memory does not grow
     with `num_slots` or with n.
+
+    The exhausted generator returns (as ``StopIteration.value``) the counts
+    of its slots as `SimStats`: both experiments read the same stream, so
+    these equal ``run_monte_carlo(game, profile, num_slots, seed)``.
     """
     import numpy as np
 
@@ -241,7 +253,9 @@ def _trajectory_blocks(game, taus, num_slots, seed):
     # buffer, it lets the age arithmetic run between same-shape arrays: numpy
     # would buffer a broadcast column, up to 8192 elements a call.
     row_times = np.empty((min(_chunk_rows(n), num_slots), n))
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
     for codes in _slot_outcomes(taus, seed, 0, num_slots):
+        counts += np.bincount(codes, minlength=len(counts))
         # Summing from the carried clock keeps every time bit-identical to
         # one cumulative sum over the whole run, whatever the chunk size.
         times = np.cumsum(np.concatenate(([now], slot_duration[codes])))[1:]
@@ -267,3 +281,4 @@ def _trajectory_blocks(game, taus, num_slots, seed):
         now = times[-1]
         # Held into the next chunk, these would stay alive while it is built.
         del codes, lone, never, times, ages
+    return _sim_stats(game, counts, num_slots)

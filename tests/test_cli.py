@@ -436,12 +436,14 @@ def test_simulate_infeasible_without_taus_exits_1(tmp_path, capsys):
 )
 def test_simulate_negative_seed_exits_1_naming_seed(tmp_path, capsys, seed, extra, message):
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2], seed=seed))
-    code = cli.main(["simulate", "--scenario", path, *extra])
+    out_path = tmp_path / "trajectory.csv"
+    code = cli.main(["simulate", "--scenario", path, "--out", str(out_path), *extra])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
     assert err.endswith(message + "\n")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("slots", [0, -3])
@@ -525,12 +527,39 @@ def test_simulate_csv_slices_match_a_per_row_writer(
     assert out_path.read_text() == "".join(expected)
 
 
+@pytest.mark.parametrize("chunk", ["7n", "default"])
+@pytest.mark.parametrize(
+    "taus",
+    [(0.3, 0.6), (0.4, 0.3, 0.2), (0.0, 1.0 / 40) + tuple(0.02 + 0.0005 * k for k in range(38))],
+    ids=["n2", "n3", "n40"],
+)
+def test_simulate_out_reports_what_the_restart_spans_report(
+    tmp_path, capsys, monkeypatch, taus, chunk
+):
+    # With --out the report's counts come from the trajectory's own pass;
+    # without it, from one restart span per CPU. Two full chunks and a short
+    # one give each of up to three spans its own, unaligned, part of the stream.
+    n = len(taus)
+    if chunk == "7n":
+        monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * n)
+    slots = 2 * simulate._chunk_rows(n) + 5
+    ages = [1.01 * (1 + 0.37 * k) for k in range(n)]
+    path = write(tmp_path, scenario_dict(n=n, initial_ages=ages, taus=list(taus), seed=5))
+    out_path = tmp_path / "trajectory.csv"
+    argv = ["simulate", "--scenario", path, "--slots", str(slots)]
+    assert cli.main(argv + ["--out", str(out_path)]) == 0
+    report, last = capsys.readouterr().out[:-1].rsplit("\n", 1)
+    assert last == f"trajectory written to {out_path} ({slots + 1} breakpoints)"
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == report + "\n", cpus
+
+
 def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypatch):
     # 1024-slot chunks written in 512-cell slices keep the traced runs short;
-    # 2500 and 10000 slots are 3 and 10 chunks. With one CPU the restart
-    # experiment counts one span, so no second span's buffers are traced.
+    # 2500 and 10000 slots are 3 and 10 chunks.
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 1024 * 3)
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(cli, "_SLICE_CELLS", 512)
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
     argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]
@@ -553,11 +582,8 @@ def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypa
 def test_simulate_out_holds_one_trajectory_block_at_a_time(tmp_path, capsys, monkeypatch):
     # With 2048-slot chunks a block outweighs the 512-cell slices, so a writer
     # that keeps the last block alive while the next one is built peaks higher
-    # once two full blocks meet (5000 slots) than with one (2500 slots). With
-    # one CPU the restart experiment counts one span, so whether two spans'
-    # buffers meet does not depend on how the threads are scheduled.
+    # once two full blocks meet (5000 slots) than with one (2500 slots).
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 2048 * 3)
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(cli, "_SLICE_CELLS", 512)
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
     argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]
@@ -572,7 +598,7 @@ def test_simulate_out_holds_one_trajectory_block_at_a_time(tmp_path, capsys, mon
             tracemalloc.stop()
         assert code == 0
     capsys.readouterr()
-    # 331 and 332 KiB; holding two blocks read 341 and 435 KiB.
+    # 328 and 324 KiB; holding two blocks read 328 and 354 KiB.
     assert peaks[1] < peaks[0] + 8 * 1024
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aoi_csma_game import cli
+from aoi_csma_game import cli, csv_cells
 from aoi_csma_game.csv_cells import format_cells
 
 
@@ -84,3 +84,12 @@ def test_matches_percent_on_trajectory_like_values():
     times = np.cumsum(rng.choice([0.01, 1.01, 2.02], size=5000))
     ages = rng.uniform(1.01, 400.0, size=(5000, 3))
     assert_same(np.column_stack((times, ages)))
+
+
+def test_digit_tables_hold_each_group_as_python_writes_it():
+    plain = [f"{j:04d}" for j in range(10000)]
+    no_lead = [f"{j:4d}".replace(" ", "\0") for j in range(10000)]
+    no_trail = [group.rstrip("0").ljust(4, "\0") for group in plain]
+    assert csv_cells._GROUPS.dtype == np.uint32
+    assert (csv_cells._NO_LEAD, csv_cells._NO_TRAIL) == (10000, 20000)
+    assert csv_cells._GROUPS.tobytes() == "".join(plain + no_lead + no_trail).encode()

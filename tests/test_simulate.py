@@ -552,6 +552,39 @@ def test_trajectory_blocks_are_capped_by_variates_for_wide_games():
     assert max(len(t) for t, _ in blocks) <= max(1, simulate._CHUNK_VARIATES // n)
 
 
+def trajectory_stats(game, profile, slots, seed):
+    """The `SimStats` that an exhausted trajectory generator returns."""
+    blocks = simulate_age_trajectory(game, profile, slots, seed)
+    while True:
+        try:
+            next(blocks)
+        except StopIteration as done:
+            return done.value
+
+
+@pytest.mark.parametrize("chunk_slots", [1, 7, None], ids=["1", "7", "default"])
+@pytest.mark.parametrize(
+    "n, taus",
+    [
+        (3, (0.3, 0.4, 0.2)),
+        (3, (0.0, 0.0, 0.0)),
+        (3, (1.0, 0.0, 1.0)),
+        (40, (0.0, 1.0 / 40) + tuple(np.linspace(0.01, 0.04, 38))),
+    ],
+    ids=["n3", "all-idle", "all-collide", "n40"],
+)
+def test_trajectory_returns_the_restart_stats_of_its_slots(monkeypatch, n, taus, chunk_slots):
+    if chunk_slots is not None:
+        monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * n)
+    game = GameInstance(n, LENGTHS, tuple(np.linspace(1.01, 9.0, n)))
+    profile = StrategyProfile(taus)
+    stats = trajectory_stats(game, profile, 2000, seed=21)
+    assert stats == run_monte_carlo(game, profile, 2000, seed=21)
+    assert (
+        stats.idle_count, stats.collision_count, stats.success_count_per_node
+    ) == slot_by_slot_counts(profile, LENGTHS, 2000, seed=21)
+
+
 def test_trajectory_validates_inputs():
     # Raised at the call, before any block is requested.
     with pytest.raises(ValueError, match="num_slots"):
