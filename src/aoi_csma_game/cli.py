@@ -15,19 +15,18 @@ import sys
 
 from .equilibrium import (
     SingularGameError,
+    _closed_form,
     check_weak_dominance,
     enumerate_pure_nash,
     msne_closed_form,
 )
 from .game import (
     Action,
-    GameInstance,
     StrategyProfile,
     age_pmf,
     collision_probability,
     expected_age_after,
     idle_probability,
-    others_transmitting,
     success_probability_of,
 )
 from .reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
@@ -55,9 +54,9 @@ def _yesno(flag: bool) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     game = load_scenario(args.scenario).game
     lengths = game.slot_lengths
-    # Both may refuse the scenario; do so before any of the report is printed.
-    result = msne_closed_form(game)
+    # Both may refuse the scenario before any report is printed; the O(1) cap check first.
     nash = enumerate_pure_nash(game)
+    result = msne_closed_form(game)
     print(f"scenario: {args.scenario}")
     print(f"nodes: {game.n}")
     print(
@@ -172,13 +171,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for value in sweep.values():
             ages[sweep.node - 1] = value
             try:
-                result = msne_closed_form(GameInstance(n, game.slot_lengths, tuple(ages)))
+                result, others = _closed_form(game.slot_lengths, ages)
             except SingularGameError:
                 out.write(row % (value, *singular, "false", *singular))
                 continue
-            taus = result.raw_taus
-            psucc = [t * q0 for t, (q0, _, _) in zip(taus, others_transmitting(taus))]
-            out.write(row % (value, *taus, str(result.feasible).lower(), *psucc))
+            psucc = [t * q0 for t, (q0, _, _) in zip(result.raw_taus, others)]
+            out.write(row % (value, *result.raw_taus, str(result.feasible).lower(), *psucc))
     if args.out is not None:
         print(f"sweep written to {args.out} ({sweep.steps} points)")
     return 0
@@ -233,7 +231,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for i in range(game.n):
         pmf = age_pmf(i, game.initial_ages[i], profile, lengths)
         mean = expected_age_after(i, game.initial_ages[i], profile, lengths)
-        variance = max(0.0, sum(p * v * v for v, p in pmf.support) - mean * mean)
+        # Centred, so that a large age does not cancel the spread of a few slots.
+        variance = math.fsum(p * (v - mean) ** 2 for v, p in pmf.support)
         rows.append(
             (
                 f"mean_age_{i + 1}",

@@ -14,7 +14,8 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 
-from .game import Action, GameInstance, StrategyProfile, actions_from_string, others_transmitting
+from .game import Action, GameInstance, SlotLengths, StrategyProfile, actions_from_string
+from .game import others_transmitting
 from .game import _check_action, _check_entries, _check_node_index, _count_payoff, _record
 
 MAX_ENUMERATION_NODES = 20
@@ -168,7 +169,7 @@ def enumerate_pure_nash(game: GameInstance) -> PureNashSet:
 
 
 def _indifference_gaps(
-    game: GameInstance, others: Sequence[tuple[float, float, float]]
+    lengths: SlotLengths, ages: Sequence[float], others: Sequence[tuple[float, float, float]]
 ) -> tuple[float, ...]:
     """Per-node payoff gap between surely transmitting and surely idling.
 
@@ -177,19 +178,19 @@ def _indifference_gaps(
     is q0 (a + sigma_idle - sigma_success) + q1 (sigma_success -
     sigma_collision). It is defined even when the values fall outside [0, 1].
     """
-    lengths = game.slot_lengths
     return tuple(
         q0 * (age + lengths.sigma_idle - lengths.sigma_success)
         + q1 * (lengths.sigma_success - lengths.sigma_collision)
-        for age, (q0, q1, _) in zip(game.initial_ages, others)
+        for age, (q0, q1, _) in zip(ages, others)
     )
 
 
-def _closed_form_terms(game: GameInstance, i: int, mean_age: float) -> tuple[float, float]:
+def _closed_form_terms(
+    lengths: SlotLengths, ages: Sequence[float], i: int, mean_age: float
+) -> tuple[float, float]:
     """Numerator and denominator of node i's closed-form equilibrium value."""
-    n = game.n
-    lengths = game.slot_lengths
-    shifted = (n - 1) * game.initial_ages[i] - n * mean_age
+    n = len(ages)
+    shifted = (n - 1) * ages[i] - n * mean_age
     numerator = lengths.sigma_success - lengths.sigma_idle + shifted
     denominator = (
         n * lengths.sigma_success
@@ -205,6 +206,25 @@ def _closed_form_terms(game: GameInstance, i: int, mean_age: float) -> tuple[flo
     return numerator, denominator
 
 
+def _closed_form(
+    lengths: SlotLengths, ages: Sequence[float]
+) -> tuple[MsneResult, list[tuple[float, float, float]]]:
+    """The closed form at already checked `ages`, and the kernel table of its raw values."""
+    n = len(ages)
+    mean_age = sum(ages) / n
+    terms = (_closed_form_terms(lengths, ages, i, mean_age) for i in range(n))
+    raw = [numerator / denominator for numerator, denominator in terms]
+    threshold = (lengths.sigma_success - lengths.sigma_idle) / n
+    per_node = tuple(mean_age - (n - 1) * age / n > threshold for age in ages)
+    others = others_transmitting(raw)
+    return MsneResult(
+        raw_taus=tuple(raw),
+        feasible_per_node=per_node,
+        feasible=all(per_node) and not lengths.short_collision,
+        indifference_residuals=_indifference_gaps(lengths, ages, others),
+    ), others
+
+
 def msne_closed_form(game: GameInstance) -> MsneResult:
     """Evaluate the closed-form interior mixed equilibrium for every node.
 
@@ -217,25 +237,7 @@ def msne_closed_form(game: GameInstance) -> MsneResult:
     sigma_success (otherwise transmit is weakly dominant and no node
     randomizes).
     """
-    n = game.n
-    lengths = game.slot_lengths
-    ages = game.initial_ages
-    mean_age = sum(ages) / n
-    raw = []
-    for i in range(n):
-        numerator, denominator = _closed_form_terms(game, i, mean_age)
-        raw.append(numerator / denominator)
-    threshold = (lengths.sigma_success - lengths.sigma_idle) / n
-    per_node = tuple(
-        mean_age - (n - 1) * ages[i] / n > threshold for i in range(n)
-    )
-    feasible = all(per_node) and not lengths.short_collision
-    return MsneResult(
-        raw_taus=tuple(raw),
-        feasible_per_node=per_node,
-        feasible=feasible,
-        indifference_residuals=_indifference_gaps(game, others_transmitting(raw)),
-    )
+    return _closed_form(game.slot_lengths, game.initial_ages)[0]
 
 
 def verify_indifference(game: GameInstance, profile: StrategyProfile) -> tuple[float, ...]:
@@ -245,7 +247,7 @@ def verify_indifference(game: GameInstance, profile: StrategyProfile) -> tuple[f
     property of an interior equilibrium.
     """
     _check_entries("profile", profile, game.n)
-    return _indifference_gaps(game, profile._others)
+    return _indifference_gaps(game.slot_lengths, game.initial_ages, profile._others)
 
 
 def monotonicity_derivatives(game: GameInstance, i: int, j: int) -> tuple[float, float]:
@@ -262,8 +264,8 @@ def monotonicity_derivatives(game: GameInstance, i: int, j: int) -> tuple[float,
         raise ValueError("cross derivative requires j != i")
     _check_node_index(i, n)
     _check_node_index(j, n)
-    _, denominator = _closed_form_terms(game, i, sum(game.initial_ages) / n)
     lengths = game.slot_lengths
+    _, denominator = _closed_form_terms(lengths, game.initial_ages, i, sum(game.initial_ages) / n)
     gap = lengths.sigma_success - lengths.sigma_collision
     own = (n - 1) * (n - 2) * gap / denominator**2
     cross = (n - 1) * (-gap) / denominator**2

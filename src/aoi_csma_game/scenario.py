@@ -197,6 +197,8 @@ def load_scenario(path: str | Path) -> Scenario:
         ) from exc
     except ValueError as exc:  # an integer past the int/str conversion digit limit
         raise ScenarioError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError(f"{path}: JSON nests too deeply to parse") from None
     try:
         return parse_scenario(data)
     except ScenarioError as exc:

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from aoi_csma_game import StrategyProfile, cli, simulate, simulate_age_trajectory
+from aoi_csma_game import StrategyProfile, cli, equilibrium, simulate, simulate_age_trajectory
 from aoi_csma_game import game as game_module
 from aoi_csma_game.reference import REFERENCE_ROWS, ReferenceRow
 from aoi_csma_game.scenario import load_scenario
@@ -90,12 +90,16 @@ def test_analyze_invariant_violation_exits_1_naming_invariant(tmp_path, capsys):
     assert "sigma_success" in err
 
 
-def test_analyze_refuses_large_game_fast(tmp_path, capsys):
+def test_analyze_refuses_large_game_fast(tmp_path, capsys, monkeypatch):
+    solved = []
+    monkeypatch.setattr(cli, "msne_closed_form", solved.append)
     data = scenario_dict(n=21, initial_ages=[3.03] * 21)
     code = cli.main(["analyze", "--scenario", write(tmp_path, data)])
     err = capsys.readouterr().err
     assert code == 1
     assert "error: exhaustive enumeration capped at 20 nodes" in err
+    # Refused before the O(n) closed form is evaluated.
+    assert solved == []
 
 
 @pytest.mark.parametrize(
@@ -275,6 +279,29 @@ def test_sweep_singular_point_gets_a_nan_row(tmp_path, capsys):
         assert all(math.isfinite(float(c)) for c in cells[:3] + cells[4:])
 
 
+@pytest.mark.parametrize("n, steps", [(3, 11), (40, 7)])
+def test_sweep_runs_the_kernel_once_per_point(tmp_path, capsys, monkeypatch, n, steps):
+    """psucc comes from the closed form's own kernel table, not a second pass."""
+    kernel = game_module.others_transmitting
+    calls = []
+
+    def counted(taus):
+        calls.append(len(taus))
+        return kernel(taus)
+
+    # Every module of the package that binds the kernel by name.
+    for module in (game_module, equilibrium, cli):
+        if hasattr(module, "others_transmitting"):
+            monkeypatch.setattr(module, "others_transmitting", counted)
+    data = sweep_scenario(steps=steps)
+    data.update(n=n, initial_ages=[3.03] * n)
+    assert cli.main(["sweep", "--scenario", write(tmp_path, data)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == steps
+    assert "nan" not in "".join(rows)
+    assert calls == [n] * steps
+
+
 def test_sweep_memory_does_not_grow_with_steps(tmp_path, capsys):
     out_path = str(tmp_path / "sweep.csv")
     # Warm up, so that one-off allocations on a first call are not traced.
@@ -366,6 +393,17 @@ def test_huge_json_number_is_one_error_line_with_the_path(
     assert "Traceback" not in err
 
 
+def test_deeply_nested_json_is_one_error_line_with_the_path(tmp_path, capsys):
+    # json.loads raises RecursionError, which is not a ValueError.
+    path = tmp_path / "scenario.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code = cli.main(["analyze", "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: JSON nests too deeply to parse\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -418,6 +456,21 @@ def test_simulate_report_runs_the_kernel_a_fixed_number_of_times(tmp_path, capsy
     capsys.readouterr()
     assert per_n[0] >= 1
     assert per_n[0] == per_n[1]
+
+
+def test_simulate_age_band_of_a_silent_node_does_not_depend_on_its_age(tmp_path, capsys):
+    # A node that never transmits ages by one slot length whatever its age, so
+    # its band is 3 SE of the slot length alone, at 3 sigma_s as at 1e9 sigma_s.
+    bands = []
+    for age in (3, 1e9):
+        ages = [{"value": age, "unit": "sigma_s"}, 3.03, 3.03]
+        data = scenario_dict(initial_ages=ages, taus=[0.0, 0.5, 0.5], seed=5, num_slots=100_000)
+        assert cli.main(["simulate", "--scenario", write(tmp_path, data)]) == 0
+        out = capsys.readouterr().out
+        (row,) = [line for line in out.splitlines() if line.startswith("mean_age_1 ")]
+        bands.append(row.split()[-2])
+        assert out.endswith("all quantities within 3 standard errors: yes\n")
+    assert bands[0] == bands[1]
 
 
 def test_simulate_infeasible_without_taus_exits_1(tmp_path, capsys):
@@ -707,6 +760,7 @@ print("numpy" in sys.modules)
 TABLE1_CHECK_SHA256 = "a9990adfb5aa44816a88ef349d7b7042696e67c074c8b23b2efa9621624bcc76"
 SWEEP_ROW_IV_SHA256 = "749af2712e5f660db1d2814c93c9b706e1fe3afec4ac6180f262473b6f200719"
 TRAJECTORY_ROW_IV_SHA256 = "6fdf3e19c91dbe709191bb019a22ff11503124b74ed730f6b0a85378a4e338f0"
+SIMULATE_ROW_IV_SHA256 = "f897210d3ab2dc57143ced76393c0e68b4c3dc0cc3500ee7b3f68fd71cf00dcf"
 # `analyze` at n = 13 with short collisions (sigma_c = sigma_s / 2) and ages
 # drawn uniformly from [sigma_s, 4 sigma_s]: 8178 pure Nash profiles.
 ANALYZE_SHORT_N13 = scenario_dict(
@@ -759,6 +813,15 @@ def test_simulate_trajectory_csv_is_byte_stable(tmp_path, capsys):
     argv = ["simulate", "--scenario", path, "--slots", "20000", "--seed", "7"]
     assert cli.main(argv + ["--out", str(out_path)]) == 0
     assert sha256(out_path.read_bytes()) == TRAJECTORY_ROW_IV_SHA256
+
+
+def test_simulate_report_is_byte_stable(tmp_path, capsys, monkeypatch):
+    # A relative path keeps the report's "scenario:" line fixed.
+    write(tmp_path, scenario_dict())
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--scenario", "scenario.json", "--slots", "20000", "--seed", "7"]
+    assert cli.main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == SIMULATE_ROW_IV_SHA256
 
 
 @pytest.mark.parametrize(
