@@ -16,7 +16,7 @@ from collections.abc import Iterator, Sequence
 
 from .game import Action, GameInstance, SlotLengths, StrategyProfile, actions_from_string
 from .game import others_transmitting
-from .game import _check_action, _check_entries, _check_node_index, _count_payoff, _record
+from .game import _check_action, _check_entries, _check_node_index, _outcome_ages, _record
 
 MAX_ENUMERATION_NODES = 20
 
@@ -116,10 +116,10 @@ class MsneResult:
 
 
 def _keeps(game: GameInstance, i: int, transmits: bool, others: int) -> bool:
-    """Node i gains nothing strictly by flipping its action against `others` transmitters."""
-    return not _count_payoff(game, i, not transmits, others) > _count_payoff(
-        game, i, transmits, others
-    )
+    """Node i gains nothing strictly by flipping its action against `others`
+    transmitters, that is, flipping would not leave its update younger."""
+    ages = _outcome_ages(game.slot_lengths, game.initial_ages[i])
+    return not ages[not transmits][min(others, 2)] < ages[transmits][min(others, 2)]
 
 
 def check_weak_dominance(game: GameInstance, i: int, strategy: Action) -> DominanceReport:
@@ -178,6 +178,7 @@ def _indifference_gaps(
     is q0 (a + sigma_idle - sigma_success) + q1 (sigma_success -
     sigma_collision). It is defined even when the values fall outside [0, 1].
     """
+    # Differenced by hand: (a + sigma_s) - (a + sigma_c) from _outcome_ages loses about ulp(a).
     return tuple(
         q0 * (age + lengths.sigma_idle - lengths.sigma_success)
         + q1 * (lengths.sigma_success - lengths.sigma_collision)

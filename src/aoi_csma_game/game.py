@@ -322,27 +322,43 @@ def collision_probability(profile: StrategyProfile) -> float:
     return _slot_outcomes(0, profile)[3]
 
 
+def _outcome_ages(lengths: SlotLengths, age: float) -> tuple[tuple[float, ...], ...]:
+    """A node's end-of-slot age, indexed ``[transmits][min(others, 2)]``.
+
+    `age` is its age at the start of the slot and `others` the number of
+    other nodes that transmit. A lone transmitter's update is delivered, so
+    its age resets to sigma_success; every other outcome adds the slot's
+    length to `age`. A node's pure payoff is minus its entry.
+    """
+    idle, success, collision = lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision
+    return (
+        (age + idle, age + success, age + collision),
+        (success, age + collision, age + collision),
+    )
+
+
 def age_pmf(
     i: int, age_before: float, profile: StrategyProfile, slot_lengths: SlotLengths
 ) -> AgePmf:
     """Distribution of node i's age at the end of the slot, given its age at the start.
 
-    The age resets to sigma_success when node i succeeds and otherwise grows
-    by the realized slot length. Outcome ages that coincide (e.g. collision
-    and busy when sigma_collision == sigma_success) are merged into a single
-    support point; zero-probability outcomes are dropped.
+    Each cell of :func:`_outcome_ages` carries the mass of node i's action
+    times that of its count of other transmitters. Outcome ages that
+    coincide (e.g. collision and busy when sigma_collision == sigma_success)
+    are merged into a single support point; zero-probability outcomes are
+    dropped.
     """
     _check_ages((age_before,), slot_lengths.sigma_success, "age_before = {age}")
-    idle, own, busy, collision = _slot_outcomes(i, profile)
-    points = (
-        (age_before + slot_lengths.sigma_idle, idle),
-        (age_before + slot_lengths.sigma_collision, collision),
-        (age_before + slot_lengths.sigma_success, busy),
-        (slot_lengths.sigma_success, own),
-    )
+    _check_node_index(i, len(profile))
+    tau = profile[i]
+    others = profile._others[i]
+    # The kernel's rounding drift grows with n (about 1e-12 at n = 1e5 on
+    # near-equal taus); rescaling by the row's mass removes its common part.
+    mass = math.fsum(others)
     merged: dict[float, float] = {}
-    for value, prob in points:
-        merged[value] = merged.get(value, 0.0) + prob
+    for ages, own in zip(_outcome_ages(slot_lengths, age_before), (1.0 - tau, tau)):
+        for value, q in zip(ages, others):
+            merged[value] = merged.get(value, 0.0) + own * (q / mass)
     support = tuple(sorted((v, p) for v, p in merged.items() if p != 0.0))
     return AgePmf(support)
 
@@ -350,35 +366,14 @@ def age_pmf(
 def expected_age_after(
     i: int, age_before: float, profile: StrategyProfile, slot_lengths: SlotLengths
 ) -> float:
-    """Expected age of node i's update at the end of the slot.
-
-    Equals the mean of :func:`age_pmf`: the age survives with probability
-    (1 - p_success_i) and every slot adds its expected realized length.
-    """
-    _check_ages((age_before,), slot_lengths.sigma_success, "age_before = {age}")
-    idle, own, busy, collision = _slot_outcomes(i, profile)
-    expected_slot = (
-        idle * slot_lengths.sigma_idle
-        + (own + busy) * slot_lengths.sigma_success
-        + collision * slot_lengths.sigma_collision
-    )
-    return (1.0 - own) * age_before + expected_slot
+    """Expected age of node i's update at the end of the slot: the mean of :func:`age_pmf`."""
+    return age_pmf(i, age_before, profile, slot_lengths).mean()
 
 
 def mixed_payoff(i: int, game: GameInstance, profile: StrategyProfile) -> float:
     """Node i's payoff under a mixed profile: minus its expected end-of-slot age."""
     _check_entries("profile", profile, game.n)
     return -expected_age_after(i, game.initial_ages[i], profile, game.slot_lengths)
-
-
-def _count_payoff(game: GameInstance, i: int, transmits: bool, others: int) -> float:
-    """Node i's pure payoff given its own action and how many other nodes transmit."""
-    lengths = game.slot_lengths
-    age = game.initial_ages[i]
-    if transmits:
-        return -lengths.sigma_success if others == 0 else -(age + lengths.sigma_collision)
-    slot = (lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision)[min(others, 2)]
-    return -(age + slot)
 
 
 def pure_payoff(i: int, game: GameInstance, actions: Sequence[Action]) -> float:
@@ -388,5 +383,5 @@ def pure_payoff(i: int, game: GameInstance, actions: Sequence[Action]) -> float:
         _check_action(f"actions[{k}]", action)
     _check_node_index(i, game.n)
     transmits = actions[i] is Action.TRANSMIT
-    transmitters = sum(1 for a in actions if a is Action.TRANSMIT)
-    return _count_payoff(game, i, transmits, transmitters - transmits)
+    others = sum(1 for a in actions if a is Action.TRANSMIT) - transmits
+    return -_outcome_ages(game.slot_lengths, game.initial_ages[i])[transmits][min(others, 2)]

@@ -244,7 +244,8 @@ def _trajectory_blocks(game, taus, num_slots, seed):
     initial = np.asarray(game.initial_ages, dtype=float)
     yield np.zeros(1), initial[np.newaxis, :]
     # Indexed by outcome code: idle, (codes 1..n-1 never occur), a lone
-    # success by each node, collision.
+    # success by each node, collision. Not game._outcome_ages: the sampler
+    # shares no code with the analytic side it checks.
     slot_duration = np.full(2 * n + 1, lengths.sigma_success)
     slot_duration[0], slot_duration[-1] = lengths.sigma_idle, lengths.sigma_collision
     now = 0.0

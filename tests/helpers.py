@@ -2,13 +2,15 @@
 
 The outcome oracle enumerates all 2^n transmit patterns with their Bernoulli
 weights, deliberately sharing no code with the closed-form probability
-operations it checks. The dominance and pure-Nash oracles loop over every
-pure profile with an independently coded payoff case analysis. The slot
-sampler replays the simulator's variate stream one slot at a time, the
-outcome-code oracle decodes a whole transmit matrix of that stream, and the
-grid best-response oracle searches a node's own transmit probability with
-the generic mixed payoff. The frozen-dataclass twins of the value types are
-the oracle for their record methods.
+operations it checks; the age-distribution oracle does the same, taking
+each pattern's age from the pure-payoff case analysis. The dominance and
+pure-Nash oracles loop over every pure profile with that independently
+coded payoff case analysis. The slot sampler replays the simulator's
+variate stream one slot at a time, the outcome-code oracle decodes a whole
+transmit matrix of that stream, and the grid best-response oracle searches
+a node's own transmit probability with the generic mixed payoff. The
+frozen-dataclass twins of the value types are the oracle for their record
+methods.
 """
 
 from __future__ import annotations
@@ -78,6 +80,25 @@ def pure_payoff_oracle(i, actions_transmit, ages, sigma_idle, sigma_success, sig
     if transmitters == 1:
         return -(ages[i] + sigma_success)
     return -(ages[i] + sigma_collision)
+
+
+def age_pmf_oracle(i, taus, age, lengths):
+    """Node i's end-of-slot age masses, by age, from all 2^n transmit patterns.
+
+    Each pattern's Bernoulli weight goes to minus its `pure_payoff_oracle`
+    for node i, so ages that coincide share one entry. Zero masses are dropped.
+    """
+    ages = (age,) * len(taus)
+    masses = {}
+    for pattern in itertools.product((0, 1), repeat=len(taus)):
+        weight = 1.0
+        for bit, tau in zip(pattern, taus):
+            weight *= tau if bit else 1.0 - tau
+        value = -pure_payoff_oracle(
+            i, pattern, ages, lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision
+        )
+        masses[value] = masses.get(value, 0.0) + weight
+    return {value: mass for value, mass in masses.items() if mass != 0.0}
 
 
 def _game_payoff_oracle(game, i, transmit_vector):

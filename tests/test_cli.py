@@ -425,6 +425,19 @@ def test_simulate_all_idle_counts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "idle=250" in out
+    assert "all quantities within 3 standard errors: yes" in out
+
+
+@pytest.mark.parametrize("slots", [250, 500, 1000, 2000])
+@pytest.mark.parametrize("taus", [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+def test_simulate_pure_profile_passes_its_own_verdict(tmp_path, capsys, taus, slots):
+    # Every row is certain, so its band is 0 and only rounding separates the
+    # analytic and empirical columns (4.44e-16 or 8.88e-16 on a mean age).
+    data = scenario_dict(taus=taus, num_slots=slots)
+    assert cli.main(["simulate", "--scenario", write(tmp_path, data)]) == 0
+    out = capsys.readouterr().out
+    assert " no\n" not in out
+    assert "all quantities within 3 standard errors: yes" in out
 
 
 def test_simulate_uses_feasible_equilibrium_by_default(tmp_path, capsys):

@@ -20,11 +20,12 @@ from aoi_csma_game import (
     expected_age_after,
     idle_probability,
     mixed_payoff,
+    msne_closed_form,
     pure_payoff,
     success_probability_of,
     total_success_probability,
 )
-from helpers import outcome_probabilities
+from helpers import age_pmf_oracle, outcome_probabilities
 
 LENGTHS = SlotLengths(sigma_idle=0.01, sigma_success=1.01, sigma_collision=2.02)
 # Transmit probabilities used throughout: the 4-decimal rounding of the
@@ -245,6 +246,17 @@ def test_age_pmf_merges_coinciding_support():
     assert abs(pmf.total_mass() - 1.0) <= 1e-12
 
 
+def test_age_pmf_mass_holds_at_large_n():
+    # On these near-equal taus the kernel's rows drift from mass 1 by about
+    # 1e-12 at n = 1e5, so unscaled cells would fail AgePmf's own check.
+    n = 100_000
+    game = GameInstance(n, LENGTHS, [3.03 * (1 + 1e-6 * (i % 7)) for i in range(n)])
+    profile = msne_closed_form(game).profile()
+    for i in (0, n // 2, n - 1):
+        pmf = age_pmf(i, game.initial_ages[i], profile, LENGTHS)
+        assert abs(pmf.total_mass() - 1.0) <= 1e-12
+
+
 def test_age_pmf_rejects_age_below_success_length():
     with pytest.raises(ValueError, match="sigma_success"):
         age_pmf(0, 0.5, PROFILE, LENGTHS)
@@ -399,6 +411,20 @@ def test_pmf_mean_matches_expected_age(profile, lengths, age_factor):
         assert abs(pmf.total_mass() - 1.0) <= 1e-12
         expected = expected_age_after(i, age, profile, lengths)
         assert abs(pmf.mean() - expected) <= 1e-12 * abs(expected)
+
+
+@given(profiles_st(max_n=6), slot_lengths_st(), st.floats(0.0, 9.0), st.booleans())
+@settings(max_examples=200)
+def test_age_pmf_matches_enumeration_oracle(profile, lengths, age_factor, coincide):
+    if coincide:  # a collision then ages a node as much as a busy slot
+        lengths = SlotLengths(lengths.sigma_idle, lengths.sigma_success, lengths.sigma_success)
+    age = lengths.sigma_success * (1.0 + age_factor)
+    for i in range(len(profile)):
+        pmf = age_pmf(i, age, profile, lengths).as_dict()
+        oracle = age_pmf_oracle(i, profile.taus, age, lengths)
+        assert all(mass > 0.0 for mass in pmf.values())
+        for value in pmf.keys() | oracle.keys():
+            assert abs(pmf.get(value, 0.0) - oracle.get(value, 0.0)) <= 1e-12, value
 
 
 @given(games_st())

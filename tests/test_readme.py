@@ -1,14 +1,19 @@
-"""The README's library quick start runs as written and prints what it says."""
+"""The library quick start in README.md and in PAPER.md runs as written and
+prints what it says."""
 
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_library_quick_start_prints_its_commented_values(capsys):
-    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(block, str(README), "exec"), {})
+@pytest.mark.parametrize("name", ["README.md", "PAPER.md"])
+def test_library_quick_start_prints_its_commented_values(name, capsys):
+    doc = ROOT / name
+    block = doc.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(doc), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     statements = [line for line in block.splitlines() if line.startswith("print(")]
     assert len(printed) == len(statements)
