@@ -268,6 +268,11 @@ def monotonicity_derivatives(game: GameInstance, i: int, j: int) -> tuple[float,
     lengths = game.slot_lengths
     _, denominator = _closed_form_terms(lengths, game.initial_ages, i, sum(game.initial_ages) / n)
     gap = lengths.sigma_success - lengths.sigma_collision
-    own = (n - 1) * (n - 2) * gap / denominator**2
-    cross = (n - 1) * (-gap) / denominator**2
+    # A denominator past 2**500 is divided by a power of two, which rounds
+    # nothing, so that its square stays finite; the quotients are then
+    # divided by the same power twice, and underflow toward 0.
+    scale = 2.0 ** max(0, math.frexp(denominator)[1] - 500)
+    square = (denominator / scale) ** 2
+    own = (n - 1) * (n - 2) * gap / square / scale / scale
+    cross = (n - 1) * (-gap) / square / scale / scale
     return own, cross

@@ -186,9 +186,11 @@ def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file, with line/column info on bad JSON."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")  # JSON's encoding (RFC 8259)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

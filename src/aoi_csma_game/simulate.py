@@ -27,6 +27,7 @@ single trajectory pass also yields the restart experiment's statistics:
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections.abc import Generator
@@ -195,17 +196,20 @@ def _sim_stats(game, counts, num_slots):
         + int(successes.sum()) * lengths.sigma_success
         + collision * lengths.sigma_collision
     )
-    mean_ages = tuple(
-        (total_duration + game.initial_ages[i] * (num_slots - int(successes[i])))
-        / num_slots
-        for i in range(game.n)
-    )
+    mean_ages = []
+    for age, succeeded in zip(game.initial_ages, successes.tolist()):
+        misses = num_slots - succeeded
+        # Where a huge age times the misses would overflow, both terms are
+        # divided by a power of two, which rounds nothing, and the mean is
+        # multiplied back.
+        scale = 2.0 ** max(0, math.frexp(age)[1] + misses.bit_length() - 1021)
+        mean_ages.append((total_duration / scale + age / scale * misses) / num_slots * scale)
     return SimStats(
         slots=num_slots,
         idle_count=idle,
         collision_count=collision,
         success_count_per_node=tuple(int(s) for s in successes),
-        mean_age_after_per_node=mean_ages,
+        mean_age_after_per_node=tuple(mean_ages),
     )
 
 
@@ -249,11 +253,11 @@ def _trajectory_blocks(game, taus, num_slots, seed):
     slot_duration = np.full(2 * n + 1, lengths.sigma_success)
     slot_duration[0], slot_duration[-1] = lengths.sigma_idle, lengths.sigma_collision
     now = 0.0
-    reset_at = np.full(n, -np.inf)  # time of each node's last success, -inf before
-    # Each slot's time in every column. Filled by assignment, which takes no
-    # buffer, it lets the age arithmetic run between same-shape arrays: numpy
-    # would buffer a broadcast column, up to 8192 elements a call.
-    row_times = np.empty((min(_chunk_rows(n), num_slots), n))
+    # Each node's last reset time: its last success, or minus its initial age
+    # before one, so that t - (-a) is exactly the t + a of no reset. Every
+    # slot boundary is positive and every -a negative, so a positive reset
+    # time says the node has succeeded, and its age gains sigma_success.
+    reset_at = -initial
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     for codes in _slot_outcomes(taus, seed, 0, num_slots):
         counts += np.bincount(codes, minlength=len(counts))
@@ -269,17 +273,11 @@ def _trajectory_blocks(game, taus, num_slots, seed):
         ages[lone, codes[lone] - n] = times[lone]
         np.maximum.accumulate(ages, axis=0, out=ages)
         reset_at = ages[-1].copy()
-        # A node that has yet to succeed keeps -inf, in a prefix of its column,
-        # so the rows to patch are at most as many as the -inf cells.
-        never = ages == -np.inf
-        unset_rows = min(len(times), int(np.count_nonzero(never)))
-        block_times = row_times[: len(times)]
-        block_times[...] = times[:, np.newaxis]
-        np.subtract(block_times, ages, out=ages)
-        ages += lengths.sigma_success
-        np.add(block_times[:unset_rows], initial, out=ages[:unset_rows], where=never[:unset_rows])
+        succeeded = ages > 0
+        np.subtract(times[:, np.newaxis], ages, out=ages)
+        np.add(ages, lengths.sigma_success, out=ages, where=succeeded)
         yield times, ages
         now = times[-1]
         # Held into the next chunk, these would stay alive while it is built.
-        del codes, lone, never, times, ages
+        del codes, lone, succeeded, times, ages
     return _sim_stats(game, counts, num_slots)

@@ -82,6 +82,37 @@ def test_analyze_malformed_json_exits_1_with_location(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_scenario_that_is_not_utf8_exits_1_naming_the_file(tmp_path):
+    import subprocess
+
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    result = subprocess.run(
+        [sys.executable, "-m", "aoi_csma_game", "analyze", "--scenario", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {path}: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_scenario_is_decoded_as_utf8_whatever_the_locale(tmp_path):
+    # An EncodingWarning marks text read in the locale's encoding.
+    import subprocess
+
+    argv = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    result = subprocess.run(
+        [sys.executable, *argv, "-m", "aoi_csma_game", "analyze", "--scenario",
+         write(tmp_path, scenario_dict())],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+
+
 def test_analyze_invariant_violation_exits_1_naming_invariant(tmp_path, capsys):
     data = scenario_dict(initial_ages=[0.5, 3.03, 3.03])
     code = cli.main(["analyze", "--scenario", write(tmp_path, data)])
@@ -484,6 +515,22 @@ def test_simulate_age_band_of_a_silent_node_does_not_depend_on_its_age(tmp_path,
         bands.append(row.split()[-2])
         assert out.endswith("all quantities within 3 standard errors: yes\n")
     assert bands[0] == bands[1]
+
+
+@pytest.mark.parametrize("age", [1e200, 1e307, sys.float_info.max])
+def test_simulate_reports_finite_bands_at_huge_ages(tmp_path, capsys, age):
+    # Squaring the age deviations overflowed at 1e200, and the restart mean's
+    # age times the slot count at 1e307.
+    data = scenario_dict(n=2, initial_ages=[age, age], taus=[0.5, 0.5], seed=0, num_slots=1000)
+    assert cli.main(["simulate", "--scenario", write(tmp_path, data)]) == 0
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if line.startswith("mean_age_")]
+    assert len(rows) == 2
+    for _, analytic, empirical, diff, band, within in rows:
+        assert all(math.isfinite(float(cell)) for cell in (analytic, empirical, diff, band))
+        assert float(band) > 0.0
+        assert within == "yes"
+    assert out.endswith("all quantities within 3 standard errors: yes\n")
 
 
 def test_simulate_infeasible_without_taus_exits_1(tmp_path, capsys):

@@ -409,6 +409,14 @@ def test_two_node_own_derivative_vanishes():
     assert cross > 0.0
 
 
+def test_derivatives_at_huge_ages_underflow_instead_of_raising():
+    # The denominator is about -3e200 for node 0; its square overflowed.
+    game = GameInstance(3, LONG, (1e200, 2e200, 3e200))
+    own, cross = monotonicity_derivatives(game, 0, 1)
+    assert own == 0.0
+    assert cross == 0.0
+
+
 def test_derivatives_match_finite_differences():
     rng = np.random.default_rng(33)
     for _ in range(50):

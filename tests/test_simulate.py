@@ -520,6 +520,29 @@ def test_trajectory_matches_slot_by_slot_rebuild():
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32),
+)
+def test_trajectory_equals_the_slot_by_slot_rebuild(data, n, seed):
+    # Ages from sigma_s to 1e12 sigma_s, log-uniform; nodes that never or
+    # always transmit; chunks of one slot up to the default size, with half
+    # of the runs split into several chunks.
+    exponents = data.draw(st.lists(st.floats(0.0, 12.0), min_size=n, max_size=n))
+    tau = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    taus = data.draw(st.lists(tau, min_size=n, max_size=n))
+    chunk_variates = data.draw(
+        st.one_of(st.integers(n, 64 * n), st.integers(n, simulate._CHUNK_VARIATES))
+    )
+    game = GameInstance(n, LENGTHS, tuple(LENGTHS.sigma_success * 10.0**x for x in exponents))
+    profile = StrategyProfile(taus)
+    with mock.patch.object(simulate, "_CHUNK_VARIATES", chunk_variates):
+        times, ages = trajectory(game, profile, 200, seed)
+    assert np.column_stack((times, ages)).tolist() == rebuild_trajectory(game, profile, 200, seed)
+
+
 @pytest.mark.parametrize("n", [40, 150])
 @pytest.mark.parametrize("certain", [True, False], ids=["certain", "no-certain"])
 def test_wide_trajectory_matches_slot_by_slot_rebuild(monkeypatch, n, certain):
