@@ -93,15 +93,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def check_reference_rows() -> list[str]:
-    """Compare freshly computed values against the bundled goldens.
-
-    Returns human-readable mismatch descriptions; empty means all good.
-    """
+def cmd_table1(args: argparse.Namespace) -> int:
+    header = (
+        f"{'row':<4} {'sigma_c':>8} {'ages':<22} {'raw taus':<28} "
+        f"{'feasible':<9} pure Nash equilibria"
+    )
+    print(header)
+    print("-" * len(header))
     problems = []
     for row in REFERENCE_ROWS:
         game = row.game()
         result = msne_closed_form(game)
+        nash = enumerate_pure_nash(game).as_strings()
+        taus = ", ".join(_four(t) for t in result.raw_taus)
+        ages = ", ".join(_four(a) for a in row.initial_ages)
+        print(
+            f"{row.label:<4} {row.sigma_collision:>8.4f} {ages:<22} {taus:<28} "
+            f"{_yesno(result.feasible):<9} {', '.join(nash)}"
+        )
         for i, (got, want) in enumerate(zip(result.raw_taus, row.golden_taus)):
             if abs(got - want) > GOLDEN_TAU_TOLERANCE:
                 problems.append(
@@ -113,37 +122,15 @@ def check_reference_rows() -> list[str]:
                 f"row {row.label}: feasible = {result.feasible}, "
                 f"expected {row.golden_feasible}"
             )
-        nash = frozenset(enumerate_pure_nash(game).as_strings())
-        if nash != row.golden_pure_nash:
+        if frozenset(nash) != row.golden_pure_nash:
             problems.append(
                 f"row {row.label}: pure Nash set {sorted(nash)}, "
                 f"expected {sorted(row.golden_pure_nash)}"
             )
-    return problems
-
-
-def cmd_table1(args: argparse.Namespace) -> int:
-    header = (
-        f"{'row':<4} {'sigma_c':>8} {'ages':<22} {'raw taus':<28} "
-        f"{'feasible':<9} pure Nash equilibria"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in REFERENCE_ROWS:
-        game = row.game()
-        result = msne_closed_form(game)
-        taus = ", ".join(_four(t) for t in result.raw_taus)
-        ages = ", ".join(_four(a) for a in row.initial_ages)
-        nash = ", ".join(enumerate_pure_nash(game).as_strings())
-        print(
-            f"{row.label:<4} {row.sigma_collision:>8.4f} {ages:<22} {taus:<28} "
-            f"{_yesno(result.feasible):<9} {nash}"
-        )
     if args.check:
-        problems = check_reference_rows()
+        for problem in problems:
+            print(f"self-check: {problem}", file=sys.stderr)
         if problems:
-            for problem in problems:
-                print(f"self-check: {problem}", file=sys.stderr)
             return 2
         print("self-check: all reference rows match the golden values")
     return 0
@@ -350,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

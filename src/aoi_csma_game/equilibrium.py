@@ -31,18 +31,16 @@ class DominanceReport:
 
     ``weakly_dominant`` uses the weak-inequality sense: the strategy's payoff
     is at least the alternative's against every pure opponent profile.
-    ``strictly_better_somewhere`` records whether at least one opponent
-    profile makes it strictly better; both together give the textbook sense.
+    ``strictly_better_somewhere`` is weak dominance in the textbook sense:
+    the strategy is weakly dominant and strictly better against at least one
+    opponent profile. A strategy that is strictly better somewhere but not
+    weakly dominant has it false.
     """
 
     node: int
     strategy: Action
     weakly_dominant: bool
     strictly_better_somewhere: bool
-
-    @property
-    def weakly_dominant_strict_sense(self) -> bool:
-        return self.weakly_dominant and self.strictly_better_somewhere
 
 
 @_record
@@ -127,6 +125,14 @@ def check_weak_dominance(game: GameInstance, i: int, strategy: Action) -> Domina
 
     Payoffs depend only on how many opponents transmit, and every count of
     two or more pays alike, so the counts 0, 1 and 2 cover every profile.
+    The end-of-slot ages are compared as the doubles :func:`_outcome_ages`
+    computes. So transmit is weakly dominant exactly when ``a + sigma_collision``
+    rounds to no more than ``a + sigma_success``, with ``a`` node i's starting
+    age. That holds whenever sigma_collision <= sigma_success. It also holds
+    with longer collisions once both sums round to the same double: with
+    sigma_success = 1.01 and sigma_collision = 2.02, at a = 1e16 but not at
+    a = 1e15. While ``ulp(a + sigma_collision) < sigma_collision -
+    sigma_success``, the sums never tie.
     """
     _check_node_index(i, game.n)
     _check_action("strategy", strategy)
@@ -186,6 +192,19 @@ def _indifference_gaps(
     )
 
 
+def _mean_age(ages: Sequence[float]) -> float:
+    """Mean of `ages`, summed left to right in plain float additions.
+
+    From Python 3.12 on, the built-in ``sum`` compensates its rounding, so
+    it would give another last bit, and other printed residuals, than on
+    3.10 and 3.11.
+    """
+    total = 0.0
+    for age in ages:
+        total += age
+    return total / len(ages)
+
+
 def _closed_form_terms(
     lengths: SlotLengths, ages: Sequence[float], i: int, mean_age: float
 ) -> tuple[float, float]:
@@ -212,7 +231,7 @@ def _closed_form(
 ) -> tuple[MsneResult, list[tuple[float, float, float]]]:
     """The closed form at already checked `ages`, and the kernel table of its raw values."""
     n = len(ages)
-    mean_age = sum(ages) / n
+    mean_age = _mean_age(ages)
     terms = (_closed_form_terms(lengths, ages, i, mean_age) for i in range(n))
     raw = [numerator / denominator for numerator, denominator in terms]
     threshold = (lengths.sigma_success - lengths.sigma_idle) / n
@@ -266,7 +285,8 @@ def monotonicity_derivatives(game: GameInstance, i: int, j: int) -> tuple[float,
     _check_node_index(i, n)
     _check_node_index(j, n)
     lengths = game.slot_lengths
-    _, denominator = _closed_form_terms(lengths, game.initial_ages, i, sum(game.initial_ages) / n)
+    ages = game.initial_ages
+    _, denominator = _closed_form_terms(lengths, ages, i, _mean_age(ages))
     gap = lengths.sigma_success - lengths.sigma_collision
     # A denominator past 2**500 is divided by a power of two, which rounds
     # nothing, so that its square stays finite; the quotients are then

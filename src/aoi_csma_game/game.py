@@ -229,14 +229,8 @@ class AgePmf:
         if not abs(mass - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {mass}, expected 1 within 1e-12")
 
-    def total_mass(self) -> float:
-        return math.fsum(p for _, p in self.support)
-
     def mean(self) -> float:
         return math.fsum(v * p for v, p in self.support)
-
-    def as_dict(self) -> dict[float, float]:
-        return dict(self.support)
 
 
 def _check_entries(name: str, entries: Sized, n: int) -> None:
@@ -287,7 +281,7 @@ def others_transmitting(taus: Sequence[float]) -> list[tuple[float, float, float
     ]
 
 
-def _slot_outcomes(i: int, profile: StrategyProfile) -> tuple[float, float, float, float]:
+def _outcome_probabilities(i: int, profile: StrategyProfile) -> tuple[float, float, float, float]:
     """Node i's (idle, own success, busy seen, collision) probabilities."""
     _check_node_index(i, len(profile))
     tau = profile[i]
@@ -298,28 +292,28 @@ def _slot_outcomes(i: int, profile: StrategyProfile) -> tuple[float, float, floa
 
 def idle_probability(profile: StrategyProfile) -> float:
     """Probability that no node transmits in the slot."""
-    return _slot_outcomes(0, profile)[0]
+    return _outcome_probabilities(0, profile)[0]
 
 
 def success_probability_of(i: int, profile: StrategyProfile) -> float:
     """Probability that node i is the slot's only transmitter."""
-    return _slot_outcomes(i, profile)[1]
+    return _outcome_probabilities(i, profile)[1]
 
 
 def total_success_probability(profile: StrategyProfile) -> float:
     """Probability that the slot carries exactly one transmission."""
-    _, own, busy, _ = _slot_outcomes(0, profile)
+    _, own, busy, _ = _outcome_probabilities(0, profile)
     return own + busy
 
 
 def busy_seen_probability(i: int, profile: StrategyProfile) -> float:
     """Probability that node i stays silent while exactly one other node transmits."""
-    return _slot_outcomes(i, profile)[2]
+    return _outcome_probabilities(i, profile)[2]
 
 
 def collision_probability(profile: StrategyProfile) -> float:
     """Probability that two or more nodes transmit in the slot."""
-    return _slot_outcomes(0, profile)[3]
+    return _outcome_probabilities(0, profile)[3]
 
 
 def _outcome_ages(lengths: SlotLengths, age: float) -> tuple[tuple[float, ...], ...]:

@@ -175,26 +175,50 @@ def test_table1_self_check_passes(capsys):
     assert "self-check: all reference rows match" in out
 
 
-def test_check_reference_rows_is_clean():
-    assert cli.check_reference_rows() == []
+def test_table1_check_solves_each_reference_row_once(monkeypatch, capsys):
+    calls = {"msne_closed_form": 0, "enumerate_pure_nash": 0}
+    for name in calls:
+
+        def counted(game, name=name, solve=getattr(cli, name)):
+            calls[name] += 1
+            return solve(game)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.main(["table1", "--check"]) == 0
+    assert calls == {"msne_closed_form": 5, "enumerate_pure_nash": 5}
 
 
-def test_table1_self_check_detects_mismatch(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "field, value, err",
+    [
+        (
+            "golden_taus",
+            (0.1, 0.2, 0.3),
+            "self-check: row I: tau_1 = 2.487725, expected 0.1000 within 5e-05\n"
+            "self-check: row I: tau_2 = -1.278195, expected 0.2000 within 5e-05\n"
+            "self-check: row I: tau_3 = 0.354862, expected 0.3000 within 5e-05\n",
+        ),
+        ("golden_feasible", True, "self-check: row I: feasible = False, expected True\n"),
+        (
+            "golden_pure_nash",
+            frozenset({"TTT"}),
+            "self-check: row I: pure Nash set ['ITT', 'TIT', 'TTI', 'TTT'], expected ['TTT']\n",
+        ),
+    ],
+    ids=["golden_taus", "golden_feasible", "golden_pure_nash"],
+)
+def test_table1_self_check_detects_mismatch(monkeypatch, capsys, field, value, err):
+    assert cli.main(["table1"]) == 0
+    table = capsys.readouterr().out
     row = REFERENCE_ROWS[0]
-    wrong = ReferenceRow(
-        row.label,
-        row.sigma_collision,
-        row.initial_ages,
-        (0.1, 0.2, 0.3),
-        row.golden_pure_nash,
-        row.golden_feasible,
-    )
-    corrupted = (wrong,) + REFERENCE_ROWS[1:]
-    monkeypatch.setattr(cli, "REFERENCE_ROWS", corrupted)
+    goldens = {name: getattr(row, name) for name in ReferenceRow.__match_args__}
+    wrong = ReferenceRow(**{**goldens, field: value})
+    monkeypatch.setattr(cli, "REFERENCE_ROWS", (wrong,) + REFERENCE_ROWS[1:])
     code = cli.main(["table1", "--check"])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 2
-    assert "row I" in err
+    assert captured.out == table
+    assert captured.err == err
 
 
 # ---------------------------------------------------------------------------

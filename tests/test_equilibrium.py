@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aoi_csma_game import (
     Action,
@@ -21,6 +22,7 @@ from aoi_csma_game import (
     pure_payoff,
     verify_indifference,
 )
+from aoi_csma_game.equilibrium import _mean_age
 from aoi_csma_game.reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
 from helpers import (
     best_response_oracle,
@@ -32,7 +34,7 @@ from helpers import (
     random_slot_lengths,
     response_payoffs,
 )
-from test_game import games_st
+from test_game import games_st, slot_lengths_st
 
 SHORT = SlotLengths(0.01, 1.01, 0.101)
 LONG = SlotLengths(0.01, 1.01, 2.02)
@@ -53,7 +55,6 @@ def test_transmit_weakly_dominant_when_collisions_short():
         assert report.strategy is Action.TRANSMIT
         assert report.weakly_dominant
         assert report.strictly_better_somewhere
-        assert report.weakly_dominant_strict_sense
         assert not check_weak_dominance(game, i, Action.IDLE).weakly_dominant
 
 
@@ -79,8 +80,34 @@ def test_boundary_equal_lengths_transmit_dominant_strict_only_at_all_idle():
             assert u_t == u_i
 
 
+@st.composite
+def untied_games_st(draw, min_n=2, max_n=6):
+    """Games whose ages reach as far as the slot lengths alone still decide dominance.
+
+    With longer collisions, the ages stay below 2**(top - 1), where ``top``
+    is the largest exponent such that every double below 2**top has an ulp
+    below sigma_collision - sigma_success. Then a + sigma_collision stays
+    below 2**top and rounds above a + sigma_success. That is within a factor
+    of four of the age whose ulp equals the gap, where the sums may tie
+    already (see `test_dominance_follows_float_ties_at_large_ages`). Short
+    collisions need no bound.
+    """
+    lengths = draw(slot_lengths_st())
+    gap = lengths.sigma_collision - lengths.sigma_success
+    widest = 1e300
+    if gap > 0.0:
+        mantissa, exponent = math.frexp(gap)  # gap in [2**(exponent - 1), 2**exponent)
+        # A double in [2**(e - 1), 2**e) has an ulp of 2**(e - 53).
+        top = exponent + 52 if mantissa > 0.5 else exponent + 51
+        widest = math.ldexp(1.0, top - 1)
+        assume(lengths.sigma_collision < widest)
+    n = draw(st.integers(min_n, max_n))
+    ages = st.floats(lengths.sigma_success, widest, exclude_max=True)
+    return GameInstance(n, lengths, tuple(draw(ages) for _ in range(n)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(games_st(min_n=2, max_n=6))
+@given(untied_games_st())
 def test_dominance_regime_dichotomy_property(game):
     short = game.slot_lengths.short_collision
     for i in range(game.n):
@@ -127,6 +154,37 @@ def test_float_tie_keeps_profiles_and_strictness():
         report = check_weak_dominance(game, i, Action.TRANSMIT)
         assert report.weakly_dominant
         assert report.strictly_better_somewhere
+
+
+ALL_BUT_III = {"IIT", "ITI", "ITT", "TII", "TIT", "TTI", "TTT"}
+
+
+@pytest.mark.parametrize(
+    "lengths, age, dominant, nash",
+    [
+        # ulp(1e16) = 2: 1e16 + 1.01 and 1e16 + 2.02 both round to 1e16 + 2.
+        (LONG, 1e16, True, ALL_BUT_III),
+        # ulp(1e15) = 0.125: the sums round to 1e15 + 1 and 1e15 + 2.
+        (LONG, 1e15, False, {"IIT", "ITI", "TII", "TTT"}),
+        # ulp(2**52) = 1 equals the gap, yet 2**52 + 1.5 and 2**52 + 2.5 are
+        # ties that both round to the even 2**52 + 2.
+        (SlotLengths(0.5, 1.5, 2.5), 2.0**52, True, ALL_BUT_III),
+    ],
+)
+def test_dominance_follows_float_ties_at_large_ages(lengths, age, dominant, nash):
+    """With collisions longer than successes, transmit is weakly dominant at
+    an age where a + sigma_collision rounds onto a + sigma_success."""
+    game = GameInstance(3, lengths, (age,) * 3)
+    assert lengths.sigma_collision > lengths.sigma_success
+    assert ((age + lengths.sigma_collision) <= (age + lengths.sigma_success)) is dominant
+    for i in range(3):
+        report = check_weak_dominance(game, i, Action.TRANSMIT)
+        assert report.weakly_dominant is dominant
+        assert report.strictly_better_somewhere is dominant
+        assert not check_weak_dominance(game, i, Action.IDLE).weakly_dominant
+        assert dominance_oracle(game, i, True) == (dominant, dominant)
+    assert frozenset(enumerate_pure_nash(game).as_strings()) == nash
+    assert set(enumerate_pure_nash(game)) == pure_nash_oracle(game)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +341,13 @@ def test_msne_profile_only_defined_when_feasible():
     infeasible = msne_closed_form(ROW["I"].game())
     with pytest.raises(ValueError, match="interior"):
         infeasible.profile()
+
+
+def test_closed_form_mean_age_adds_left_to_right():
+    # ulp(1e16) = 2, so plain additions round 1e16 + 1.01 up by 2 twice. The
+    # compensated built-in sum of Python 3.12 and later gives 1e16 + 2, which
+    # would change printed values with the interpreter's version.
+    assert _mean_age((1e16, 1.01, 1.01)) == (1e16 + 4.0) / 3
 
 
 def test_feasibility_implies_interior_and_indifference():

@@ -1,5 +1,6 @@
 """Slot probabilities, age distribution, and payoffs for the one-shot game."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -222,7 +223,7 @@ def test_age_pmf_all_idle_grows_by_idle_slot():
 
 
 def test_age_pmf_four_point_frozen_masses():
-    pmf = age_pmf(0, 2.02, PROFILE, LENGTHS).as_dict()
+    pmf = dict(age_pmf(0, 2.02, PROFILE, LENGTHS).support)
     assert len(pmf) == 4
     assert pmf[1.01] == pytest.approx(0.2652893982, abs=1e-10)  # own success
     assert pmf[2.02 + 0.01] == pytest.approx(0.1762708518, abs=1e-10)  # idle
@@ -232,7 +233,7 @@ def test_age_pmf_four_point_frozen_masses():
 
 def test_age_pmf_mass_sums_to_one():
     pmf = age_pmf(0, 2.02, PROFILE, LENGTHS)
-    assert abs(pmf.total_mass() - 1.0) <= 1e-12
+    assert abs(math.fsum(p for _, p in pmf.support) - 1.0) <= 1e-12
 
 
 def test_age_pmf_merges_coinciding_support():
@@ -240,10 +241,10 @@ def test_age_pmf_merges_coinciding_support():
     profile = StrategyProfile((0.4, 0.3, 0.2))
     pmf = age_pmf(0, 2.5, profile, lengths)
     assert len(pmf.support) == 3
-    merged = pmf.as_dict()[2.5 + 1.01]
+    merged = dict(pmf.support)[2.5 + 1.01]
     expected = collision_probability(profile) + busy_seen_probability(0, profile)
     assert merged == pytest.approx(expected, abs=1e-15)
-    assert abs(pmf.total_mass() - 1.0) <= 1e-12
+    assert abs(math.fsum(p for _, p in pmf.support) - 1.0) <= 1e-12
 
 
 def test_age_pmf_mass_holds_at_large_n():
@@ -254,7 +255,7 @@ def test_age_pmf_mass_holds_at_large_n():
     profile = msne_closed_form(game).profile()
     for i in (0, n // 2, n - 1):
         pmf = age_pmf(i, game.initial_ages[i], profile, LENGTHS)
-        assert abs(pmf.total_mass() - 1.0) <= 1e-12
+        assert abs(math.fsum(p for _, p in pmf.support) - 1.0) <= 1e-12
 
 
 def test_age_pmf_rejects_age_below_success_length():
@@ -408,7 +409,7 @@ def test_pmf_mean_matches_expected_age(profile, lengths, age_factor):
     age = lengths.sigma_success * (1.0 + age_factor)
     for i in range(len(profile)):
         pmf = age_pmf(i, age, profile, lengths)
-        assert abs(pmf.total_mass() - 1.0) <= 1e-12
+        assert abs(math.fsum(p for _, p in pmf.support) - 1.0) <= 1e-12
         expected = expected_age_after(i, age, profile, lengths)
         assert abs(pmf.mean() - expected) <= 1e-12 * abs(expected)
 
@@ -420,7 +421,7 @@ def test_age_pmf_matches_enumeration_oracle(profile, lengths, age_factor, coinci
         lengths = SlotLengths(lengths.sigma_idle, lengths.sigma_success, lengths.sigma_success)
     age = lengths.sigma_success * (1.0 + age_factor)
     for i in range(len(profile)):
-        pmf = age_pmf(i, age, profile, lengths).as_dict()
+        pmf = dict(age_pmf(i, age, profile, lengths).support)
         oracle = age_pmf_oracle(i, profile.taus, age, lengths)
         assert all(mass > 0.0 for mass in pmf.values())
         for value in pmf.keys() | oracle.keys():

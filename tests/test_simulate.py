@@ -400,7 +400,7 @@ def test_one_slot_age_histogram_matches_pmf():
     slots = 200_000
     stats = run_monte_carlo(GAME, profile, slots, seed=4242)
     for i in range(3):
-        pmf = age_pmf(i, GAME.initial_ages[i], profile, LENGTHS).as_dict()
+        pmf = dict(age_pmf(i, GAME.initial_ages[i], profile, LENGTHS).support)
         other_successes = sum(stats.success_count_per_node) - stats.success_count_per_node[i]
         empirical = {
             GAME.initial_ages[i] + LENGTHS.sigma_idle: stats.idle_count / slots,
