@@ -218,17 +218,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         pmf = age_pmf(i, game.initial_ages[i], profile, lengths)
         mean = pmf.mean()
         # Centred, so that a large age does not cancel the spread of a few
-        # slots. Deviations past 2**509 are divided by a power of two, which
-        # rounds nothing, so that their squares stay finite.
-        widest = max(abs(v - mean) for v, _ in pmf.support)
-        scale = 2.0 ** max(0, math.frexp(widest)[1] - 509)
-        variance = math.fsum(p * ((v - mean) / scale) ** 2 for v, p in pmf.support)
+        # slots; hypot scales its terms, so their squares cannot overflow.
+        spread = math.hypot(*(math.sqrt(p) * (v - mean) for v, p in pmf.support))
         rows.append(
             (
                 f"mean_age_{i + 1}",
                 mean,
                 stats.mean_age_after_per_node[i],
-                math.sqrt(variance / num_slots) * scale,
+                spread / math.sqrt(num_slots),
             )
         )
 

@@ -93,7 +93,8 @@ class MsneResult:
     """Closed-form interior equilibrium values with their feasibility diagnostics.
 
     ``raw_taus`` are reported unclamped even when they fall outside (0, 1);
-    ``feasible_per_node`` holds the per-node interior-region condition and
+    ``feasible_per_node`` holds the per-node interior-region condition,
+    which is that the numerator of the node's raw value is negative, and
     ``feasible`` additionally requires collisions to outlast successes.
     ``indifference_residuals`` give, per node, the payoff gap between always
     transmitting and always idling against the other nodes' raw values.
@@ -192,19 +193,6 @@ def _indifference_gaps(
     )
 
 
-def _mean_age(ages: Sequence[float]) -> float:
-    """Mean of `ages`, summed left to right in plain float additions.
-
-    From Python 3.12 on, the built-in ``sum`` compensates its rounding, so
-    it would give another last bit, and other printed residuals, than on
-    3.10 and 3.11.
-    """
-    total = 0.0
-    for age in ages:
-        total += age
-    return total / len(ages)
-
-
 def _closed_form_terms(
     lengths: SlotLengths, ages: Sequence[float], i: int, mean_age: float
 ) -> tuple[float, float]:
@@ -230,12 +218,10 @@ def _closed_form(
     lengths: SlotLengths, ages: Sequence[float]
 ) -> tuple[MsneResult, list[tuple[float, float, float]]]:
     """The closed form at already checked `ages`, and the kernel table of its raw values."""
-    n = len(ages)
-    mean_age = _mean_age(ages)
-    terms = (_closed_form_terms(lengths, ages, i, mean_age) for i in range(n))
+    mean_age = math.fsum(ages) / len(ages)
+    terms = [_closed_form_terms(lengths, ages, i, mean_age) for i in range(len(ages))]
     raw = [numerator / denominator for numerator, denominator in terms]
-    threshold = (lengths.sigma_success - lengths.sigma_idle) / n
-    per_node = tuple(mean_age - (n - 1) * age / n > threshold for age in ages)
+    per_node = tuple(numerator < 0.0 for numerator, _ in terms)
     others = others_transmitting(raw)
     return MsneResult(
         raw_taus=tuple(raw),
@@ -249,13 +235,17 @@ def msne_closed_form(game: GameInstance) -> MsneResult:
     """Evaluate the closed-form interior mixed equilibrium for every node.
 
     Raw values are returned even outside (0, 1). The per-node feasibility
-    flag checks the interior-region condition on the starting ages:
+    flag is the interior-region condition on the starting ages,
 
-        mean_age - (n - 1)/n * age_i > (sigma_success - sigma_idle) / n
+        mean_age - (n - 1)/n * age_i > (sigma_success - sigma_idle) / n,
 
-    and the overall flag additionally requires sigma_collision >
-    sigma_success (otherwise transmit is weakly dominant and no node
-    randomizes).
+    which times n says that the numerator of tau_i is negative; the flag is
+    the sign of that numerator as computed. The overall flag additionally
+    requires sigma_collision > sigma_success (otherwise transmit is weakly
+    dominant and no node randomizes). Then each denominator lies below its
+    numerator, so with every age below 2**51 (sigma_collision -
+    sigma_success) a flag is set exactly when 0 < tau_i < 1. The mean age
+    is ``math.fsum(ages) / n``, the same double in any node order.
     """
     return _closed_form(game.slot_lengths, game.initial_ages)[0]
 
@@ -286,13 +276,8 @@ def monotonicity_derivatives(game: GameInstance, i: int, j: int) -> tuple[float,
     _check_node_index(j, n)
     lengths = game.slot_lengths
     ages = game.initial_ages
-    _, denominator = _closed_form_terms(lengths, ages, i, _mean_age(ages))
+    _, denominator = _closed_form_terms(lengths, ages, i, math.fsum(ages) / n)
     gap = lengths.sigma_success - lengths.sigma_collision
-    # A denominator past 2**500 is divided by a power of two, which rounds
-    # nothing, so that its square stays finite; the quotients are then
-    # divided by the same power twice, and underflow toward 0.
-    scale = 2.0 ** max(0, math.frexp(denominator)[1] - 500)
-    square = (denominator / scale) ** 2
-    own = (n - 1) * (n - 2) * gap / square / scale / scale
-    cross = (n - 1) * (-gap) / square / scale / scale
+    own = (n - 1) * (n - 2) * gap / denominator / denominator
+    cross = (n - 1) * (-gap) / denominator / denominator
     return own, cross

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -233,10 +234,13 @@ def random_game(rng: np.random.Generator, n: int, lengths: SlotLengths) -> GameI
 
 
 def interior_condition_holds(game: GameInstance) -> bool:
-    n = game.n
-    mean_age = sum(game.initial_ages) / n
-    threshold = (game.slot_lengths.sigma_success - game.slot_lengths.sigma_idle) / n
-    return all(mean_age - (n - 1) * age / n > threshold for age in game.initial_ages)
+    """The interior-region condition on the starting ages in exact arithmetic:
+    n mean_age - (n - 1) age_i > sigma_success - sigma_idle for every node."""
+    ages = [Fraction(age) for age in game.initial_ages]
+    total = sum(ages)
+    lengths = game.slot_lengths
+    floor = Fraction(lengths.sigma_success) - Fraction(lengths.sigma_idle)
+    return all(total - (game.n - 1) * age > floor for age in ages)
 
 
 def random_feasible_game(rng: np.random.Generator, n: int) -> GameInstance:

@@ -63,6 +63,24 @@ def test_analyze_reports_equilibria_and_feasibility(tmp_path, capsys):
     assert "pure Nash equilibria (4): IIT, ITI, TII, TTT" in out
 
 
+def test_zero_numerator_is_outside_the_interior(tmp_path, capsys):
+    # Node 3's closed-form numerator rounds to 0.0, so its raw tau is -0.0:
+    # the interior flag is that numerator's sign, and simulate refuses the
+    # closed form rather than run a tau of -0.
+    data = scenario_dict(initial_ages=[1.5150000000000001, 3.0300000000000002, 3.545])
+    path = write(tmp_path, data)
+    assert cli.main(["analyze", "--scenario", path]) == 0
+    out = capsys.readouterr().out
+    assert "raw taus: 0.6678, 0.3377, -0.0000" in out
+    assert "interior condition per node: yes, yes, no" in out
+    assert "feasible: no" in out
+    assert cli.main(["simulate", "--scenario", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "taus" in captured.err
+
+
 def test_analyze_short_collision_scenario_reports_dominance(tmp_path, capsys):
     data = scenario_dict(sigma_collision=0.101)
     code = cli.main(["analyze", "--scenario", write(tmp_path, data)])

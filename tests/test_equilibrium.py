@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aoi_csma_game import (
+    MAX_ENUMERATION_NODES,
     Action,
     GameInstance,
     SingularGameError,
@@ -22,7 +24,6 @@ from aoi_csma_game import (
     pure_payoff,
     verify_indifference,
 )
-from aoi_csma_game.equilibrium import _mean_age
 from aoi_csma_game.reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
 from helpers import (
     best_response_oracle,
@@ -343,11 +344,58 @@ def test_msne_profile_only_defined_when_feasible():
         infeasible.profile()
 
 
-def test_closed_form_mean_age_adds_left_to_right():
-    # ulp(1e16) = 2, so plain additions round 1e16 + 1.01 up by 2 twice. The
-    # compensated built-in sum of Python 3.12 and later gives 1e16 + 2, which
-    # would change printed values with the interpreter's version.
-    assert _mean_age((1e16, 1.01, 1.01)) == (1e16 + 4.0) / 3
+def test_closed_form_mean_age_is_the_fsum_one_in_any_order():
+    # ulp(1e16) = 2, so the exact sum 1e16 + 2.02 rounds to 1e16 + 2, which
+    # math.fsum gives in any order. Plain additions from the left round up
+    # twice, to 1e16 + 4, and give taus (1.0000000000000002,
+    # 0.9999999999999996, 0.9999999999999996).
+    ages = (1e16, 1.01, 1.01)
+    want = (1.0000000000000004, 0.9999999999999998, 0.9999999999999998)
+    for order in itertools.permutations(range(3)):
+        result = msne_closed_form(GameInstance(3, LONG, [ages[i] for i in order]))
+        assert result.raw_taus == tuple(want[i] for i in order)
+
+
+@st.composite
+def long_collision_games_st(draw, min_n=3, max_n=12):
+    """Long-collision games with every age below 2**51 (sigma_collision -
+    sigma_success), some of them with one node's age within a few ulps of
+    where its closed-form numerator changes sign."""
+    lengths = draw(slot_lengths_st())
+    sigma_success = lengths.sigma_success
+    gap_ratio = draw(st.floats(0.05, 2.0))
+    lengths = SlotLengths(lengths.sigma_idle, sigma_success, sigma_success * (1.0 + gap_ratio))
+    widest = math.ldexp(lengths.sigma_collision - sigma_success, 51)
+    n = draw(st.integers(min_n, max_n))
+    top = draw(st.sampled_from((10.0 * sigma_success, 1e6 * sigma_success, widest)))
+    ages = [draw(st.floats(sigma_success, top, exclude_max=True)) for _ in range(n)]
+    if draw(st.booleans()):
+        # Numerator zero: (n - 2) age_k = sum of the others - (sigma_s - sigma_i).
+        k = draw(st.integers(0, n - 1))
+        others = math.fsum(ages) - ages[k]
+        age = (others - (sigma_success - lengths.sigma_idle)) / (n - 2)
+        for _ in range(draw(st.integers(0, 4))):
+            age = math.nextafter(age, draw(st.sampled_from((0.0, math.inf))))
+        ages[k] = min(max(age, sigma_success), math.nextafter(widest, 0.0))
+    return GameInstance(n, lengths, tuple(ages))
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_collision_games_st())
+def test_interior_flag_is_the_printed_tau_inside_the_unit_interval(game):
+    """The flag and the raw tau come from one numerator. With collisions
+    longer than successes the denominator lies (n - 1)(sigma_c - sigma_s)
+    below it, and below ages of 2**51 (sigma_c - sigma_s) that gap
+    outweighs the rounding of both, so tau_i rounds inside (0, 1) exactly
+    when the numerator is negative. Past that, at ages of about 1e16 with
+    the paper's slot lengths, a far interior tau may round to 1.0."""
+    try:
+        result = msne_closed_form(game)
+    except SingularGameError:
+        assume(False)
+    for flag, tau in zip(result.feasible_per_node, result.raw_taus):
+        assert flag == (0.0 < tau < 1.0), (flag, tau)
+    assert result.feasible == all(result.feasible_per_node)
 
 
 def test_feasibility_implies_interior_and_indifference():
@@ -530,3 +578,109 @@ def test_interior_condition_helper_agrees_with_solver():
         game = random_game(rng, n, lengths)
         result = msne_closed_form(game)
         assert all(result.feasible_per_node) == interior_condition_holds(game)
+
+
+# ---------------------------------------------------------------------------
+# symmetries: node relabelling and power-of-two rescaling (metamorphic tests,
+# Chen, Cheung and Yiu, HKUST-CS98-01, 1998)
+
+
+@st.composite
+def analysed_games_st(draw, min_n=2, max_n=40):
+    """Games with ages from sigma_s up to 9 sigma_s apart, or within 0.1% of
+    one age, which are mostly feasible with long collisions."""
+    lengths = draw(slot_lengths_st())
+    n = draw(st.integers(min_n, max_n))
+    base = draw(st.floats(1.0, 9.0))
+    spread = draw(st.sampled_from((1e-3 * base, 9.0)))
+    factors = [base + spread * draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    return GameInstance(n, lengths, tuple(lengths.sigma_success * f for f in factors))
+
+
+def _solved(game):
+    try:
+        return msne_closed_form(game)
+    except SingularGameError:
+        assume(False)
+
+
+def _dominance(game):
+    return [
+        [
+            (report.weakly_dominant, report.strictly_better_somewhere)
+            for report in (check_weak_dominance(game, i, action) for action in Action)
+        ]
+        for i in range(game.n)
+    ]
+
+
+def _residual_terms(game, taus, i):
+    """Magnitudes of the two terms of node i's residual, from |tau_j| and
+    |1 - tau_j| over the other nodes: the products whose rounding order the
+    kernel's prefix and suffix passes depend on."""
+    lengths = game.slot_lengths
+    others = [j for j in range(game.n) if j != i]
+    q0 = math.prod(abs(1.0 - taus[j]) for j in others)
+    q1 = math.fsum(
+        abs(taus[j]) * math.prod(abs(1.0 - taus[k]) for k in others if k != j) for j in others
+    )
+    own = abs(game.initial_ages[i] + lengths.sigma_idle - lengths.sigma_success)
+    return q0 * own + q1 * abs(lengths.sigma_success - lengths.sigma_collision)
+
+
+@settings(max_examples=60, deadline=None)
+@given(analysed_games_st(min_n=3), st.data())
+def test_relabelling_the_nodes_permutes_every_result(game, data):
+    """New node j is old node order[j]. The mean age is the same double in
+    any order and every other term of a tau is node-local, so taus, flags,
+    dominance and the pure Nash set permute exactly; the residuals only
+    within 4 n eps of their terms, since the kernel's products round in
+    node order."""
+    order = data.draw(st.permutations(range(game.n)))
+    relabelled = GameInstance(game.n, game.slot_lengths, [game.initial_ages[i] for i in order])
+    result, moved = _solved(game), _solved(relabelled)
+    assert moved.raw_taus == tuple(result.raw_taus[i] for i in order)
+    assert moved.feasible_per_node == tuple(result.feasible_per_node[i] for i in order)
+    assert moved.feasible == result.feasible
+    dominance = _dominance(game)
+    assert _dominance(relabelled) == [dominance[i] for i in order]
+    for j, i in enumerate(order):
+        bound = 4 * game.n * sys.float_info.epsilon * _residual_terms(game, result.raw_taus, i)
+        gap = moved.indifference_residuals[j] - result.indifference_residuals[i]
+        assert abs(gap) <= bound, (i, gap, bound)
+    if game.n <= MAX_ENUMERATION_NODES:
+        new_label = {i: j for j, i in enumerate(order)}
+        want = tuple(
+            (k, frozenset(new_label[i] for i in forced), tuple(sorted(new_label[i] for i in free)))
+            for k, forced, free in enumerate_pure_nash(game).classes
+        )
+        assert enumerate_pure_nash(relabelled).classes == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(analysed_games_st(max_n=12), st.sampled_from((-20, -8, -3, 3, 8, 20)))
+def test_rescaling_by_a_power_of_two_scales_every_result(game, k):
+    """Multiplying every slot length and age by 2**k rounds nothing, away from
+    overflow and underflow, so the analysis is unchanged and each residual,
+    an age difference times probabilities, scales by exactly 2**k."""
+    scale = math.ldexp(1.0, k)
+    lengths = game.slot_lengths
+    scaled = GameInstance(
+        game.n,
+        SlotLengths(
+            scale * lengths.sigma_idle,
+            scale * lengths.sigma_success,
+            scale * lengths.sigma_collision,
+        ),
+        [scale * age for age in game.initial_ages],
+    )
+    result, big = _solved(game), _solved(scaled)
+    assert big.raw_taus == result.raw_taus
+    assert big.feasible_per_node == result.feasible_per_node
+    assert big.feasible == result.feasible
+    assert big.indifference_residuals == tuple(r * scale for r in result.indifference_residuals)
+    assert _dominance(scaled) == _dominance(game)
+    assert enumerate_pure_nash(scaled) == enumerate_pure_nash(game)
+    if game.n >= 3:
+        own, cross = monotonicity_derivatives(game, 0, 1)
+        assert monotonicity_derivatives(scaled, 0, 1) == (own / scale, cross / scale)

@@ -616,3 +616,41 @@ def test_trajectory_validates_inputs():
         simulate_age_trajectory(GAME, StrategyProfile((0.5, 0.5)), 10, seed=1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         simulate_age_trajectory(GAME, StrategyProfile((0.5, 0.5, 0.5)), 10, seed=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+    st.floats(1.0, 9.0),
+    st.integers(0, 2**32),
+    st.sampled_from((-20, -8, -3, 3, 8, 20)),
+)
+def test_rescaling_by_a_power_of_two_scales_both_experiments(taus, age_factor, seed, k):
+    """Multiplying every slot length and age by 2**k rounds nothing, away from
+    overflow and underflow: the counts stay and every time and age scales
+    by exactly 2**k."""
+    scale = math.ldexp(1.0, k)
+    n = len(taus)
+    profile = StrategyProfile(tuple(taus))
+    ages = [LENGTHS.sigma_success * (age_factor + i) for i in range(n)]
+    game = GameInstance(n, LENGTHS, ages)
+    scaled = GameInstance(
+        n,
+        SlotLengths(
+            scale * LENGTHS.sigma_idle,
+            scale * LENGTHS.sigma_success,
+            scale * LENGTHS.sigma_collision,
+        ),
+        [scale * age for age in ages],
+    )
+    stats, big = (run_monte_carlo(g, profile, 300, seed) for g in (game, scaled))
+    assert big.idle_count == stats.idle_count
+    assert big.collision_count == stats.collision_count
+    assert big.success_count_per_node == stats.success_count_per_node
+    assert big.mean_age_after_per_node == tuple(
+        scale * mean for mean in stats.mean_age_after_per_node
+    )
+    times, trajectory_ages = trajectory(game, profile, 300, seed)
+    big_times, big_ages = trajectory(scaled, profile, 300, seed)
+    assert np.array_equal(big_times, scale * times)
+    assert np.array_equal(big_ages, scale * trajectory_ages)
