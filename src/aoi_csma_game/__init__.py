@@ -28,11 +28,9 @@ from .game import (
     SlotLengths,
     StrategyProfile,
     actions_from_string,
-    actions_to_string,
     age_pmf,
     busy_seen_probability,
     collision_probability,
-    expected_age_after,
     idle_probability,
     mixed_payoff,
     pure_payoff,
@@ -62,13 +60,11 @@ __all__ = [
     "StrategyProfile",
     "SweepSpec",
     "actions_from_string",
-    "actions_to_string",
     "age_pmf",
     "busy_seen_probability",
     "check_weak_dominance",
     "collision_probability",
     "enumerate_pure_nash",
-    "expected_age_after",
     "idle_probability",
     "load_scenario",
     "mixed_payoff",

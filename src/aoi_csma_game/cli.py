@@ -62,8 +62,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"slot lengths: sigma_idle={lengths.sigma_idle} "
         f"sigma_success={lengths.sigma_success} sigma_collision={lengths.sigma_collision}"
     )
-    relation = "<=" if lengths.short_collision else ">"
-    print(f"regime: {lengths.regime()} (sigma_collision {relation} sigma_success)")
+    regime, relation = (
+        ("short_collision", "<=") if lengths.short_collision else ("long_collision", ">")
+    )
+    print(f"regime: {regime} (sigma_collision {relation} sigma_success)")
     print("initial ages: " + ", ".join(_four(a) for a in game.initial_ages))
     print()
     print(f"weak dominance (exhaustive over the {2 ** (game.n - 1)} pure opponent profiles):")

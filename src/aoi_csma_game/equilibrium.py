@@ -198,7 +198,10 @@ def _closed_form_terms(
 ) -> tuple[float, float]:
     """Numerator and denominator of node i's closed-form equilibrium value."""
     n = len(ages)
-    shifted = (n - 1) * ages[i] - n * mean_age
+    # (n - 1) a_i - n mean_age, centred: a_i - mean_age is exact while a_i is
+    # within a factor of 2 of the mean, where the uncentred form cancels two
+    # products and keeps their rounding.
+    shifted = (n - 1) * (ages[i] - mean_age) - mean_age
     numerator = lengths.sigma_success - lengths.sigma_idle + shifted
     denominator = (
         n * lengths.sigma_success

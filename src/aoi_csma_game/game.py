@@ -86,9 +86,6 @@ class Action(enum.Enum):
     TRANSMIT = "T"
     IDLE = "I"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 def _check_action(name: str, action: object) -> None:
     # An action string such as "T" would otherwise read as IDLE, since it is
@@ -103,10 +100,6 @@ def actions_from_string(s: str) -> tuple[Action, ...]:
         return tuple(Action(c.upper()) for c in s)
     except ValueError:
         raise ValueError(f"action string {s!r} may only contain 'T' and 'I'") from None
-
-
-def actions_to_string(actions: Sequence[Action]) -> str:
-    return "".join([a.value for a in actions])
 
 
 @_record
@@ -133,9 +126,6 @@ class SlotLengths:
         """True when a collision is no longer than a successful transmission."""
         return self.sigma_collision <= self.sigma_success
 
-    def regime(self) -> str:
-        return "short_collision" if self.short_collision else "long_collision"
-
 
 @_record
 class StrategyProfile:
@@ -160,10 +150,6 @@ class StrategyProfile:
     @classmethod
     def from_actions(cls, actions: Sequence[Action]) -> StrategyProfile:
         return cls(tuple(1.0 if a is Action.TRANSMIT else 0.0 for a in actions))
-
-    @property
-    def is_pure(self) -> bool:
-        return all(t in (0.0, 1.0) for t in self.taus)
 
     def with_tau(self, i: int, tau: float) -> StrategyProfile:
         """Copy of this profile with node i's transmit probability replaced."""
@@ -357,17 +343,10 @@ def age_pmf(
     return AgePmf(support)
 
 
-def expected_age_after(
-    i: int, age_before: float, profile: StrategyProfile, slot_lengths: SlotLengths
-) -> float:
-    """Expected age of node i's update at the end of the slot: the mean of :func:`age_pmf`."""
-    return age_pmf(i, age_before, profile, slot_lengths).mean()
-
-
 def mixed_payoff(i: int, game: GameInstance, profile: StrategyProfile) -> float:
-    """Node i's payoff under a mixed profile: minus its expected end-of-slot age."""
+    """Node i's payoff under a mixed profile: minus the mean of its :func:`age_pmf`."""
     _check_entries("profile", profile, game.n)
-    return -expected_age_after(i, game.initial_ages[i], profile, game.slot_lengths)
+    return -age_pmf(i, game.initial_ages[i], profile, game.slot_lengths).mean()
 
 
 def pure_payoff(i: int, game: GameInstance, actions: Sequence[Action]) -> float:

@@ -9,14 +9,18 @@ coded payoff case analysis. The slot sampler replays the simulator's
 variate stream one slot at a time, the outcome-code oracle decodes a whole
 transmit matrix of that stream, and the grid best-response oracle searches
 a node's own transmit probability with the generic mixed payoff. The
-frozen-dataclass twins of the value types are the oracle for their record
-methods.
+exact oracles read every double as the rational number it is: the kernel
+oracle multiplies out each node's others one by one in ``Fraction``
+arithmetic, and the numerator oracle states the closed form's numerators
+whose signs are the interior conditions. The frozen-dataclass twins of the
+value types are the oracle for their record methods.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +104,11 @@ def age_pmf_oracle(i, taus, age, lengths):
         )
         masses[value] = masses.get(value, 0.0) + weight
     return {value: mass for value, mass in masses.items() if mass != 0.0}
+
+
+def expected_age_oracle(i, taus, age, lengths):
+    """Node i's expected end-of-slot age: the mean of `age_pmf_oracle`."""
+    return math.fsum(value * mass for value, mass in age_pmf_oracle(i, taus, age, lengths).items())
 
 
 def _game_payoff_oracle(game, i, transmit_vector):
@@ -233,14 +242,36 @@ def random_game(rng: np.random.Generator, n: int, lengths: SlotLengths) -> GameI
     return GameInstance(n, lengths, ages)
 
 
-def interior_condition_holds(game: GameInstance) -> bool:
-    """The interior-region condition on the starting ages in exact arithmetic:
-    n mean_age - (n - 1) age_i > sigma_success - sigma_idle for every node."""
+def others_transmitting_exact(taus):
+    """For every node i, the exact chances that 0, 1 and >= 2 *other* nodes
+    transmit, as ``Fraction``s of the double taus, from the product of
+    ``(1 - tau_j) + tau_j x`` over j != i, one factor at a time."""
+    exact = [Fraction(tau) for tau in taus]
+    rows = []
+    for i in range(len(exact)):
+        none, one = Fraction(1), Fraction(0)
+        for j, tau in enumerate(exact):
+            if j != i:
+                none, one = none * (1 - tau), one * (1 - tau) + none * tau
+        rows.append((none, one, 1 - none - one))
+    return rows
+
+
+def closed_form_numerators(game: GameInstance):
+    """Each node's closed-form numerator in exact arithmetic on the game's
+    doubles: sigma_success - sigma_idle + (n - 1) age_i - (sum of the ages).
+    Node i's interior condition holds exactly when it is negative."""
     ages = [Fraction(age) for age in game.initial_ages]
     total = sum(ages)
     lengths = game.slot_lengths
-    floor = Fraction(lengths.sigma_success) - Fraction(lengths.sigma_idle)
-    return all(total - (game.n - 1) * age > floor for age in ages)
+    gap = Fraction(lengths.sigma_success) - Fraction(lengths.sigma_idle)
+    return [gap + (game.n - 1) * age - total for age in ages]
+
+
+def interior_condition_holds(game: GameInstance) -> bool:
+    """The interior-region condition on the starting ages in exact arithmetic,
+    n mean_age - (n - 1) age_i > sigma_success - sigma_idle, for every node."""
+    return all(numerator < 0 for numerator in closed_form_numerators(game))
 
 
 def random_feasible_game(rng: np.random.Generator, n: int) -> GameInstance:

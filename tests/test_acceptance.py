@@ -23,7 +23,6 @@ from aoi_csma_game import (
     check_weak_dominance,
     collision_probability,
     enumerate_pure_nash,
-    expected_age_after,
     idle_probability,
     mixed_payoff,
     monotonicity_derivatives,
@@ -36,7 +35,7 @@ from aoi_csma_game import (
 )
 from aoi_csma_game import cli
 from aoi_csma_game.reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
-from helpers import random_feasible_game, random_game, random_slot_lengths
+from helpers import expected_age_oracle, random_feasible_game, random_game, random_slot_lengths
 
 ROW = {row.label: row for row in REFERENCE_ROWS}
 
@@ -139,7 +138,7 @@ def test_criterion_05_probability_model_properties():
             age = float(lengths.sigma_success * (1.0 + 9.0 * rng.random()))
             pmf = age_pmf(i, age, profile, lengths)
             assert abs(math.fsum(p for _, p in pmf.support) - 1.0) <= 1e-12
-            expected = expected_age_after(i, age, profile, lengths)
+            expected = expected_age_oracle(i, profile.taus, age, lengths)
             assert abs(pmf.mean() - expected) <= 1e-12 * abs(expected)
 
 
@@ -209,8 +208,8 @@ def test_criterion_08_monte_carlo_validation():
             assert abs(stats.success_count_per_node[i] / slots - p) <= freq_band(p)
         for i in range(game.n):
             age = game.initial_ages[i]
-            mean = expected_age_after(i, age, profile, lengths)
             pmf = age_pmf(i, age, profile, lengths)
+            mean = pmf.mean()
             variance = sum(p * v * v for v, p in pmf.support) - mean**2
             band = 3.0 * math.sqrt(variance / slots)
             assert abs(stats.mean_age_after_per_node[i] - mean) <= band

@@ -13,6 +13,7 @@ from aoi_csma_game import StrategyProfile, cli, equilibrium, simulate, simulate_
 from aoi_csma_game import game as game_module
 from aoi_csma_game.reference import REFERENCE_ROWS, ReferenceRow
 from aoi_csma_game.scenario import load_scenario
+from helpers import closed_form_numerators
 
 
 def write(tmp_path, data, name="scenario.json"):
@@ -64,14 +65,18 @@ def test_analyze_reports_equilibria_and_feasibility(tmp_path, capsys):
 
 
 def test_zero_numerator_is_outside_the_interior(tmp_path, capsys):
-    # Node 3's closed-form numerator rounds to 0.0, so its raw tau is -0.0:
-    # the interior flag is that numerator's sign, and simulate refuses the
-    # closed form rather than run a tau of -0.
-    data = scenario_dict(initial_ages=[1.5150000000000001, 3.0300000000000002, 3.545])
+    # Every length and age is dyadic, so node 3's closed-form numerator
+    # 1.5 - 0.5 + 2 * 4 - 9 is 0 exactly, in floats and in the exact oracle,
+    # and its raw tau is -0.0. The interior condition is strict, so simulate
+    # refuses the closed form rather than run a tau of -0.
+    data = scenario_dict(
+        sigma_idle=0.5, sigma_success=1.5, sigma_collision=3.0, initial_ages=[2, 3, 4]
+    )
     path = write(tmp_path, data)
+    assert closed_form_numerators(load_scenario(path).game) == [-4, -2, 0]
     assert cli.main(["analyze", "--scenario", path]) == 0
     out = capsys.readouterr().out
-    assert "raw taus: 0.6678, 0.3377, -0.0000" in out
+    assert "raw taus: 0.5714, 0.4000, -0.0000" in out
     assert "interior condition per node: yes, yes, no" in out
     assert "feasible: no" in out
     assert cli.main(["simulate", "--scenario", path]) == 1
@@ -79,6 +84,22 @@ def test_zero_numerator_is_outside_the_interior(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "taus" in captured.err
+
+
+def test_printed_interior_flags_are_the_exact_numerator_signs(tmp_path, capsys):
+    # In exact arithmetic on these doubles node 3's numerator is -4.35e-16.
+    # Formed as (n - 1) a_i - n mean_age, two products near 8 cancelled,
+    # it rounded to 0.0 and the flag printed "no".
+    data = scenario_dict(initial_ages=[1.5150000000000001, 3.0300000000000002, 3.545])
+    path = write(tmp_path, data)
+    numerators = closed_form_numerators(load_scenario(path).game)
+    assert -4.36e-16 < numerators[2] < -4.35e-16
+    exact = ", ".join("yes" if numerator < 0 else "no" for numerator in numerators)
+    assert exact == "yes, yes, yes"
+    assert cli.main(["analyze", "--scenario", path]) == 0
+    out = capsys.readouterr().out
+    assert f"interior condition per node: {exact}\n" in out
+    assert "feasible: yes" in out
 
 
 def test_analyze_short_collision_scenario_reports_dominance(tmp_path, capsys):
@@ -864,7 +885,8 @@ SWEEP_ROW_IV_SHA256 = "749af2712e5f660db1d2814c93c9b706e1fe3afec4ac6180f262473b6
 TRAJECTORY_ROW_IV_SHA256 = "6fdf3e19c91dbe709191bb019a22ff11503124b74ed730f6b0a85378a4e338f0"
 SIMULATE_ROW_IV_SHA256 = "f897210d3ab2dc57143ced76393c0e68b4c3dc0cc3500ee7b3f68fd71cf00dcf"
 # `analyze` at n = 13 with short collisions (sigma_c = sigma_s / 2) and ages
-# drawn uniformly from [sigma_s, 4 sigma_s]: 8178 pure Nash profiles.
+# drawn uniformly from [sigma_s, 4 sigma_s]: 8178 pure Nash profiles. Its
+# residuals are those of the centred numerator, (n - 1)(a_i - m) - m.
 ANALYZE_SHORT_N13 = scenario_dict(
     n=13,
     sigma_collision=0.505,
@@ -873,7 +895,7 @@ ANALYZE_SHORT_N13 = scenario_dict(
         1.752855, 3.472122, 2.519853, 2.270092, 3.21511, 3.928646,
     ],
 )
-ANALYZE_SHORT_N13_SHA256 = "217de7b487d19a2310932435048bed3845a507ef44eae58f652261b1513e5f3e"
+ANALYZE_SHORT_N13_SHA256 = "8f14fda1b9b28ee0c662260736951569983835487357ac16f65b35679f2d7d8c"
 # `analyze` at n = 8 with sigma_c = sigma_s and repeated ages: an idler facing
 # one transmitter ties with transmitting, so every pure Nash test is a tie.
 ANALYZE_EQUAL_N8 = scenario_dict(

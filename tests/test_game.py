@@ -14,11 +14,9 @@ from aoi_csma_game import (
     SlotLengths,
     StrategyProfile,
     actions_from_string,
-    actions_to_string,
     age_pmf,
     busy_seen_probability,
     collision_probability,
-    expected_age_after,
     idle_probability,
     mixed_payoff,
     msne_closed_form,
@@ -26,7 +24,13 @@ from aoi_csma_game import (
     success_probability_of,
     total_success_probability,
 )
-from helpers import age_pmf_oracle, outcome_probabilities
+from aoi_csma_game.game import others_transmitting
+from helpers import (
+    age_pmf_oracle,
+    expected_age_oracle,
+    others_transmitting_exact,
+    outcome_probabilities,
+)
 
 LENGTHS = SlotLengths(sigma_idle=0.01, sigma_success=1.01, sigma_collision=2.02)
 # Transmit probabilities used throughout: the 4-decimal rounding of the
@@ -52,9 +56,9 @@ def test_slot_lengths_reject_idle_not_shorter_than_success():
 
 
 def test_slot_regime_classification_is_total():
-    assert SlotLengths(0.01, 1.01, 0.101).regime() == "short_collision"
-    assert SlotLengths(0.01, 1.01, 1.01).regime() == "short_collision"
-    assert SlotLengths(0.01, 1.01, 1.0100001).regime() == "long_collision"
+    assert SlotLengths(0.01, 1.01, 0.101).short_collision
+    assert SlotLengths(0.01, 1.01, 1.01).short_collision
+    assert not SlotLengths(0.01, 1.01, 1.0100001).short_collision
 
 
 @pytest.mark.parametrize(
@@ -86,8 +90,6 @@ def test_strategy_profile_rejects_bad_probability():
 
 
 def test_strategy_profile_purity():
-    assert StrategyProfile((0.0, 1.0)).is_pure
-    assert not StrategyProfile((0.0, 0.5)).is_pure
     pure = StrategyProfile.from_actions((Action.TRANSMIT, Action.IDLE))
     assert pure.taus == (1.0, 0.0)
 
@@ -116,7 +118,7 @@ def test_game_instance_rejects_age_below_success_length():
 def test_action_string_round_trip():
     actions = actions_from_string("TTI")
     assert actions == (Action.TRANSMIT, Action.TRANSMIT, Action.IDLE)
-    assert actions_to_string(actions) == "TTI"
+    assert "".join(a.value for a in actions) == "TTI"
     with pytest.raises(ValueError, match="'T' and 'I'"):
         actions_from_string("TXI")
 
@@ -208,6 +210,50 @@ def test_probabilities_keep_relative_precision_at_extreme_taus(taus):
         assert float(abs(Fraction(got) - exact) / exact) <= 1e-12, (got, float(exact))
 
 
+# Each kind of tau the kernel must keep precise: tiny (down to subnormal),
+# within 1e-6 of one (down to 1 - 2^-53), and anything in [0, 1].
+KERNEL_TAUS = {
+    "tiny": st.floats(0.0, 1e-6),
+    "near_one": st.floats(1.0 - 1e-6, 1.0),
+    "any": st.floats(0.0, 1.0),
+}
+
+
+@st.composite
+def kernel_taus_st(draw):
+    kind = draw(st.sampled_from(["tiny", "near_one", "any", "mixed"]))
+    element = st.one_of(*KERNEL_TAUS.values()) if kind == "mixed" else KERNEL_TAUS[kind]
+    return draw(st.lists(element, min_size=2, max_size=40))
+
+
+@given(kernel_taus_st())
+@settings(max_examples=100, deadline=None)
+def test_kernel_is_within_its_rounding_bound_of_exact(taus):
+    """Every kernel entry lies within gamma_(3n+1) of its exact value, plus n^2 2^-1072.
+
+    Every rounding the kernel makes multiplies some terms of an entry by a
+    (1 + d) with |d| <= u = 2^-53: `1 - tau`, each product and each sum. A
+    step of the prefix or suffix product adds at most 3 to a term (in the
+    one-transmitter entry: `1 - tau`, the product and the sum), and the
+    final combination at most 4 (`s0 + s1`, the product with `p2` and two
+    sums). So no term carries more than 3 (n - 1) + 4 = 3n + 1. Every term is
+    non-negative and nothing is subtracted, so the entry's relative error
+    is at most gamma_(3n+1) = (3n + 1) u / (1 - (3n + 1) u) (Higham,
+    "Accuracy and Stability of Numerical Algorithms", Lemma 3.1). A product
+    below 2^-1022 may also lose up to 2^-1075 absolutely. Later steps only
+    scale such a loss by factors of at most about 1 and add it up, so the
+    losses in one entry stay below 8 n^2 2^-1075 = n^2 2^-1072.
+    """
+    n = len(taus)
+    gamma = Fraction(3 * n + 1, 2**53 - (3 * n + 1))
+    floor = Fraction(n * n, 2**1072)
+    for i, (row, exact_row) in enumerate(
+        zip(others_transmitting(taus), others_transmitting_exact(taus))
+    ):
+        for k, (got, exact) in enumerate(zip(row, exact_row)):
+            assert abs(Fraction(got) - exact) <= gamma * exact + floor, (i, k, got, float(exact))
+
+
 # ---------------------------------------------------------------------------
 # age distribution and expectation
 
@@ -267,9 +313,8 @@ def test_age_pmf_rejects_age_below_success_length():
 @pytest.mark.parametrize("profile", [PROFILE, StrategyProfile((1.0, 0.0, 0.0))])
 def test_age_operations_refuse_non_finite_ages(age, profile):
     # With profile (1, 0, 0) an inf age would give inf * 0 = nan as the mean.
-    for operation in (age_pmf, expected_age_after):
-        with pytest.raises(ValueError, match=f"^age_before = {age} is not finite$"):
-            operation(0, age, profile, LENGTHS)
+    with pytest.raises(ValueError, match=f"^age_before = {age} is not finite$"):
+        age_pmf(0, age, profile, LENGTHS)
 
 
 @pytest.mark.parametrize(
@@ -288,17 +333,17 @@ def test_age_pmf_record_refuses_non_finite_entries(support, message):
 
 
 def test_expected_age_trivial_cases():
-    assert expected_age_after(0, 2.02, StrategyProfile((1.0, 0.0, 0.0)), LENGTHS) == 1.01
-    assert expected_age_after(0, 2.02, StrategyProfile((0.0, 0.0, 0.0)), LENGTHS) == 2.03
+    assert age_pmf(0, 2.02, StrategyProfile((1.0, 0.0, 0.0)), LENGTHS).mean() == 1.01
+    assert age_pmf(0, 2.02, StrategyProfile((0.0, 0.0, 0.0)), LENGTHS).mean() == 2.03
 
 
 def test_expected_age_frozen_value():
-    value = expected_age_after(0, 2.02, PROFILE, LENGTHS)
+    value = age_pmf(0, 2.02, PROFILE, LENGTHS).mean()
     assert value == pytest.approx(2.702093663972, abs=1e-11)
 
 
 def test_expected_age_equals_pmf_mean():
-    value = expected_age_after(0, 2.02, PROFILE, LENGTHS)
+    value = expected_age_oracle(0, PROFILE.taus, 2.02, LENGTHS)
     mean = age_pmf(0, 2.02, PROFILE, LENGTHS).mean()
     assert abs(value - mean) <= 1e-12 * abs(mean)
 
@@ -410,7 +455,7 @@ def test_pmf_mean_matches_expected_age(profile, lengths, age_factor):
     for i in range(len(profile)):
         pmf = age_pmf(i, age, profile, lengths)
         assert abs(math.fsum(p for _, p in pmf.support) - 1.0) <= 1e-12
-        expected = expected_age_after(i, age, profile, lengths)
+        expected = expected_age_oracle(i, profile.taus, age, lengths)
         assert abs(pmf.mean() - expected) <= 1e-12 * abs(expected)
 
 

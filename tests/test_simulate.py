@@ -21,7 +21,6 @@ from aoi_csma_game import (
     StrategyProfile,
     age_pmf,
     collision_probability,
-    expected_age_after,
     idle_probability,
     msne_closed_form,
     run_monte_carlo,
@@ -388,8 +387,8 @@ def test_restart_mean_age_converges_to_analytic_expectation():
     stats = run_monte_carlo(GAME, profile, slots, seed=99)
     for i in range(3):
         age = GAME.initial_ages[i]
-        expected = expected_age_after(i, age, profile, LENGTHS)
         pmf = age_pmf(i, age, profile, LENGTHS)
+        expected = pmf.mean()
         variance = sum(p * v * v for v, p in pmf.support) - expected**2
         band = 3.0 * math.sqrt(variance / slots)
         assert abs(stats.mean_age_after_per_node[i] - expected) <= band
