@@ -36,10 +36,6 @@ from .simulate import SimStats, run_monte_carlo, simulate_age_trajectory
 # Decimal for CSV cells: 12 significant digits, which do not round-trip
 # every double.
 _CELL = "%.12g"
-# Most cells the trajectory CSV formats at once (a slice holds at least one
-# row). The formatter's temporaries take about 90 bytes a cell, about 0.37 MB
-# a slice. The largest, eight 4-byte words a cell, takes 128 KiB.
-_SLICE_CELLS = 1 << 12
 
 
 def _four(x: float) -> str:
@@ -266,22 +262,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _write_trajectory(out, n: int, blocks) -> SimStats:
     """Write the `simulate_age_trajectory` `blocks` of an n-node game to
     `out` as CSV, and return the `SimStats` the exhausted generator returns."""
-    import numpy as np
-
     from .csv_cells import format_cells
 
-    slice_rows = max(1, _SLICE_CELLS // (n + 1))
     out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(n)]) + "\n")
     while True:
         try:
-            times, ages = next(blocks)
+            # No name holds a block while the next one is built.
+            out.writelines(format_cells(next(blocks)))
         except StopIteration as done:
             return done.value
-        for lo in range(0, len(times), slice_rows):
-            hi = lo + slice_rows
-            out.write(format_cells(np.column_stack((times[lo:hi], ages[lo:hi]))))
-        # Held past the block, these would stay alive while the next is built.
-        del times, ages
 
 
 def _freq_se(p: float, num_slots: int) -> float:

@@ -121,14 +121,17 @@ def _slot_outcomes(taus, seed, start, stop):
         yield np.minimum(np.einsum("ij,j->i", transmits, weights), 2 * n).astype(np.intp)
 
 
-def _span_counts(taus, seed, start, stop):
+def _span_counts(taus, seed, start, stop, failed):
     """The ``int64`` counts of each outcome code over slots `start`..`stop`,
     indexed by code: idle, n - 1 codes that never occur, a lone success by
-    each node, collision."""
+    each node, collision. Once the `failed` event is set, the counts stop at
+    the next chunk, partial."""
     import numpy as np
 
     counts = np.zeros(2 * len(taus) + 1, dtype=np.int64)
     for codes in _slot_outcomes(taus, seed, start, stop):
+        if failed.is_set():
+            break
         counts += np.bincount(codes, minlength=len(counts))
         del codes  # before the next chunk is drawn
     return counts
@@ -167,19 +170,26 @@ def run_monte_carlo(
     num_spans = min(_usable_cpus(), -(-num_slots // _chunk_rows(game.n)))
     bounds = [num_slots * k // num_spans for k in range(num_spans + 1)]
     results = [None] * num_spans
+    # Set by a span that fails, Ctrl-C included, so that every span stops
+    # within a chunk instead of running to its end.
+    failed = threading.Event()
 
     def count_span(k):
         try:
-            results[k] = _span_counts(taus, seed, bounds[k], bounds[k + 1])
+            results[k] = _span_counts(taus, seed, bounds[k], bounds[k + 1], failed)
         except BaseException as exc:  # re-raised on the calling thread
             results[k] = exc
+            failed.set()
 
     threads = [threading.Thread(target=count_span, args=(k,)) for k in range(1, num_spans)]
     for thread in threads:
         thread.start()
-    count_span(0)
-    for thread in threads:
-        thread.join()
+    try:
+        count_span(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        failed.set()  # a Ctrl-C during a join stops the spans still running
     for result in results:
         if isinstance(result, BaseException):
             raise result
@@ -218,15 +228,15 @@ def simulate_age_trajectory(
     profile: StrategyProfile,
     num_slots: int,
     seed: int,
-) -> Generator[tuple[np.ndarray, np.ndarray], None, SimStats]:
+) -> Generator[np.ndarray, None, SimStats]:
     """Sequential multi-slot run where ages carry over between slots.
 
-    Inputs are checked at the call. The result is a generator of
-    ``(times, ages)`` blocks of slot boundaries: first the initial boundary
-    (time 0, the starting ages), then one block per chunk of slots, with
-    ``ages[t, i]`` node i's age at ``times[t]``. Node i's age at a boundary
-    is sigma_success if it just succeeded, otherwise its previous age plus
-    the realized slot duration.
+    Inputs are checked at the call. The result is a generator of blocks of
+    slot boundaries, each a C-contiguous ``(rows, n + 1)`` float64 table laid
+    out as the CSV: a boundary's time, then each node's age there. First comes
+    the initial boundary (time 0, the starting ages), then one block per chunk
+    of slots. Node i's age at a boundary is sigma_success if it just succeeded,
+    otherwise its previous age plus the realized slot duration.
     A chunk holds at most 2**15 variates, so a block's memory does not grow
     with `num_slots` or with n.
 
@@ -246,7 +256,7 @@ def _trajectory_blocks(game, taus, num_slots, seed):
     n = game.n
     lengths = game.slot_lengths
     initial = np.asarray(game.initial_ages, dtype=float)
-    yield np.zeros(1), initial[np.newaxis, :]
+    yield np.concatenate(([0.0], initial))[np.newaxis, :]
     # Indexed by outcome code: idle, (codes 1..n-1 never occur), a lone
     # success by each node, collision. Not game._outcome_ages: the sampler
     # shares no code with the analytic side it checks.
@@ -256,28 +266,30 @@ def _trajectory_blocks(game, taus, num_slots, seed):
     # Each node's last reset time: its last success, or minus its initial age
     # before one, so that t - (-a) is exactly the t + a of no reset. Every
     # slot boundary is positive and every -a negative, so a positive reset
-    # time says the node has succeeded, and its age gains sigma_success.
-    reset_at = -initial
+    # time says the node has succeeded, and its age gains sigma_success. The
+    # time column is a node reset at 0 that never succeeds: t - 0 is t.
+    reset_at = np.concatenate(([0.0], -initial))
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     for codes in _slot_outcomes(taus, seed, 0, num_slots):
         counts += np.bincount(codes, minlength=len(counts))
         # Summing from the carried clock keeps every time bit-identical to
         # one cumulative sum over the whole run, whatever the chunk size.
         times = np.cumsum(np.concatenate(([now], slot_duration[codes])))[1:]
-        # Built in place: each node's last reset time, then its age. Times
-        # never decrease, so the running maximum of the success times
-        # scattered over the carried ones is the time of the latest success.
-        ages = np.empty((len(times), n))
-        ages[...] = reset_at
-        lone = np.flatnonzero((codes >= n) & (codes < 2 * n))
-        ages[lone, codes[lone] - n] = times[lone]
-        np.maximum.accumulate(ages, axis=0, out=ages)
-        reset_at = ages[-1].copy()
-        succeeded = ages > 0
-        np.subtract(times[:, np.newaxis], ages, out=ages)
-        np.add(ages, lengths.sigma_success, out=ages, where=succeeded)
-        yield times, ages
         now = times[-1]
-        # Held into the next chunk, these would stay alive while it is built.
-        del codes, lone, succeeded, times, ages
+        # The CSV's rows, built in place: each column's reset time, then its
+        # value. Times never decrease, so the running maximum of the success
+        # times scattered over the carried ones is the time of the latest success.
+        table = np.empty((len(times), n + 1))
+        table[...] = reset_at
+        lone = np.flatnonzero((codes >= n) & (codes < 2 * n))
+        table[lone, codes[lone] - (n - 1)] = times[lone]
+        np.maximum.accumulate(table, axis=0, out=table)
+        reset_at = table[-1].copy()
+        succeeded = table > 0
+        np.subtract(times[:, np.newaxis], table, out=table)
+        np.add(table, lengths.sigma_success, out=table, where=succeeded)
+        # Dropped before the block is written, as the block is before the next is built.
+        del codes, lone, succeeded, times
+        yield table
+        del table
     return _sim_stats(game, counts, num_slots)

@@ -11,8 +11,10 @@ transmit matrix of that stream, and the grid best-response oracle searches
 a node's own transmit probability with the generic mixed payoff. The
 exact oracles read every double as the rational number it is: the kernel
 oracle multiplies out each node's others one by one in ``Fraction``
-arithmetic, and the numerator oracle states the closed form's numerators
-whose signs are the interior conditions. The frozen-dataclass twins of the
+arithmetic, and the closed-form oracles state each node's numerator
+(whose sign is its interior condition), denominator and value, the
+indifference residuals at given taus, and the age derivatives by the
+quotient rule. The frozen-dataclass twins of the
 value types are the oracle for their record methods.
 """
 
@@ -266,6 +268,65 @@ def closed_form_numerators(game: GameInstance):
     lengths = game.slot_lengths
     gap = Fraction(lengths.sigma_success) - Fraction(lengths.sigma_idle)
     return [gap + (game.n - 1) * age - total for age in ages]
+
+
+def closed_form_denominators(game: GameInstance):
+    """Each node's closed-form denominator in exact arithmetic on the game's
+    doubles: n sigma_success - (n - 1) sigma_collision - sigma_idle +
+    (n - 1) age_i - (sum of the ages)."""
+    ages = [Fraction(age) for age in game.initial_ages]
+    total = sum(ages)
+    lengths = game.slot_lengths
+    n = game.n
+    constant = (
+        n * Fraction(lengths.sigma_success)
+        - (n - 1) * Fraction(lengths.sigma_collision)
+        - Fraction(lengths.sigma_idle)
+    )
+    return [constant + (n - 1) * age - total for age in ages]
+
+
+def closed_form_taus_exact(game: GameInstance):
+    """Each node's closed-form value, numerator over denominator, as a
+    ``Fraction`` (``None`` where the denominator is 0)."""
+    return [
+        None if denominator == 0 else numerator / denominator
+        for numerator, denominator in zip(
+            closed_form_numerators(game), closed_form_denominators(game)
+        )
+    ]
+
+
+def indifference_residuals_exact(game: GameInstance, taus):
+    """Each node's exact payoff gap between surely transmitting and surely
+    idling against the others' double `taus`: with q0 and q1 the exact
+    chances that none or exactly one other node transmits, transmitting
+    leaves sigma_success, a + sigma_collision and a + sigma_collision, and
+    idling a + sigma_idle, a + sigma_success and a + sigma_collision, so the
+    gap is q0 (a + sigma_idle - sigma_success) + q1 (sigma_success -
+    sigma_collision)."""
+    lengths = game.slot_lengths
+    sigma_idle, sigma_success, sigma_collision = (
+        Fraction(lengths.sigma_idle),
+        Fraction(lengths.sigma_success),
+        Fraction(lengths.sigma_collision),
+    )
+    return [
+        q0 * (Fraction(age) + sigma_idle - sigma_success) + q1 * (sigma_success - sigma_collision)
+        for age, (q0, q1, _) in zip(game.initial_ages, others_transmitting_exact(taus))
+    ]
+
+
+def monotonicity_derivatives_exact(game: GameInstance, i: int, j: int):
+    """``(d tau_i / d age_i, d tau_i / d age_j)`` in exact arithmetic, by the
+    quotient rule on tau_i = N_i / D_i: age_i enters N_i and D_i with weight
+    (n - 1) - 1 through the sum of the ages, and age_j with weight -1."""
+    numerator = closed_form_numerators(game)[i]
+    denominator = closed_form_denominators(game)[i]
+    return tuple(
+        (weight * denominator - numerator * weight) / denominator**2
+        for weight in (game.n - 2, -1)
+    )
 
 
 def interior_condition_holds(game: GameInstance) -> bool:

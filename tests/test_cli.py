@@ -9,7 +9,9 @@ import tracemalloc
 
 import pytest
 
-from aoi_csma_game import StrategyProfile, cli, equilibrium, simulate, simulate_age_trajectory
+from aoi_csma_game import (
+    StrategyProfile, cli, csv_cells, equilibrium, simulate, simulate_age_trajectory,
+)
 from aoi_csma_game import game as game_module
 from aoi_csma_game.reference import REFERENCE_ROWS, ReferenceRow
 from aoi_csma_game.scenario import load_scenario
@@ -687,7 +689,7 @@ def test_simulate_csv_slices_match_a_per_row_writer(
     # n = 2, 3, 4 and 40, so several blocks, short last slices and one-row slices.
     n = len(taus)
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * n)
-    monkeypatch.setattr(cli, "_SLICE_CELLS", 10)
+    monkeypatch.setattr(csv_cells, "_SLICE_CELLS", 10)
     ages = [1.01 * (1 + 0.37 * k) for k in range(n)]
     scenario = scenario_dict(n=n, initial_ages=ages, taus=list(taus), seed=11)
     path = write(tmp_path, {**scenario, **overrides})
@@ -698,8 +700,8 @@ def test_simulate_csv_slices_match_a_per_row_writer(
     row = ",".join([cli._CELL] * (n + 1)) + "\n"
     expected = [",".join(["time"] + [f"age_{k + 1}" for k in range(n)]) + "\n"]
     blocks = simulate_age_trajectory(load_scenario(path).game, StrategyProfile(taus), 50, 11)
-    for times, block in blocks:
-        expected += [row % (t, *a) for t, a in zip(times.tolist(), block.tolist())]
+    for block in blocks:
+        expected += [row % tuple(cells) for cells in block.tolist()]
     assert out_path.read_text() == "".join(expected)
 
 
@@ -736,7 +738,7 @@ def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypa
     # 1024-slot chunks written in 512-cell slices keep the traced runs short;
     # 2500 and 10000 slots are 3 and 10 chunks.
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 1024 * 3)
-    monkeypatch.setattr(cli, "_SLICE_CELLS", 512)
+    monkeypatch.setattr(csv_cells, "_SLICE_CELLS", 512)
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
     argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]
     # Warm up, so that one-off allocations on a first call are not traced.
@@ -760,7 +762,7 @@ def test_simulate_out_holds_one_trajectory_block_at_a_time(tmp_path, capsys, mon
     # that keeps the last block alive while the next one is built peaks higher
     # once two full blocks meet (5000 slots) than with one (2500 slots).
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 2048 * 3)
-    monkeypatch.setattr(cli, "_SLICE_CELLS", 512)
+    monkeypatch.setattr(csv_cells, "_SLICE_CELLS", 512)
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
     argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]
     assert cli.main(argv + ["--slots", "100"]) == 0

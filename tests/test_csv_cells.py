@@ -17,7 +17,7 @@ def percent_rows(table):
 
 def assert_same(table):
     table = np.asarray(table, dtype=float)
-    got, want = format_cells(table), percent_rows(table)
+    got, want = "".join(format_cells(table)), percent_rows(table)
     if got != want:  # name the rows that differ: pytest's diff of long texts is slow
         rows = [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w]
         pytest.fail(f"{len(rows)} rows differ, the first: {rows[:3]}")

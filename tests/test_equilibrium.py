@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ from aoi_csma_game import (
 from aoi_csma_game.reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
 from helpers import (
     best_response_oracle,
+    closed_form_denominators,
+    closed_form_numerators,
+    closed_form_taus_exact,
+    indifference_residuals_exact,
+    monotonicity_derivatives_exact,
+    others_transmitting_exact,
     dominance_oracle,
     interior_condition_holds,
     pure_nash_oracle,
@@ -568,6 +575,163 @@ def test_derivatives_validate_inputs():
     singular = GameInstance(2, SlotLengths(0.25, 1.0, 0.5), (1.25, 1.0))
     with pytest.raises(SingularGameError):
         monotonicity_derivatives(singular, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the closed form against exact arithmetic on its doubles
+
+U = Fraction(1, 2**53)  # the unit roundoff
+
+
+@st.composite
+def closed_form_games_st(draw, long_collisions=False):
+    """Games of 2 to 40 nodes whose ages sit at sigma_success to 1e6 times it,
+    with spreads from none (equal ages) to nine times the smallest age."""
+    lengths = draw(slot_lengths_st())
+    if long_collisions:
+        ratio = draw(st.floats(1.05, 3.0))
+        sigma_collision = ratio * lengths.sigma_success
+        lengths = SlotLengths(lengths.sigma_idle, lengths.sigma_success, sigma_collision)
+    n = draw(st.integers(2, 40))
+    base = lengths.sigma_success * draw(st.floats(1.0, 1e6))
+    spread = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 1.0, 9.0]))
+    ages = tuple(base * (1.0 + spread * draw(st.floats(0.0, 1.0))) for _ in range(n))
+    return GameInstance(n, lengths, ages)
+
+
+def closed_form_error_bounds(game, i):
+    """Bounds on the rounding errors of node i's computed numerator and
+    denominator: 8 u times the sum of the magnitudes of their terms.
+
+    With m the mean age, the shared part s = (n - 1)(a_i - m) - m is formed
+    from a mean within 2u |m| of m (a correctly rounded `fsum` and one
+    division), which s scales by n, and three more roundings. As n |m| and
+    every intermediate are at most T_s = (n - 1)(|a_i| + |m|) + |m| (to
+    first order), s is within 5.01 u T_s. The numerator adds sigma_success -
+    sigma_idle in two roundings and the denominator the constant n
+    sigma_success - (n - 1) sigma_collision - sigma_idle in five, each
+    bounded by u times the terms it combines. So the numerator is within
+    7.01 u (sigma_success + sigma_idle + T_s) and the denominator within
+    6.01 u (n sigma_success + (n - 1) sigma_collision + sigma_idle + T_s).
+    """
+    n = game.n
+    lengths = game.slot_lengths
+    ages = [Fraction(age) for age in game.initial_ages]
+    mean = sum(ages) / n
+    shared = (n - 1) * (abs(ages[i]) + abs(mean)) + abs(mean)
+    sigma_idle, sigma_success, sigma_collision = (
+        Fraction(lengths.sigma_idle),
+        Fraction(lengths.sigma_success),
+        Fraction(lengths.sigma_collision),
+    )
+    numerator_terms = sigma_success + sigma_idle + shared
+    denominator_terms = n * sigma_success + (n - 1) * sigma_collision + sigma_idle + shared
+    return 8 * U * numerator_terms, 8 * U * denominator_terms
+
+
+@given(closed_form_games_st())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_taus_are_within_their_rounding_bound_of_exact(game):
+    """Each raw tau is within (1 + u) (e_N + |tau| e_D) / (|D| - e_D) + u |tau|
+    of the exact N / D, with e_N and e_D the bounds of
+    `closed_form_error_bounds`.
+
+    The bound is relative to the terms of the numerator and denominator, not
+    to tau: near the edge of the interior region N cancels to about 0, and
+    near a singular game so does D. For computed N + d_N and D + d_D, the
+    quotient is off by (d_N - tau d_D) / (D + d_D) before its own rounding
+    of u. A node with |D| <= e_D is skipped: its computed denominator may
+    have either sign.
+    """
+    try:
+        result = msne_closed_form(game)
+    except SingularGameError:
+        return
+    taus = closed_form_taus_exact(game)
+    numerators = closed_form_numerators(game)
+    for i, (got, denominator) in enumerate(zip(result.raw_taus, closed_form_denominators(game))):
+        numerator_error, denominator_error = closed_form_error_bounds(game, i)
+        if abs(denominator) <= denominator_error:
+            continue
+        tau = taus[i]
+        quotient_error = (numerator_error + abs(tau) * denominator_error) / (
+            abs(denominator) - denominator_error
+        )
+        bound = (1 + U) * quotient_error + U * abs(tau)
+        assert abs(Fraction(got) - tau) <= bound, (i, got, float(tau), float(bound))
+        # The interior flag is the sign of the computed numerator, which
+        # agrees with the exact one wherever that exceeds its error bound.
+        if abs(numerators[i]) > numerator_error:
+            assert result.feasible_per_node[i] == (numerators[i] < 0), i
+
+
+@given(closed_form_games_st(long_collisions=True))
+@settings(max_examples=100, deadline=None)
+def test_residuals_are_within_their_rounding_bound_of_exact(game):
+    """Each residual, at the double raw taus, is within
+    ((3n + 7) u + u sigma_success / sigma_idle) S + n^2 2^-1072 (|e| + |c|)
+    of the exact residual at those taus, where S = |q0 e| + |q1 c| with
+    e = a + sigma_idle - sigma_success and c = sigma_success - sigma_collision.
+
+    The bound is relative to the two products, not to the residual, which
+    cancels to about 0 at an equilibrium. With every tau in [0, 1], each
+    kernel entry is within gamma_(3n+1) of exact, plus n^2 2^-1072 (see
+    `test_kernel_is_within_its_rounding_bound_of_exact`); each product and
+    c add u and the final sum u S. `a + sigma_idle` rounds by up to u (a +
+    sigma_idle), which exceeds u |e| by at most u sigma_success as a >=
+    sigma_success, and |e| >= sigma_idle, so this part is at most u (1 +
+    sigma_success / sigma_idle) |q0 e|. The 7 covers these and the second
+    order terms.
+    """
+    try:
+        result = msne_closed_form(game)
+    except SingularGameError:
+        return
+    assume(all(0.0 <= tau <= 1.0 for tau in result.raw_taus))
+    n = game.n
+    lengths = game.slot_lengths
+    sigma_idle, sigma_success, sigma_collision = (
+        Fraction(lengths.sigma_idle),
+        Fraction(lengths.sigma_success),
+        Fraction(lengths.sigma_collision),
+    )
+    rate = (3 * n + 7) * U + U * sigma_success / sigma_idle
+    floor = Fraction(n * n, 2**1072)
+    exact = indifference_residuals_exact(game, result.raw_taus)
+    others = others_transmitting_exact(result.raw_taus)
+    for i, (got, want, (q0, q1, _)) in enumerate(
+        zip(result.indifference_residuals, exact, others)
+    ):
+        e = Fraction(game.initial_ages[i]) + sigma_idle - sigma_success
+        c = sigma_success - sigma_collision
+        bound = rate * (abs(q0 * e) + abs(q1 * c)) + floor * (abs(e) + abs(c))
+        assert abs(Fraction(got) - want) <= bound, (i, got, float(want), float(bound))
+
+
+@given(closed_form_games_st(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_derivatives_are_within_their_rounding_bound_of_exact(game, data):
+    """Both derivatives are within |d| ((1 + u)^4 / (1 - r)^2 - 1) of the
+    exact d, with r = e_D / |D| (`closed_form_error_bounds`).
+
+    Each is k (sigma_success - sigma_collision) / D / D for an integer k,
+    formed in four roundings (the difference, the product and two
+    quotients) from the computed denominator, which is D (1 + t) with |t| <= r.
+    A game with r >= 1/2 is skipped: its derivatives are ill-conditioned.
+    Below that, the computed denominator cannot be 0.
+    """
+    i = data.draw(st.integers(0, game.n - 1))
+    j = data.draw(st.integers(0, game.n - 2))
+    j += j >= i
+    denominator_error = closed_form_error_bounds(game, i)[1]
+    denominator = abs(closed_form_denominators(game)[i])
+    if denominator <= 2 * denominator_error:
+        return
+    ratio = denominator_error / denominator
+    rate = (1 + U) ** 4 / (1 - ratio) ** 2 - 1
+    got = monotonicity_derivatives(game, i, j)
+    for value, exact in zip(got, monotonicity_derivatives_exact(game, i, j)):
+        assert abs(Fraction(value) - exact) <= rate * abs(exact), (value, float(exact))
 
 
 def test_interior_condition_helper_agrees_with_solver():

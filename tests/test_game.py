@@ -89,6 +89,11 @@ def test_strategy_profile_rejects_bad_probability():
         StrategyProfile((-0.1, 0.5))
 
 
+def test_strategy_profile_needs_a_node():
+    with pytest.raises(ValueError, match="^profile needs at least one node$"):
+        StrategyProfile(())
+
+
 def test_strategy_profile_purity():
     pure = StrategyProfile.from_actions((Action.TRANSMIT, Action.IDLE))
     assert pure.taus == (1.0, 0.0)
@@ -325,6 +330,8 @@ def test_age_operations_refuse_non_finite_ages(age, profile):
         (((1.0, float("inf")),), "sum to inf"),
         (((float("inf"), 1.0),), "age inf is not finite"),
         (((1.0, 0.5), (float("nan"), 0.5)), "age nan is not finite"),
+        (((2.0, 0.5), (2.0, 0.5)), "^support values must be distinct$"),
+        (((1.0, 1.25), (2.0, -0.25)), "^probability -0.25 at age 2.0 is negative$"),
     ],
 )
 def test_age_pmf_record_refuses_non_finite_entries(support, message):

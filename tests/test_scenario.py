@@ -132,6 +132,48 @@ def test_bad_unit_rejected(tmp_path):
         load_scenario(write_scenario(tmp_path, data))
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"initial_ages": [{"value": 2}, 3.03, 3.03]},
+            r"initial_ages\[0\] must have exactly the keys 'value' and 'unit', got \['value'\]",
+        ),
+        (
+            {"initial_ages": [{"value": 2, "unit": "sigma_s", "scale": 1}, 3.03, 3.03]},
+            r"initial_ages\[0\] must have exactly the keys 'value' and 'unit', "
+            r"got \['scale', 'unit', 'value'\]",
+        ),
+        (
+            {"initial_ages": ["3.03", 3.03, 3.03]},
+            r"initial_ages\[0\] must be a number or a value/unit pair, got '3.03'",
+        ),
+        ({"sweep": [3, 3.03, 4.04, 5]}, "sweep must be an object"),
+        ({"sweep": dict(VALID["sweep"], step=2)}, r"unknown sweep fields: \['step'\]"),
+        (
+            {"sweep": {k: v for k, v in VALID["sweep"].items() if k != "from"}},
+            "sweep requires both 'from' and 'to'",
+        ),
+        (
+            {"sweep": {k: v for k, v in VALID["sweep"].items() if k != "to"}},
+            "sweep requires both 'from' and 'to'",
+        ),
+    ],
+    ids=["unit-missing", "extra-key", "string", "sweep-list", "sweep-field", "no-from", "no-to"],
+)
+def test_malformed_durations_and_sweeps_are_named(overrides, message):
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        parse_scenario(dict(VALID, **overrides))
+
+
+@pytest.mark.parametrize(
+    "document, kind", [([VALID], "list"), ("scenario", "str"), (None, "NoneType")]
+)
+def test_a_document_that_is_not_an_object_is_refused(document, kind):
+    with pytest.raises(ScenarioError, match=f"^scenario must be a JSON object, got {kind}$"):
+        parse_scenario(document)
+
+
 def test_malformed_json_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "n": 3,\n  "sigma_idle": ,\n}\n')

@@ -241,12 +241,13 @@ def test_outcome_codes_match_the_decoded_transmit_matrix(taus, seed, bounds, chu
 
 def test_span_counts_add_up_to_one_span(monkeypatch):
     taus = np.array([0.3, 0.4, 0.2])
-    whole = simulate._span_counts(taus, 8, 0, 5000)
+    whole = simulate._span_counts(taus, 8, 0, 5000, threading.Event())
     for bounds in ([0, 1, 777, 778, 3001, 5000], [0, 2500, 5000], [0, 4999, 5000]):
         for chunk_slots in (1 << 16, 7):
             monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * 3)
             parts = [
-                simulate._span_counts(taus, 8, lo, hi) for lo, hi in zip(bounds, bounds[1:])
+                simulate._span_counts(taus, 8, lo, hi, threading.Event())
+                for lo, hi in zip(bounds, bounds[1:])
             ]
             assert np.array_equal(sum(parts), whole)
 
@@ -270,16 +271,25 @@ def test_threaded_spans_match_slot_by_slot_sampling(monkeypatch, cpus):
     assert stats == run_monte_carlo(GAME, profile, 5000, seed=77)
 
 
+def test_usable_cpus_fall_back_to_the_cpu_count_without_affinity(monkeypatch):
+    # os.sched_getaffinity is missing on macOS and Windows.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert simulate._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert simulate._usable_cpus() == 1
+
+
 def test_a_span_error_is_raised_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     span_counts = simulate._span_counts
     raised = []
 
-    def failing_span_counts(taus, seed, start, stop):
+    def failing_span_counts(taus, seed, start, stop, failed):
         if start > 0:
             raised.append(RuntimeError(f"span from slot {start} failed"))
             raise raised[-1]
-        return span_counts(taus, seed, start, stop)
+        return span_counts(taus, seed, start, stop, failed)
 
     monkeypatch.setattr(simulate, "_span_counts", failing_span_counts)
     threads_before = threading.active_count()
@@ -287,6 +297,33 @@ def test_a_span_error_is_raised_on_the_calling_thread(monkeypatch):
         run_monte_carlo(GAME, StrategyProfile((0.3, 0.4, 0.2)), 50_000, seed=1)
     assert info.value is raised[0]
     assert threading.active_count() == threads_before
+
+
+def test_a_failing_span_stops_the_others_within_a_chunk(monkeypatch):
+    # Span 0 fails after its first chunk. The other span, 400 default-size
+    # chunks long, stops at its next chunk instead of drawing all of them.
+    class SpanFailure(Exception):
+        pass
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    slot_outcomes = simulate._slot_outcomes
+    drawn = {}
+
+    def outcomes(taus, seed, start, stop):
+        for k, codes in enumerate(slot_outcomes(taus, seed, start, stop)):
+            if start == 0 and k == 1:
+                raise SpanFailure
+            drawn[start] = k + 1
+            yield codes
+
+    monkeypatch.setattr(simulate, "_slot_outcomes", outcomes)
+    chunks = 400
+    slots = 2 * chunks * simulate._chunk_rows(2)
+    game = GameInstance(2, LENGTHS, (2.02, 3.03))
+    with pytest.raises(SpanFailure):
+        run_monte_carlo(game, StrategyProfile((0.5, 0.5)), slots, seed=1)
+    assert drawn[0] == 1
+    assert drawn.get(slots // 2, 0) < chunks // 2
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -428,9 +465,8 @@ def test_reference_equilibrium_monte_carlo_agreement():
 
 
 def trajectory(game, profile, slots, seed):
-    """All blocks of one run joined: times (slots + 1,), ages (slots + 1, n)."""
-    blocks = list(simulate_age_trajectory(game, profile, slots, seed))
-    return np.concatenate([t for t, _ in blocks]), np.concatenate([a for _, a in blocks])
+    """All blocks of one run joined: (slots + 1, n + 1), times in column 0."""
+    return np.concatenate(list(simulate_age_trajectory(game, profile, slots, seed)))
 
 
 def rebuild_trajectory(game, profile, slots, seed):
@@ -455,8 +491,9 @@ def rebuild_trajectory(game, profile, slots, seed):
 
 def test_trajectory_all_idle_grows_linearly():
     slots = 50
-    times, ages = trajectory(GAME, StrategyProfile((0.0, 0.0, 0.0)), slots, seed=1)
-    assert ages.shape == (slots + 1, 3)
+    table = trajectory(GAME, StrategyProfile((0.0, 0.0, 0.0)), slots, seed=1)
+    assert table.shape == (slots + 1, 4)
+    times, ages = table[:, 0], table[:, 1:]
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(slots * LENGTHS.sigma_idle, rel=1e-12)
     for i in range(3):
@@ -468,7 +505,7 @@ def test_trajectory_all_idle_grows_linearly():
 
 def test_trajectory_certain_winner_pins_age_to_success_length():
     slots = 40
-    times, ages = trajectory(GAME, StrategyProfile((1.0, 0.0, 0.0)), slots, seed=1)
+    ages = trajectory(GAME, StrategyProfile((1.0, 0.0, 0.0)), slots, seed=1)[:, 1:]
     assert np.all(ages[1:, 0] == LENGTHS.sigma_success)
     # The other nodes see busy slots only and age by sigma_success each slot.
     for t in range(1, slots + 1):
@@ -479,17 +516,16 @@ def test_trajectory_certain_winner_pins_age_to_success_length():
 
 def test_trajectory_replay_is_bit_identical():
     profile = StrategyProfile((0.4, 0.3, 0.2))
-    times_a, ages_a = trajectory(GAME, profile, 2000, seed=55)
-    times_b, ages_b = trajectory(GAME, profile, 2000, seed=55)
-    assert np.array_equal(times_a, times_b)
-    assert np.array_equal(ages_a, ages_b)
-    _, ages_c = trajectory(GAME, profile, 2000, seed=56)
-    assert not np.array_equal(ages_a, ages_c)
+    table = trajectory(GAME, profile, 2000, seed=55)
+    assert np.array_equal(trajectory(GAME, profile, 2000, seed=55), table)
+    other = trajectory(GAME, profile, 2000, seed=56)
+    assert not np.array_equal(other[:, 1:], table[:, 1:])
 
 
 def test_trajectory_increments_are_slot_durations_or_resets():
     profile = StrategyProfile((0.4, 0.3, 0.2))
-    times, ages = trajectory(GAME, profile, 5000, seed=9)
+    table = trajectory(GAME, profile, 5000, seed=9)
+    times, ages = table[:, 0], table[:, 1:]
     dt = np.diff(times)
     durations = np.array([LENGTHS.sigma_idle, LENGTHS.sigma_success, LENGTHS.sigma_collision])
     assert np.all(np.abs(dt[:, np.newaxis] - durations).min(axis=1) < 1e-9)
@@ -503,18 +539,16 @@ def test_trajectory_increments_are_slot_durations_or_resets():
 @pytest.mark.parametrize("taus", [(0.4, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
 def test_trajectory_is_chunk_invariant(monkeypatch, taus):
     profile = StrategyProfile(taus)
-    times, ages = trajectory(GAME, profile, 2000, seed=13)
+    table = trajectory(GAME, profile, 2000, seed=13)
     for chunk_slots in (1, 7):
         monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * 3)
-        times_c, ages_c = trajectory(GAME, profile, 2000, seed=13)
-        assert np.array_equal(times_c, times)
-        assert np.array_equal(ages_c, ages)
+        assert np.array_equal(trajectory(GAME, profile, 2000, seed=13), table)
 
 
 def test_trajectory_matches_slot_by_slot_rebuild():
     profile = StrategyProfile((0.3, 0.4, 0.2))
-    times, ages = trajectory(GAME, profile, 3000, seed=77)
-    assert np.column_stack((times, ages)).tolist() == rebuild_trajectory(
+    table = trajectory(GAME, profile, 3000, seed=77)
+    assert table.tolist() == rebuild_trajectory(
         GAME, profile, 3000, seed=77
     )
 
@@ -538,8 +572,8 @@ def test_trajectory_equals_the_slot_by_slot_rebuild(data, n, seed):
     game = GameInstance(n, LENGTHS, tuple(LENGTHS.sigma_success * 10.0**x for x in exponents))
     profile = StrategyProfile(taus)
     with mock.patch.object(simulate, "_CHUNK_VARIATES", chunk_variates):
-        times, ages = trajectory(game, profile, 200, seed)
-    assert np.column_stack((times, ages)).tolist() == rebuild_trajectory(game, profile, 200, seed)
+        table = trajectory(game, profile, 200, seed)
+    assert table.tolist() == rebuild_trajectory(game, profile, 200, seed)
 
 
 @pytest.mark.parametrize("n", [40, 150])
@@ -555,23 +589,22 @@ def test_wide_trajectory_matches_slot_by_slot_rebuild(monkeypatch, n, certain):
     # The last chunk size is the default: 819 or 218 slots a chunk.
     for chunk_variates in (n, 7 * n, 64 * n, simulate._CHUNK_VARIATES):
         monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_variates)
-        times, ages = trajectory(game, profile, 600, seed=19)
-        assert np.column_stack((times, ages)).tolist() == expected
+        assert trajectory(game, profile, 600, seed=19).tolist() == expected
 
 
 def test_trajectory_blocks_hold_at_most_chunk_slots_rows(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * 3)
     blocks = list(simulate_age_trajectory(GAME, StrategyProfile((0.4, 0.3, 0.2)), 50, seed=3))
-    assert [len(t) for t, _ in blocks] == [1] + [7] * 7 + [1]
-    assert all(a.shape == (len(t), 3) for t, a in blocks)
+    assert [block.shape for block in blocks] == [(1, 4)] + [(7, 4)] * 7 + [(1, 4)]
+    assert all(block.dtype == np.float64 and block.flags.c_contiguous for block in blocks)
 
 
 def test_trajectory_blocks_are_capped_by_variates_for_wide_games():
     n = 30
     game = GameInstance(n, LENGTHS, (2.02,) * n)
     blocks = list(simulate_age_trajectory(game, StrategyProfile((0.05,) * n), 40_000, seed=3))
-    assert sum(len(t) for t, _ in blocks) == 40_001
-    assert max(len(t) for t, _ in blocks) <= max(1, simulate._CHUNK_VARIATES // n)
+    assert sum(len(block) for block in blocks) == 40_001
+    assert max(len(block) for block in blocks) <= max(1, simulate._CHUNK_VARIATES // n)
 
 
 def trajectory_stats(game, profile, slots, seed):
@@ -649,7 +682,6 @@ def test_rescaling_by_a_power_of_two_scales_both_experiments(taus, age_factor, s
     assert big.mean_age_after_per_node == tuple(
         scale * mean for mean in stats.mean_age_after_per_node
     )
-    times, trajectory_ages = trajectory(game, profile, 300, seed)
-    big_times, big_ages = trajectory(scaled, profile, 300, seed)
-    assert np.array_equal(big_times, scale * times)
-    assert np.array_equal(big_ages, scale * trajectory_ages)
+    assert np.array_equal(
+        trajectory(scaled, profile, 300, seed), scale * trajectory(game, profile, 300, seed)
+    )
