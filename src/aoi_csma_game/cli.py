@@ -3,7 +3,7 @@ sweep one node's starting age, and validate analytics by simulation.
 
 Exit codes: 0 on success, 1 on validation failures (bad scenario file,
 violated model invariant, unusable request, unwritable output file), 2 when
-the reference-table self-check finds a mismatch.
+the reference-table self-check finds a mismatch, 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # writes the trajectory also counts its slots for the report, which
         # is printed after it, so an unwritable path prints only the error.
         blocks = simulate_age_trajectory(game, profile, num_slots, seed)
-        with open(args.out, "w") as out:
+        with open(args.out, "wb") as out:
             stats = _write_trajectory(out, game.n, blocks)
 
     rows = []
@@ -260,11 +260,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _write_trajectory(out, n: int, blocks) -> SimStats:
-    """Write the `simulate_age_trajectory` `blocks` of an n-node game to
-    `out` as CSV, and return the `SimStats` the exhausted generator returns."""
+    """Write the `simulate_age_trajectory` `blocks` of an n-node game to the
+    binary file `out` as CSV; return the `SimStats` the generator returns."""
     from .csv_cells import format_cells
 
-    out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(n)]) + "\n")
+    out.write(",".join(["time"] + [f"age_{k + 1}" for k in range(n)]).encode() + b"\n")
     while True:
         try:
             # No name holds a block while the next one is built.
@@ -328,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Format a float table as CSV rows in numpy, byte for byte as `%.12g` does.
+"""Format a float table as CSV bytes in numpy, byte for byte as `%.12g` does.
 
 `format_cells` replaces ``(row * rows) % tuple(table.ravel().tolist())``,
 which runs Python's correctly rounded float-to-decimal conversion once per
@@ -70,16 +70,16 @@ _NEWLINE = _word(0, 0, 0, ord("\n"))
 
 
 def format_cells(table: np.ndarray):
-    """Yield ``(row * rows) % tuple(table.ravel().tolist())`` for a 2-D float64
-    table, one slice at a time. ``row`` is the `_CELL` row template for the
-    table's column count (at least one column).
+    """Yield the ASCII bytes of ``(row * rows) % tuple(table.ravel().tolist())``
+    for a 2-D float64 table, one slice at a time. ``row`` is the `_CELL` row
+    template for the table's column count (at least one column).
     """
     step = max(1, _SLICE_CELLS // table.shape[1])
     for lo in range(0, len(table), step):
         yield _format_slice(table[lo : lo + step])
 
 
-def _format_slice(table: np.ndarray) -> str:
+def _format_slice(table: np.ndarray) -> bytes:
     rows, cols = table.shape
     x = table.ravel()
     fast = x >= 1e-4
@@ -163,4 +163,4 @@ def _format_slice(table: np.ndarray) -> str:
         out[slow, 7] = separators[slow % cols]
     data = out.tobytes()
     del out
-    return data.translate(None, b"\0").decode("ascii")
+    return data.translate(None, b"\0")

@@ -151,12 +151,6 @@ class StrategyProfile:
     def from_actions(cls, actions: Sequence[Action]) -> StrategyProfile:
         return cls(tuple(1.0 if a is Action.TRANSMIT else 0.0 for a in actions))
 
-    def with_tau(self, i: int, tau: float) -> StrategyProfile:
-        """Copy of this profile with node i's transmit probability replaced."""
-        taus = list(self.taus)
-        taus[i] = tau
-        return StrategyProfile(tuple(taus))
-
     def __len__(self) -> int:
         return len(self.taus)
 

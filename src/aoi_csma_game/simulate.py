@@ -16,13 +16,14 @@ chunks never changes a draw. ``_CHUNK_VARIATES`` is the one chunk size: a
 chunk holds at most 2**15 variates (but at least one slot), so the buffers
 of a restart span take at most about 0.75 MB and fit a 1 MB L2 cache.
 
-Both experiments read each slot as one outcome code: 0 for idle, n + j for
-a lone success by node j and 2n for a collision. The restart experiment
-counts the codes of each span into one vector; the trajectory takes each
-slot's duration and each node's resets from them, and counts them into the
-same vector as it goes. One helper turns such a vector into `SimStats`, so a
-single trajectory pass also yields the restart experiment's statistics:
-``simulate --out`` samples each slot once and starts no span threads.
+Both experiments read each slot as one outcome code: 0 for idle, j + 1 for a
+lone success by node j (its trajectory column) and n + 1 for a collision.
+The restart experiment counts each span's codes into one vector, in
+`SimStats` order; the trajectory takes each slot's duration and each node's
+resets from them, and counts them into the same vector as it goes. One
+helper turns such a vector into `SimStats`, so a single trajectory pass also
+yields the restart experiment's statistics: ``simulate --out`` samples each
+slot once and starts no span threads.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def _chunk_rows(n):
 
 def _slot_outcomes(taus, seed, start, stop):
     """Yield the outcome codes of slots `start`..`stop`, one ``intp`` array
-    per chunk: 0 for an idle slot, n + j for a lone success by node j, and
-    2n for a collision.
+    per chunk: 0 for an idle slot, j + 1 for a lone success by node j, and
+    n + 1 for a collision.
 
     The generator is advanced past the ``start * n`` variates that earlier
     slots consume, so any span reads exactly its part of the single
@@ -92,14 +93,14 @@ def _slot_outcomes(taus, seed, start, stop):
     whatever the span bounds and chunk size.
 
     A code is the slot's 0/1 transmit row summed by one float64 ``einsum``
-    against the weights n + j, capped at 2n. No transmitter sums to 0 and a
-    lone transmitter j to exactly n + j, one weight among zeros. Two or more
-    sum to at least 2n under any summation order, because each weight is at
-    least n and rounding to nearest is monotone. So the code is exact at
-    every n whose weights are exact doubles, and every partial sum is an
-    exact integer anyway while n * 2n < 2**53. ``einsum`` is used rather
-    than a matrix product, which would dispatch to a multithreaded BLAS and
-    oversubscribe the span threads.
+    against the weights n + j, less n - 1, clipped to [0, n + 1]. No
+    transmitter sums to 0 and a lone transmitter j to exactly n + j, one
+    weight among zeros. Two or more sum to at least 2n under any summation
+    order, because each weight is at least n and rounding to nearest is
+    monotone. So the code is exact at every n whose weights are exact
+    doubles, and every partial sum is an exact integer anyway while
+    n * 2n < 2**53. ``einsum`` is used rather than a matrix product, which
+    would dispatch to a multithreaded BLAS and oversubscribe the span threads.
     """
     import numpy as np
 
@@ -118,17 +119,18 @@ def _slot_outcomes(taus, seed, start, stop):
         block = rng.random(out=uniforms[: stop - lo])
         transmits = np.less(block, thresholds[: len(block)], out=block)
         # Unnamed, the codes are freed as soon as the caller drops them.
-        yield np.minimum(np.einsum("ij,j->i", transmits, weights), 2 * n).astype(np.intp)
+        yield np.clip(
+            np.einsum("ij,j->i", transmits, weights) - (n - 1), 0, n + 1
+        ).astype(np.intp)
 
 
 def _span_counts(taus, seed, start, stop, failed):
     """The ``int64`` counts of each outcome code over slots `start`..`stop`,
-    indexed by code: idle, n - 1 codes that never occur, a lone success by
-    each node, collision. Once the `failed` event is set, the counts stop at
-    the next chunk, partial."""
+    indexed by code: idle, a lone success by each node, collision. Once the
+    `failed` event is set, the counts stop at the next chunk, partial."""
     import numpy as np
 
-    counts = np.zeros(2 * len(taus) + 1, dtype=np.int64)
+    counts = np.zeros(len(taus) + 2, dtype=np.int64)
     for codes in _slot_outcomes(taus, seed, start, stop):
         if failed.is_set():
             break
@@ -199,7 +201,7 @@ def run_monte_carlo(
 def _sim_stats(game, counts, num_slots):
     """The restart experiment's `SimStats` from the ``int64`` counts of each
     outcome code over `num_slots` slots."""
-    idle, collision, successes = int(counts[0]), int(counts[-1]), counts[game.n : -1]
+    idle, collision, successes = int(counts[0]), int(counts[-1]), counts[1:-1]
     lengths = game.slot_lengths
     total_duration = (
         idle * lengths.sigma_idle
@@ -257,10 +259,10 @@ def _trajectory_blocks(game, taus, num_slots, seed):
     lengths = game.slot_lengths
     initial = np.asarray(game.initial_ages, dtype=float)
     yield np.concatenate(([0.0], initial))[np.newaxis, :]
-    # Indexed by outcome code: idle, (codes 1..n-1 never occur), a lone
-    # success by each node, collision. Not game._outcome_ages: the sampler
-    # shares no code with the analytic side it checks.
-    slot_duration = np.full(2 * n + 1, lengths.sigma_success)
+    # Indexed by outcome code: idle, a lone success by each node, collision.
+    # Not game._outcome_ages: the sampler shares no code with the analytic
+    # side it checks.
+    slot_duration = np.full(n + 2, lengths.sigma_success)
     slot_duration[0], slot_duration[-1] = lengths.sigma_idle, lengths.sigma_collision
     now = 0.0
     # Each node's last reset time: its last success, or minus its initial age
@@ -269,7 +271,7 @@ def _trajectory_blocks(game, taus, num_slots, seed):
     # time says the node has succeeded, and its age gains sigma_success. The
     # time column is a node reset at 0 that never succeeds: t - 0 is t.
     reset_at = np.concatenate(([0.0], -initial))
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    counts = np.zeros(n + 2, dtype=np.int64)
     for codes in _slot_outcomes(taus, seed, 0, num_slots):
         counts += np.bincount(codes, minlength=len(counts))
         # Summing from the carried clock keeps every time bit-identical to
@@ -277,12 +279,13 @@ def _trajectory_blocks(game, taus, num_slots, seed):
         times = np.cumsum(np.concatenate(([now], slot_duration[codes])))[1:]
         now = times[-1]
         # The CSV's rows, built in place: each column's reset time, then its
-        # value. Times never decrease, so the running maximum of the success
-        # times scattered over the carried ones is the time of the latest success.
+        # value. A lone success's code is its node's column. Times never
+        # decrease, so the running maximum of the success times scattered
+        # over the carried ones is the time of the latest success.
         table = np.empty((len(times), n + 1))
         table[...] = reset_at
-        lone = np.flatnonzero((codes >= n) & (codes < 2 * n))
-        table[lone, codes[lone] - (n - 1)] = times[lone]
+        lone = np.flatnonzero((codes >= 1) & (codes <= n))
+        table[lone, codes[lone]] = times[lone]
         np.maximum.accumulate(table, axis=0, out=table)
         reset_at = table[-1].copy()
         succeeded = table > 0

@@ -190,12 +190,12 @@ def slot_by_slot_counts(profile, slot_lengths, slots, seed):
 def slot_outcome_codes(taus, seed, start, stop):
     """Outcome codes of slots `start`..`stop`, decoded from the transmit
     matrix ``default_rng(seed).random((stop, n)) < taus``: 0 for idle,
-    n + j for a lone success by node j, 2n for a collision."""
+    j + 1 for a lone success by node j, n + 1 for a collision."""
     n = len(taus)
     transmits = np.random.default_rng(seed).random((stop, n))[start:] < np.asarray(taus)
     counts = transmits.sum(axis=1)
-    lone_codes = n + transmits.argmax(axis=1)
-    return np.where(counts == 0, 0, np.where(counts == 1, lone_codes, 2 * n))
+    lone_codes = 1 + transmits.argmax(axis=1)
+    return np.where(counts == 0, 0, np.where(counts == 1, lone_codes, n + 1))
 
 
 def response_payoffs(game, i, opponent_taus, grid_size):

@@ -817,6 +817,20 @@ def test_simulate_unwritable_out_exits_1(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "load_scenario", interrupted)
+    try:
+        code = cli.main(["simulate", "--scenario", "scenario.json"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: interrupted\n")
+
+
 def test_module_entry_point_runs(tmp_path):
     import subprocess
     import sys

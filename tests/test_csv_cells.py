@@ -17,9 +17,9 @@ def percent_rows(table):
 
 def assert_same(table):
     table = np.asarray(table, dtype=float)
-    got, want = "".join(format_cells(table)), percent_rows(table)
+    got, want = b"".join(format_cells(table)), percent_rows(table).encode("ascii")
     if got != want:  # name the rows that differ: pytest's diff of long texts is slow
-        rows = [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w]
+        rows = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
         pytest.fail(f"{len(rows)} rows differ, the first: {rows[:3]}")
 
 

@@ -495,7 +495,8 @@ def test_corner_consistency_property(game):
 def test_collision_probability_monotone_in_each_tau(profile, data):
     i = data.draw(st.integers(0, len(profile) - 1))
     higher = data.draw(st.floats(profile[i], 1.0))
-    bumped = profile.with_tau(i, higher)
+    taus = profile.taus
+    bumped = StrategyProfile(taus[:i] + (higher,) + taus[i + 1 :])
     assert collision_probability(bumped) >= collision_probability(profile) - 1e-12
 
 

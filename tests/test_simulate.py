@@ -213,9 +213,9 @@ def outcome_codes(taus, seed, start, stop):
 @pytest.mark.parametrize(
     "taus, code",
     [
-        ((0.0,) * 4096 + (1.0,), 2 * 4097 - 1),  # a lone success by the last of 4097 nodes
-        ((1.0,) * 4097, 2 * 4097),
-        ((1.0,) * 300, 2 * 300),
+        ((0.0,) * 4096 + (1.0,), 4097),  # a lone success by the last of 4097 nodes
+        ((1.0,) * 4097, 4098),
+        ((1.0,) * 300, 301),
     ],
     ids=["lone-last-of-4097", "all-of-4097", "all-of-300"],
 )
