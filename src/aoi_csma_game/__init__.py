@@ -29,13 +29,9 @@ from .game import (
     StrategyProfile,
     actions_from_string,
     age_pmf,
-    busy_seen_probability,
-    collision_probability,
-    idle_probability,
     mixed_payoff,
+    outcome_probabilities,
     pure_payoff,
-    success_probability_of,
-    total_success_probability,
 )
 from .scenario import Scenario, ScenarioError, SweepSpec, load_scenario, parse_scenario
 from .simulate import (
@@ -61,20 +57,16 @@ __all__ = [
     "SweepSpec",
     "actions_from_string",
     "age_pmf",
-    "busy_seen_probability",
     "check_weak_dominance",
-    "collision_probability",
     "enumerate_pure_nash",
-    "idle_probability",
     "load_scenario",
     "mixed_payoff",
     "monotonicity_derivatives",
     "msne_closed_form",
+    "outcome_probabilities",
     "parse_scenario",
     "pure_payoff",
     "run_monte_carlo",
     "simulate_age_trajectory",
-    "success_probability_of",
-    "total_success_probability",
     "verify_indifference",
 ]

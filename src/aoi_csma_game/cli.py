@@ -20,14 +20,7 @@ from .equilibrium import (
     enumerate_pure_nash,
     msne_closed_form,
 )
-from .game import (
-    Action,
-    StrategyProfile,
-    age_pmf,
-    collision_probability,
-    idle_probability,
-    success_probability_of,
-)
+from .game import Action, StrategyProfile, age_pmf, outcome_probabilities
 from .reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import SimStats, run_monte_carlo, simulate_age_trajectory
@@ -196,14 +189,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             stats = _write_trajectory(out, game.n, blocks)
 
     rows = []
-    p_idle = idle_probability(profile)
-    p_coll = collision_probability(profile)
+    p_idle, _, _, p_coll = outcome_probabilities(0, profile)
     rows.append(("p_idle", p_idle, stats.idle_count / num_slots, _freq_se(p_idle, num_slots)))
     rows.append(
         ("p_collision", p_coll, stats.collision_count / num_slots, _freq_se(p_coll, num_slots))
     )
     for i in range(game.n):
-        p = success_probability_of(i, profile)
+        p = outcome_probabilities(i, profile)[1]
         rows.append(
             (
                 f"p_success_{i + 1}",

@@ -98,6 +98,11 @@ class MsneResult:
     ``feasible`` additionally requires collisions to outlast successes.
     ``indifference_residuals`` give, per node, the payoff gap between always
     transmitting and always idling against the other nodes' raw values.
+
+    ``_profile`` is the feasible equilibrium's :class:`StrategyProfile`,
+    whose kernel table the residuals were read from, or None (see
+    :func:`msne_closed_form`). Like ``StrategyProfile._others`` it is not a
+    field: it takes no part in construction, equality, hashing or repr.
     """
 
     raw_taus: tuple[float, ...]
@@ -105,13 +110,16 @@ class MsneResult:
     feasible: bool
     indifference_residuals: tuple[float, ...]
 
+    _profile = None
+
     def profile(self) -> StrategyProfile:
         """The equilibrium as a strategy profile; only defined when feasible."""
         if not self.feasible:
             raise ValueError(
                 "closed-form values lie outside (0, 1); no interior equilibrium profile"
             )
-        return StrategyProfile(self.raw_taus)
+        # None when a raw tau rounded out of [0, 1], which the constructor refuses.
+        return StrategyProfile(self.raw_taus) if self._profile is None else self._profile
 
 
 def _keeps(game: GameInstance, i: int, transmits: bool, others: int) -> bool:
@@ -219,19 +227,19 @@ def _closed_form_terms(
 
 def _closed_form(
     lengths: SlotLengths, ages: Sequence[float]
-) -> tuple[MsneResult, list[tuple[float, float, float]]]:
-    """The closed form at already checked `ages`, and the kernel table of its raw values."""
+) -> tuple[MsneResult, Sequence[tuple[float, float, float]]]:
+    """The closed form at already checked `ages`, and the kernel table of its
+    raw values: the one its profile holds when it has one."""
     mean_age = math.fsum(ages) / len(ages)
     terms = [_closed_form_terms(lengths, ages, i, mean_age) for i in range(len(ages))]
-    raw = [numerator / denominator for numerator, denominator in terms]
+    raw = tuple(numerator / denominator for numerator, denominator in terms)
     per_node = tuple(numerator < 0.0 for numerator, _ in terms)
-    others = others_transmitting(raw)
-    return MsneResult(
-        raw_taus=tuple(raw),
-        feasible_per_node=per_node,
-        feasible=all(per_node) and not lengths.short_collision,
-        indifference_residuals=_indifference_gaps(lengths, ages, others),
-    ), others
+    feasible = all(per_node) and not lengths.short_collision
+    profile = StrategyProfile(raw) if feasible and all(0.0 <= t <= 1.0 for t in raw) else None
+    others = others_transmitting(raw) if profile is None else profile._others
+    result = MsneResult(raw, per_node, feasible, _indifference_gaps(lengths, ages, others))
+    object.__setattr__(result, "_profile", profile)
+    return result, others
 
 
 def msne_closed_form(game: GameInstance) -> MsneResult:
@@ -249,6 +257,14 @@ def msne_closed_form(game: GameInstance) -> MsneResult:
     numerator, so with every age below 2**51 (sigma_collision -
     sigma_success) a flag is set exactly when 0 < tau_i < 1. The mean age
     is ``math.fsum(ages) / n``, the same double in any node order.
+
+    A feasible result builds its :class:`StrategyProfile` once, and its
+    residuals read that profile's kernel table; within the age bound above
+    the profile's constructor cannot refuse it. Past the bound rounding can
+    carry a raw value past 1 (as with sigma_collision one ulp above
+    sigma_success and ten nodes of age sigma_success); such a result keeps
+    no profile, and :meth:`MsneResult.profile` raises the constructor's
+    ``ValueError``.
     """
     return _closed_form(game.slot_lengths, game.initial_ages)[0]
 

@@ -261,39 +261,19 @@ def others_transmitting(taus: Sequence[float]) -> list[tuple[float, float, float
     ]
 
 
-def _outcome_probabilities(i: int, profile: StrategyProfile) -> tuple[float, float, float, float]:
-    """Node i's (idle, own success, busy seen, collision) probabilities."""
+def outcome_probabilities(i: int, profile: StrategyProfile) -> tuple[float, float, float, float]:
+    """Node i's (idle, own success, busy seen, collision) probabilities.
+
+    Idle and collision are the slot's own, the same for every node; busy
+    seen is node i silent while exactly one other node transmits, so the
+    slot carries one transmission with probability own success + busy seen.
+    All four come from node i's row of the profile's kernel table.
+    """
     _check_node_index(i, len(profile))
     tau = profile[i]
     q0, q1, q2 = profile._others[i]
     silent = 1.0 - tau
     return silent * q0, tau * q0, silent * q1, silent * q2 + tau * (q1 + q2)
-
-
-def idle_probability(profile: StrategyProfile) -> float:
-    """Probability that no node transmits in the slot."""
-    return _outcome_probabilities(0, profile)[0]
-
-
-def success_probability_of(i: int, profile: StrategyProfile) -> float:
-    """Probability that node i is the slot's only transmitter."""
-    return _outcome_probabilities(i, profile)[1]
-
-
-def total_success_probability(profile: StrategyProfile) -> float:
-    """Probability that the slot carries exactly one transmission."""
-    _, own, busy, _ = _outcome_probabilities(0, profile)
-    return own + busy
-
-
-def busy_seen_probability(i: int, profile: StrategyProfile) -> float:
-    """Probability that node i stays silent while exactly one other node transmits."""
-    return _outcome_probabilities(i, profile)[2]
-
-
-def collision_probability(profile: StrategyProfile) -> float:
-    """Probability that two or more nodes transmit in the slot."""
-    return _outcome_probabilities(0, profile)[3]
 
 
 def _outcome_ages(lengths: SlotLengths, age: float) -> tuple[tuple[float, ...], ...]:

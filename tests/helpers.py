@@ -14,15 +14,18 @@ oracle multiplies out each node's others one by one in ``Fraction``
 arithmetic, and the closed-form oracles state each node's numerator
 (whose sign is its interior condition), denominator and value, the
 indifference residuals at given taus, and the age derivatives by the
-quotient rule. The frozen-dataclass twins of the
+quotient rule. At equal taus the kernel oracle is a closed form evaluated
+in ``decimal``, cheap at any n. The frozen-dataclass twins of the
 value types are the oracle for their record methods.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -41,10 +44,11 @@ from aoi_csma_game import (
     SweepSpec,
     mixed_payoff,
 )
+from aoi_csma_game.game import others_transmitting
 from aoi_csma_game.reference import ReferenceRow
 
 
-def outcome_probabilities(taus, one=1.0):
+def outcome_probabilities_oracle(taus, one=1.0):
     """Brute-force slot-outcome probabilities for a transmit-probability vector.
 
     Returns ``(p_idle, p_success_per_node, p_collision, p_busy_per_node)``
@@ -257,6 +261,52 @@ def others_transmitting_exact(taus):
                 none, one = none * (1 - tau), one * (1 - tau) + none * tau
         rows.append((none, one, 1 - none - one))
     return rows
+
+
+# 1 - tau and the two powers each round at 60 digits, so q0 and q1 are
+# within (n + 2) 10^-59 of exact, and q2, their difference from 1, within
+# (n + 4) 10^-59. check_kernel_at_equal_taus requires q2 to exceed 10^20
+# times that, so that it keeps at least 20 significant digits.
+EQUAL_TAUS_CONTEXT = decimal.Context(
+    prec=60,
+    Emin=decimal.MIN_EMIN,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Underflow],
+)
+
+
+def others_transmitting_at_equal_taus(n, tau):
+    """The chances that 0, 1 and >= 2 of the other n - 1 nodes transmit when
+    every node transmits with the double `tau`, as ``Decimal``s from its
+    exact value in `EQUAL_TAUS_CONTEXT`: q0 = (1 - tau)^(n - 1),
+    q1 = (n - 1) tau (1 - tau)^(n - 2) and q2 = 1 - q0 - q1. Each power
+    costs O(log n) multiplications, so any n is cheap."""
+    with decimal.localcontext(EQUAL_TAUS_CONTEXT):
+        t = Decimal(tau)
+        silent = 1 - t
+        q0 = silent ** (n - 1)
+        q1 = (n - 1) * t * silent ** (n - 2)
+        return q0, q1, 1 - q0 - q1
+
+
+def check_kernel_at_equal_taus(n, tau):
+    """Assert that every row of the kernel at n equal taus lies within
+    gamma_(3n+1) of `others_transmitting_at_equal_taus`, relatively, plus
+    n^2 2^-1072 absolutely: the bound of
+    `test_kernel_is_within_its_rounding_bound_of_exact`. Every row has the
+    same exact value, so the smallest and largest float of each column are
+    the ones to check."""
+    rows = others_transmitting([tau] * n)
+    exact = others_transmitting_at_equal_taus(n, tau)
+    with decimal.localcontext(EQUAL_TAUS_CONTEXT):
+        assert exact[2] >= (n + 4) * Decimal("1e-39"), (n, tau, exact[2])
+        gamma = Decimal(3 * n + 1) / (2**53 - (3 * n + 1))
+        floor = Decimal(n * n) / Decimal(2) ** 1072
+        for k, want in enumerate(exact):
+            column = [row[k] for row in rows]
+            for got in (min(column), max(column)):
+                error = abs(Decimal(got) - want)
+                assert error <= gamma * want + floor, (n, tau, k, got, want, error / want)
 
 
 def closed_form_numerators(game: GameInstance):

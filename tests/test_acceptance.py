@@ -19,18 +19,14 @@ from aoi_csma_game import (
     GameInstance,
     StrategyProfile,
     age_pmf,
-    busy_seen_probability,
     check_weak_dominance,
-    collision_probability,
     enumerate_pure_nash,
-    idle_probability,
     mixed_payoff,
     monotonicity_derivatives,
     msne_closed_form,
+    outcome_probabilities,
     pure_payoff,
     run_monte_carlo,
-    success_probability_of,
-    total_success_probability,
     verify_indifference,
 )
 from aoi_csma_game import cli
@@ -125,14 +121,12 @@ def test_criterion_05_probability_model_properties():
             n = int(rng.integers(2, 6))
             lengths = random_slot_lengths(rng, collision_ratio=(0.05, 3.0))
             profile = StrategyProfile(tuple(float(t) for t in rng.random(n)))
-            p_idle = idle_probability(profile)
-            p_total = total_success_probability(profile)
-            p_coll = collision_probability(profile)
+            p_idle, own_0, busy_0, p_coll = outcome_probabilities(0, profile)
+            p_total = own_0 + busy_0
             assert abs(p_idle + p_total + p_coll - 1.0) <= 1e-12
             for i in range(n):
-                gap = busy_seen_probability(i, profile) - (
-                    p_total - success_probability_of(i, profile)
-                )
+                _, own, busy, _ = outcome_probabilities(i, profile)
+                gap = busy - (p_total - own)
                 assert abs(gap) <= 1e-12
             i = int(rng.integers(0, n))
             age = float(lengths.sigma_success * (1.0 + 9.0 * rng.random()))
@@ -199,12 +193,11 @@ def test_criterion_08_monte_carlo_validation():
         def freq_band(p):
             return 3.0 * math.sqrt(p * (1.0 - p) / slots)
 
-        p_idle = idle_probability(profile)
-        p_coll = collision_probability(profile)
+        p_idle, _, _, p_coll = outcome_probabilities(0, profile)
         assert abs(stats.idle_count / slots - p_idle) <= freq_band(p_idle)
         assert abs(stats.collision_count / slots - p_coll) <= freq_band(p_coll)
         for i in range(game.n):
-            p = success_probability_of(i, profile)
+            p = outcome_probabilities(i, profile)[1]
             assert abs(stats.success_count_per_node[i] / slots - p) <= freq_band(p)
         for i in range(game.n):
             age = game.initial_ages[i]
@@ -233,7 +226,7 @@ def test_criterion_09_success_probability_sweep():
             profile = result.profile()
             taus_per_point.append(result.raw_taus)
             psucc_per_point.append(
-                tuple(success_probability_of(i, profile) for i in range(3))
+                tuple(outcome_probabilities(i, profile)[1] for i in range(3))
             )
         for got, want in zip(taus_per_point[0], ROW["IV"].golden_taus):
             assert abs(got - want) <= GOLDEN_TAU_TOLERANCE

@@ -567,6 +567,34 @@ def test_simulate_report_runs_the_kernel_a_fixed_number_of_times(tmp_path, capsy
     assert per_n[0] == per_n[1]
 
 
+@pytest.mark.parametrize(
+    "command, extra, shown",
+    [
+        ("simulate", ["--slots", "10"], "profile source: closed-form mixed equilibrium"),
+        ("analyze", [], "feasible: yes"),
+    ],
+    ids=["simulate", "analyze"],
+)
+def test_a_closed_form_profile_runs_the_kernel_once(
+    tmp_path, capsys, monkeypatch, command, extra, shown
+):
+    """The closed form's residuals and the profile simulate runs share one
+    kernel table, on Table I row IV without taus."""
+    kernel = game_module.others_transmitting
+    calls = []
+
+    def counted(taus):
+        calls.append(len(taus))
+        return kernel(taus)
+
+    for module in (game_module, equilibrium):
+        monkeypatch.setattr(module, "others_transmitting", counted)
+    path = write(tmp_path, scenario_dict())
+    assert cli.main([command, "--scenario", path, *extra]) == 0
+    assert shown in capsys.readouterr().out
+    assert calls == [3]
+
+
 def test_simulate_age_band_of_a_silent_node_does_not_depend_on_its_age(tmp_path, capsys):
     # A node that never transmits ages by one slot length whatever its age, so
     # its band is 3 SE of the slot length alone, at 3 sigma_s as at 1e9 sigma_s.

@@ -14,6 +14,7 @@ from aoi_csma_game import (
     MAX_ENUMERATION_NODES,
     Action,
     GameInstance,
+    MsneResult,
     SingularGameError,
     SlotLengths,
     StrategyProfile,
@@ -351,6 +352,32 @@ def test_msne_profile_only_defined_when_feasible():
         infeasible.profile()
 
 
+def test_msne_profile_is_the_one_its_residuals_were_read_from():
+    game = ROW["IV"].game()
+    result = msne_closed_form(game)
+    profile = result.profile()
+    assert profile is result.profile()
+    assert profile == StrategyProfile(result.raw_taus)
+    assert verify_indifference(game, profile) == result.indifference_residuals
+    # Not a field: the held profile is not part of the repr or of equality.
+    assert "_profile" not in repr(result)
+    fields = (result.raw_taus, result.feasible_per_node, result.feasible)
+    assert result == MsneResult(*fields, result.indifference_residuals)
+
+
+def test_feasible_tau_rounded_past_one_keeps_no_profile():
+    # Collisions one ulp longer than successes put every age past the bound
+    # in msne_closed_form's docstring; at ten nodes of age sigma_success the
+    # raw taus round to 1 + 4 ulp, which the profile constructor refuses.
+    sigma_success = 0.4956368098890145
+    lengths = SlotLengths(0.2616532086612471, sigma_success, math.nextafter(sigma_success, 1.0))
+    result = msne_closed_form(GameInstance(10, lengths, [sigma_success] * 10))
+    assert result.feasible
+    assert result.raw_taus == (1.0000000000000009,) * 10
+    with pytest.raises(ValueError, match="not a probability in"):
+        result.profile()
+
+
 def test_closed_form_mean_age_is_the_fsum_one_in_any_order():
     # ulp(1e16) = 2, so the exact sum 1e16 + 2.02 rounds to 1e16 + 2, which
     # math.fsum gives in any order. Plain additions from the left round up
@@ -663,6 +690,48 @@ def test_closed_form_taus_are_within_their_rounding_bound_of_exact(game):
         # agrees with the exact one wherever that exceeds its error bound.
         if abs(numerators[i]) > numerator_error:
             assert result.feasible_per_node[i] == (numerators[i] < 0), i
+
+
+@pytest.mark.parametrize(
+    "n, age, mean_rounds",
+    [
+        (3, 3.03, False),
+        (3, 3.3376615851337403, True),
+        (1_000, 3.03, False),
+        (1_000, 8.923711014212094, True),
+        (100_000, 3.03, False),
+        (100_000, 7.850790454289072, True),
+    ],
+)
+def test_closed_form_at_equal_ages_is_within_its_rounding_bound(n, age, mean_rounds):
+    """With every age one double a, every raw tau is one double, bit for bit,
+    within the bound of `test_closed_form_taus_are_within_their_rounding_bound_of_exact`
+    of (a - sigma_s + sigma_i) / ((n - 1) sigma_c - n sigma_s + sigma_i + a).
+
+    That is N / D with the mean age equal to a. The computed mean, ``fsum``
+    of the n copies of a over n, may round away from a, as it does at the
+    second age of each size; the bound covers that rounding. 3.03 is the
+    age of the CI game.
+    """
+    game = GameInstance(n, LONG, [age] * n)
+    assert (math.fsum(game.initial_ages) / n != age) == mean_rounds
+    result = msne_closed_form(game)
+    assert len({tau.hex() for tau in result.raw_taus}) == 1
+    assert result.feasible
+    a = Fraction(age)
+    sigma_idle, sigma_success, sigma_collision = map(
+        Fraction, (LONG.sigma_idle, LONG.sigma_success, LONG.sigma_collision)
+    )
+    numerator = a - sigma_success + sigma_idle
+    denominator = (n - 1) * sigma_collision - n * sigma_success + sigma_idle + a
+    tau = numerator / denominator
+    numerator_error, denominator_error = closed_form_error_bounds(game, 0)
+    quotient_error = (numerator_error + tau * denominator_error) / (
+        denominator - denominator_error
+    )
+    bound = (1 + U) * quotient_error + U * tau
+    got = result.raw_taus[0]
+    assert abs(Fraction(got) - tau) <= bound, (got, float(tau), float(bound))
 
 
 @given(closed_form_games_st(long_collisions=True))

@@ -15,21 +15,18 @@ from aoi_csma_game import (
     StrategyProfile,
     actions_from_string,
     age_pmf,
-    busy_seen_probability,
-    collision_probability,
-    idle_probability,
     mixed_payoff,
     msne_closed_form,
+    outcome_probabilities,
     pure_payoff,
-    success_probability_of,
-    total_success_probability,
 )
 from aoi_csma_game.game import others_transmitting
 from helpers import (
     age_pmf_oracle,
+    check_kernel_at_equal_taus,
     expected_age_oracle,
     others_transmitting_exact,
-    outcome_probabilities,
+    outcome_probabilities_oracle,
 )
 
 LENGTHS = SlotLengths(sigma_idle=0.01, sigma_success=1.01, sigma_collision=2.02)
@@ -37,6 +34,13 @@ LENGTHS = SlotLengths(sigma_idle=0.01, sigma_success=1.01, sigma_collision=2.02)
 # feasible reference-row equilibrium. All expected values below are frozen
 # from the brute-force enumeration oracle in helpers.py.
 PROFILE = StrategyProfile((0.6008, 0.3355, 0.3355))
+
+
+def total_success(profile):
+    """The slot's chance of carrying one transmission: node 0's own success
+    plus its busy seen."""
+    _, own, busy, _ = outcome_probabilities(0, profile)
+    return own + busy
 
 
 # ---------------------------------------------------------------------------
@@ -133,62 +137,62 @@ def test_action_string_round_trip():
 
 
 def test_idle_probability_trivial_cases():
-    assert idle_probability(StrategyProfile((0.0, 0.0, 0.0))) == 1.0
-    assert idle_probability(StrategyProfile((0.3, 1.0, 0.2))) == 0.0
+    assert outcome_probabilities(0, StrategyProfile((0.0, 0.0, 0.0)))[0] == 1.0
+    assert outcome_probabilities(0, StrategyProfile((0.3, 1.0, 0.2)))[0] == 0.0
 
 
 def test_idle_probability_frozen_value():
-    assert idle_probability(PROFILE) == pytest.approx(0.1762708518, abs=1e-10)
+    assert outcome_probabilities(0, PROFILE)[0] == pytest.approx(0.1762708518, abs=1e-10)
 
 
 def test_success_probability_trivial_cases():
-    assert success_probability_of(1, StrategyProfile((0.0, 1.0, 0.0))) == 1.0
-    assert success_probability_of(1, StrategyProfile((0.0, 0.0, 0.0))) == 0.0
+    assert outcome_probabilities(1, StrategyProfile((0.0, 1.0, 0.0)))[1] == 1.0
+    assert outcome_probabilities(1, StrategyProfile((0.0, 0.0, 0.0)))[1] == 0.0
 
 
 def test_success_probability_frozen_value():
-    assert success_probability_of(0, PROFILE) == pytest.approx(0.2652893982, abs=1e-10)
+    assert outcome_probabilities(0, PROFILE)[1] == pytest.approx(0.2652893982, abs=1e-10)
 
 
 def test_success_probability_rejects_bad_index():
     with pytest.raises(IndexError):
-        success_probability_of(3, PROFILE)
+        outcome_probabilities(3, PROFILE)
     with pytest.raises(IndexError):
-        success_probability_of(-1, PROFILE)
+        outcome_probabilities(-1, PROFILE)
 
 
 def test_total_success_probability_cases():
-    assert total_success_probability(StrategyProfile((0.0, 0.0))) == 0.0
-    assert total_success_probability(StrategyProfile((1.0, 0.0))) == 1.0
-    assert total_success_probability(StrategyProfile((0.5, 0.5))) == pytest.approx(
+    assert total_success(StrategyProfile((0.0, 0.0))) == 0.0
+    assert total_success(StrategyProfile((1.0, 0.0))) == 1.0
+    assert total_success(StrategyProfile((0.5, 0.5))) == pytest.approx(
         0.5, abs=1e-15
     )
 
 
 def test_busy_seen_trivial_cases():
-    assert busy_seen_probability(0, StrategyProfile((1.0, 0.3))) == 0.0
-    assert busy_seen_probability(0, StrategyProfile((0.0, 1.0))) == 1.0
+    assert outcome_probabilities(0, StrategyProfile((1.0, 0.3)))[2] == 0.0
+    assert outcome_probabilities(0, StrategyProfile((0.0, 1.0)))[2] == 1.0
 
 
 def test_busy_seen_frozen_value():
-    assert busy_seen_probability(2, PROFILE) == pytest.approx(0.3542869464, abs=1e-10)
+    assert outcome_probabilities(2, PROFILE)[2] == pytest.approx(0.3542869464, abs=1e-10)
 
 
 def test_collision_probability_cases():
-    assert collision_probability(StrategyProfile((0.0, 0.0, 0.0))) == 0.0
-    assert collision_probability(StrategyProfile((1.0, 1.0))) == 1.0
-    assert collision_probability(StrategyProfile((0.5, 0.5))) == pytest.approx(
+    assert outcome_probabilities(0, StrategyProfile((0.0, 0.0, 0.0)))[3] == 0.0
+    assert outcome_probabilities(0, StrategyProfile((1.0, 1.0)))[3] == 1.0
+    assert outcome_probabilities(0, StrategyProfile((0.5, 0.5)))[3] == pytest.approx(
         0.25, abs=1e-15
     )
 
 
 def test_probabilities_match_enumeration_oracle():
-    p_idle, p_success, p_collision, p_busy = outcome_probabilities(PROFILE.taus)
-    assert idle_probability(PROFILE) == pytest.approx(p_idle, abs=1e-15)
+    p_idle, p_success, p_collision, p_busy = outcome_probabilities_oracle(PROFILE.taus)
+    assert outcome_probabilities(0, PROFILE)[0] == pytest.approx(p_idle, abs=1e-15)
     for i in range(3):
-        assert success_probability_of(i, PROFILE) == pytest.approx(p_success[i], abs=1e-15)
-        assert busy_seen_probability(i, PROFILE) == pytest.approx(p_busy[i], abs=1e-15)
-    assert collision_probability(PROFILE) == pytest.approx(p_collision, abs=1e-15)
+        assert outcome_probabilities(i, PROFILE)[1] == pytest.approx(p_success[i], abs=1e-15)
+        assert outcome_probabilities(i, PROFILE)[2] == pytest.approx(p_busy[i], abs=1e-15)
+    assert outcome_probabilities(0, PROFILE)[3] == pytest.approx(p_collision, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -203,13 +207,14 @@ def test_probabilities_keep_relative_precision_at_extreme_taus(taus):
     subtracting those from one.
     """
     profile = StrategyProfile(taus)
-    p_idle, p_success, p_collision, p_busy = outcome_probabilities(
+    p_idle, p_success, p_collision, p_busy = outcome_probabilities_oracle(
         [Fraction(t) for t in taus], one=Fraction(1)
     )
-    pairs = [(idle_probability(profile), p_idle), (collision_probability(profile), p_collision)]
+    p_idle_got, _, _, p_collision_got = outcome_probabilities(0, profile)
+    pairs = [(p_idle_got, p_idle), (p_collision_got, p_collision)]
     for i in range(len(taus)):
-        pairs.append((success_probability_of(i, profile), p_success[i]))
-        pairs.append((busy_seen_probability(i, profile), p_busy[i]))
+        pairs.append((outcome_probabilities(i, profile)[1], p_success[i]))
+        pairs.append((outcome_probabilities(i, profile)[2], p_busy[i]))
     for got, exact in pairs:
         assert exact > 0
         assert float(abs(Fraction(got) - exact) / exact) <= 1e-12, (got, float(exact))
@@ -259,6 +264,23 @@ def test_kernel_is_within_its_rounding_bound_of_exact(taus):
             assert abs(Fraction(got) - exact) <= gamma * exact + floor, (i, k, got, float(exact))
 
 
+@pytest.mark.parametrize("n", [10_000, 100_000])
+@pytest.mark.parametrize("tau", [1e-12, 2e-5, 1 - 1e-9])
+def test_kernel_at_equal_taus_is_within_its_rounding_bound_at_large_n(n, tau):
+    """The kernel bound above holds at sizes that ``Fraction`` cannot reach.
+
+    At equal taus the exact row is a closed form of tau and n, evaluated in
+    ``decimal`` at 60 digits (see `helpers.EQUAL_TAUS_CONTEXT`): enough for
+    q2, 4.9985e-17 at the smallest here, to keep 20 significant digits
+    after 1 - q0 - q1 cancels; the check asserts that it does. The tiny tau
+    makes q2 that small. 2e-5 is about the closed form's tau at n = 1e5
+    equal ages of 3 sigma_s (sigma 0.01 / 1.01 / 2.02), where all three
+    entries are of order one. Near one, q0 and q1 underflow to 0 and q2
+    rounds to 1.
+    """
+    check_kernel_at_equal_taus(n, tau)
+
+
 # ---------------------------------------------------------------------------
 # age distribution and expectation
 
@@ -293,7 +315,7 @@ def test_age_pmf_merges_coinciding_support():
     pmf = age_pmf(0, 2.5, profile, lengths)
     assert len(pmf.support) == 3
     merged = dict(pmf.support)[2.5 + 1.01]
-    expected = collision_probability(profile) + busy_seen_probability(0, profile)
+    expected = outcome_probabilities(0, profile)[3] + outcome_probabilities(0, profile)[2]
     assert merged == pytest.approx(expected, abs=1e-15)
     assert abs(math.fsum(p for _, p in pmf.support) - 1.0) <= 1e-12
 
@@ -438,20 +460,19 @@ def games_st(draw, min_n=2, max_n=4):
 @given(profiles_st())
 def test_probability_closure(profile):
     total = (
-        idle_probability(profile)
-        + total_success_probability(profile)
-        + collision_probability(profile)
+        outcome_probabilities(0, profile)[0]
+        + total_success(profile)
+        + outcome_probabilities(0, profile)[3]
     )
     assert abs(total - 1.0) <= 1e-12
 
 
 @given(profiles_st())
 def test_busy_seen_identity(profile):
-    p_total = total_success_probability(profile)
+    p_total = total_success(profile)
     for i in range(len(profile)):
-        gap = busy_seen_probability(i, profile) - (
-            p_total - success_probability_of(i, profile)
-        )
+        _, own, busy, _ = outcome_probabilities(i, profile)
+        gap = busy - (p_total - own)
         assert abs(gap) <= 1e-12
 
 
@@ -497,14 +518,14 @@ def test_collision_probability_monotone_in_each_tau(profile, data):
     higher = data.draw(st.floats(profile[i], 1.0))
     taus = profile.taus
     bumped = StrategyProfile(taus[:i] + (higher,) + taus[i + 1 :])
-    assert collision_probability(bumped) >= collision_probability(profile) - 1e-12
+    assert outcome_probabilities(0, bumped)[3] >= outcome_probabilities(0, profile)[3] - 1e-12
 
 
 @given(profiles_st())
 def test_probabilities_agree_with_oracle_property(profile):
-    p_idle, p_success, p_collision, p_busy = outcome_probabilities(profile.taus)
-    assert abs(idle_probability(profile) - p_idle) <= 1e-12
-    assert abs(collision_probability(profile) - p_collision) <= 1e-12
+    p_idle, p_success, p_collision, p_busy = outcome_probabilities_oracle(profile.taus)
+    assert abs(outcome_probabilities(0, profile)[0] - p_idle) <= 1e-12
+    assert abs(outcome_probabilities(0, profile)[3] - p_collision) <= 1e-12
     for i in range(len(profile)):
-        assert abs(success_probability_of(i, profile) - p_success[i]) <= 1e-12
-        assert abs(busy_seen_probability(i, profile) - p_busy[i]) <= 1e-12
+        assert abs(outcome_probabilities(i, profile)[1] - p_success[i]) <= 1e-12
+        assert abs(outcome_probabilities(i, profile)[2] - p_busy[i]) <= 1e-12

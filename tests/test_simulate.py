@@ -20,12 +20,10 @@ from aoi_csma_game import (
     SlotLengths,
     StrategyProfile,
     age_pmf,
-    collision_probability,
-    idle_probability,
     msne_closed_form,
+    outcome_probabilities,
     run_monte_carlo,
     simulate_age_trajectory,
-    success_probability_of,
 )
 from aoi_csma_game import simulate
 from aoi_csma_game.reference import REFERENCE_ROWS
@@ -407,12 +405,11 @@ def test_frequencies_converge_at_reference_profile():
     profile = StrategyProfile((0.6008, 0.3355, 0.3355))
     slots = 1_000_000
     stats = run_monte_carlo(GAME, profile, slots, seed=31415)
-    p_idle = idle_probability(profile)
-    p_coll = collision_probability(profile)
+    p_idle, _, _, p_coll = outcome_probabilities(0, profile)
     assert abs(stats.idle_count / slots - p_idle) <= three_sigma_freq(p_idle, slots)
     assert abs(stats.collision_count / slots - p_coll) <= three_sigma_freq(p_coll, slots)
     for i in range(3):
-        p = success_probability_of(i, profile)
+        p = outcome_probabilities(i, profile)[1]
         assert abs(
             stats.success_count_per_node[i] / slots - p
         ) <= three_sigma_freq(p, slots)
@@ -454,7 +451,7 @@ def test_reference_equilibrium_monte_carlo_agreement():
     slots = 200_000
     stats = run_monte_carlo(game, profile, slots, seed=8080)
     for i in range(3):
-        p = success_probability_of(i, profile)
+        p = outcome_probabilities(i, profile)[1]
         assert abs(
             stats.success_count_per_node[i] / slots - p
         ) <= three_sigma_freq(p, slots)
