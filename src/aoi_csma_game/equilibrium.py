@@ -95,14 +95,15 @@ class MsneResult:
     ``raw_taus`` are reported unclamped even when they fall outside (0, 1);
     ``feasible_per_node`` holds the per-node interior-region condition,
     which is that the numerator of the node's raw value is negative, and
-    ``feasible`` additionally requires collisions to outlast successes.
+    ``feasible`` additionally requires collisions to outlast successes and
+    every raw value to lie in [0, 1].
     ``indifference_residuals`` give, per node, the payoff gap between always
     transmitting and always idling against the other nodes' raw values.
 
     ``_profile`` is the feasible equilibrium's :class:`StrategyProfile`,
-    whose kernel table the residuals were read from, or None (see
-    :func:`msne_closed_form`). Like ``StrategyProfile._others`` it is not a
-    field: it takes no part in construction, equality, hashing or repr.
+    whose kernel table the residuals were read from. Like
+    ``StrategyProfile._others`` it is not a field: it takes no part in
+    construction, equality, hashing or repr.
     """
 
     raw_taus: tuple[float, ...]
@@ -114,12 +115,11 @@ class MsneResult:
 
     def profile(self) -> StrategyProfile:
         """The equilibrium as a strategy profile; only defined when feasible."""
-        if not self.feasible:
+        if self._profile is None:
             raise ValueError(
                 "closed-form values lie outside (0, 1); no interior equilibrium profile"
             )
-        # None when a raw tau rounded out of [0, 1], which the constructor refuses.
-        return StrategyProfile(self.raw_taus) if self._profile is None else self._profile
+        return self._profile
 
 
 def _keeps(game: GameInstance, i: int, transmits: bool, others: int) -> bool:
@@ -194,35 +194,34 @@ def _indifference_gaps(
     sigma_collision). It is defined even when the values fall outside [0, 1].
     """
     # Differenced by hand: (a + sigma_s) - (a + sigma_c) from _outcome_ages loses about ulp(a).
+    collision_gap = lengths.sigma_success - lengths.sigma_collision
     return tuple(
-        q0 * (age + lengths.sigma_idle - lengths.sigma_success)
-        + q1 * (lengths.sigma_success - lengths.sigma_collision)
+        q0 * (age + lengths.sigma_idle - lengths.sigma_success) + q1 * collision_gap
         for age, (q0, q1, _) in zip(ages, others)
     )
 
 
-def _closed_form_terms(
-    lengths: SlotLengths, ages: Sequence[float], i: int, mean_age: float
-) -> tuple[float, float]:
-    """Numerator and denominator of node i's closed-form equilibrium value."""
+def _closed_form_terms(lengths: SlotLengths, ages: Sequence[float]) -> list[tuple[float, float]]:
+    """Every node's numerator and denominator of its closed-form equilibrium value."""
     n = len(ages)
+    mean_age = math.fsum(ages) / n
+    lead = lengths.sigma_success - lengths.sigma_idle
+    lag = n * lengths.sigma_success - (n - 1) * lengths.sigma_collision - lengths.sigma_idle
     # (n - 1) a_i - n mean_age, centred: a_i - mean_age is exact while a_i is
     # within a factor of 2 of the mean, where the uncentred form cancels two
     # products and keeps their rounding.
-    shifted = (n - 1) * (ages[i] - mean_age) - mean_age
-    numerator = lengths.sigma_success - lengths.sigma_idle + shifted
-    denominator = (
-        n * lengths.sigma_success
-        - (n - 1) * lengths.sigma_collision
-        - lengths.sigma_idle
-        + shifted
-    )
+    shifted = [(n - 1) * (age - mean_age) - mean_age for age in ages]
+    return [(lead + s, lag + s) for s in shifted]
+
+
+def _nonzero(denominator: float, i: int) -> float:
+    """Node i's closed-form denominator, refused when it vanishes."""
     if denominator == 0.0:
         raise SingularGameError(
             f"equilibrium denominator vanishes for node {i}; "
             "the closed form is undefined for this instance"
         )
-    return numerator, denominator
+    return denominator
 
 
 def _closed_form(
@@ -230,12 +229,11 @@ def _closed_form(
 ) -> tuple[MsneResult, Sequence[tuple[float, float, float]]]:
     """The closed form at already checked `ages`, and the kernel table of its
     raw values: the one its profile holds when it has one."""
-    mean_age = math.fsum(ages) / len(ages)
-    terms = [_closed_form_terms(lengths, ages, i, mean_age) for i in range(len(ages))]
-    raw = tuple(numerator / denominator for numerator, denominator in terms)
+    terms = _closed_form_terms(lengths, ages)
+    raw = tuple(numerator / _nonzero(denom, i) for i, (numerator, denom) in enumerate(terms))
     per_node = tuple(numerator < 0.0 for numerator, _ in terms)
-    feasible = all(per_node) and not lengths.short_collision
-    profile = StrategyProfile(raw) if feasible and all(0.0 <= t <= 1.0 for t in raw) else None
+    feasible = all(per_node) and not lengths.short_collision and all(0.0 <= t <= 1.0 for t in raw)
+    profile = StrategyProfile(raw) if feasible else None
     others = others_transmitting(raw) if profile is None else profile._others
     result = MsneResult(raw, per_node, feasible, _indifference_gaps(lengths, ages, others))
     object.__setattr__(result, "_profile", profile)
@@ -253,18 +251,15 @@ def msne_closed_form(game: GameInstance) -> MsneResult:
     which times n says that the numerator of tau_i is negative; the flag is
     the sign of that numerator as computed. The overall flag additionally
     requires sigma_collision > sigma_success (otherwise transmit is weakly
-    dominant and no node randomizes). Then each denominator lies below its
-    numerator, so with every age below 2**51 (sigma_collision -
-    sigma_success) a flag is set exactly when 0 < tau_i < 1. The mean age
-    is ``math.fsum(ages) / n``, the same double in any node order.
+    dominant and no node randomizes) and every raw value in [0, 1], so a
+    feasible result always has a profile. With longer collisions each
+    denominator lies below its numerator, so with every age below 2**51
+    (sigma_collision - sigma_success) a flag is set exactly when
+    0 < tau_i < 1, and the last condition adds nothing. The mean age is
+    ``math.fsum(ages) / n``, the same double in any node order.
 
     A feasible result builds its :class:`StrategyProfile` once, and its
-    residuals read that profile's kernel table; within the age bound above
-    the profile's constructor cannot refuse it. Past the bound rounding can
-    carry a raw value past 1 (as with sigma_collision one ulp above
-    sigma_success and ten nodes of age sigma_success); such a result keeps
-    no profile, and :meth:`MsneResult.profile` raises the constructor's
-    ``ValueError``.
+    residuals read that profile's kernel table.
     """
     return _closed_form(game.slot_lengths, game.initial_ages)[0]
 
@@ -295,7 +290,7 @@ def monotonicity_derivatives(game: GameInstance, i: int, j: int) -> tuple[float,
     _check_node_index(j, n)
     lengths = game.slot_lengths
     ages = game.initial_ages
-    _, denominator = _closed_form_terms(lengths, ages, i, math.fsum(ages) / n)
+    denominator = _nonzero(_closed_form_terms(lengths, ages)[i][1], i)
     gap = lengths.sigma_success - lengths.sigma_collision
     own = (n - 1) * (n - 2) * gap / denominator / denominator
     cross = (n - 1) * (-gap) / denominator / denominator

@@ -15,8 +15,9 @@ arithmetic, and the closed-form oracles state each node's numerator
 (whose sign is its interior condition), denominator and value, the
 indifference residuals at given taus, and the age derivatives by the
 quotient rule. At equal taus the kernel oracle is a closed form evaluated
-in ``decimal``, cheap at any n. The frozen-dataclass twins of the
-value types are the oracle for their record methods.
+in ``decimal``, and at equal ages the closed-form value has a one-term
+``Fraction`` expression; both are cheap at any n. The frozen-dataclass
+twins of the value types are the oracle for their record methods.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from aoi_csma_game import (
     StrategyProfile,
     SweepSpec,
     mixed_payoff,
+    msne_closed_form,
 )
 from aoi_csma_game.game import others_transmitting
 from aoi_csma_game.reference import ReferenceRow
@@ -345,6 +347,70 @@ def closed_form_taus_exact(game: GameInstance):
             closed_form_numerators(game), closed_form_denominators(game)
         )
     ]
+
+
+U = Fraction(1, 2**53)  # the unit roundoff
+
+
+def closed_form_error_bounds(game, i):
+    """Bounds on the rounding errors of node i's computed numerator and
+    denominator: 8 u times the sum of the magnitudes of their terms.
+
+    With m the mean age, the shared part s = (n - 1)(a_i - m) - m is formed
+    from a mean within 2u |m| of m (a correctly rounded `fsum` and one
+    division), which s scales by n, and three more roundings. As n |m| and
+    every intermediate are at most T_s = (n - 1)(|a_i| + |m|) + |m| (to
+    first order), s is within 5.01 u T_s. The numerator adds sigma_success -
+    sigma_idle in two roundings and the denominator the constant n
+    sigma_success - (n - 1) sigma_collision - sigma_idle in five, each
+    bounded by u times the terms it combines. So the numerator is within
+    7.01 u (sigma_success + sigma_idle + T_s) and the denominator within
+    6.01 u (n sigma_success + (n - 1) sigma_collision + sigma_idle + T_s).
+    """
+    n = game.n
+    lengths = game.slot_lengths
+    ages = [Fraction(age) for age in game.initial_ages]
+    mean = sum(ages) / n
+    shared = (n - 1) * (abs(ages[i]) + abs(mean)) + abs(mean)
+    sigma_idle, sigma_success, sigma_collision = (
+        Fraction(lengths.sigma_idle),
+        Fraction(lengths.sigma_success),
+        Fraction(lengths.sigma_collision),
+    )
+    numerator_terms = sigma_success + sigma_idle + shared
+    denominator_terms = n * sigma_success + (n - 1) * sigma_collision + sigma_idle + shared
+    return 8 * U * numerator_terms, 8 * U * denominator_terms
+
+
+def check_closed_form_at_equal_ages(n, age):
+    """Assert that with every age the one double `age`, at slot lengths
+    0.01 / 1.01 / 2.02, the closed form is feasible, every raw tau is one
+    double, bit for bit, and it is within (1 + u) (e_N + tau e_D) / (D -
+    e_D) + u tau of (a - sigma_s + sigma_i) / ((n - 1) sigma_c - n sigma_s +
+    sigma_i + a), with e_N and e_D the bounds of `closed_form_error_bounds`.
+
+    That is N / D with the mean age equal to a. The computed mean, ``fsum``
+    of the n copies of a over n, may round away from a; the bound covers
+    that rounding. 3.03 is the age of the CI game."""
+    lengths = SlotLengths(0.01, 1.01, 2.02)
+    game = GameInstance(n, lengths, [age] * n)
+    result = msne_closed_form(game)
+    assert len({tau.hex() for tau in result.raw_taus}) == 1
+    assert result.feasible
+    a = Fraction(age)
+    sigma_idle, sigma_success, sigma_collision = map(
+        Fraction, (lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision)
+    )
+    numerator = a - sigma_success + sigma_idle
+    denominator = (n - 1) * sigma_collision - n * sigma_success + sigma_idle + a
+    tau = numerator / denominator
+    numerator_error, denominator_error = closed_form_error_bounds(game, 0)
+    quotient_error = (numerator_error + tau * denominator_error) / (
+        denominator - denominator_error
+    )
+    bound = (1 + U) * quotient_error + U * tau
+    got = result.raw_taus[0]
+    assert abs(Fraction(got) - tau) <= bound, (n, age, got, float(tau), float(bound))
 
 
 def indifference_residuals_exact(game: GameInstance, taus):

@@ -15,7 +15,7 @@ from aoi_csma_game import (
 from aoi_csma_game import game as game_module
 from aoi_csma_game.reference import REFERENCE_ROWS, ReferenceRow
 from aoi_csma_game.scenario import load_scenario
-from helpers import closed_form_numerators
+from helpers import closed_form_error_bounds, closed_form_numerators
 
 
 def write(tmp_path, data, name="scenario.json"):
@@ -102,6 +102,53 @@ def test_printed_interior_flags_are_the_exact_numerator_signs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"interior condition per node: {exact}\n" in out
     assert "feasible: yes" in out
+
+
+def test_flag_inside_the_rounding_band_prints_the_computed_sign(tmp_path, capsys):
+    # Node 3's exact numerator, -2.13e-16, is within its rounding bound and
+    # computes as 0.0, so the interior node prints a raw tau of -0.0000 and
+    # the flag "no".
+    data = scenario_dict(initial_ages=[1.4304652777486766, 2.8808811370123335, 3.31134641476101])
+    path = write(tmp_path, data)
+    game = load_scenario(path).game
+    assert 0 < -closed_form_numerators(game)[2] <= closed_form_error_bounds(game, 2)[0]
+    assert cli.main(["analyze", "--scenario", path]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "mixed equilibrium (closed form):\n"
+        "  raw taus: 0.6506, 0.2988, -0.0000\n"
+        "  interior condition per node: yes, yes, no\n"
+        "  feasible: no\n"
+        "  indifference residuals: 1.110e-16, -3.331e-16, -1.110e-16\n"
+    ) in out
+
+
+# Past the age bound of msne_closed_form every numerator is negative, yet
+# every raw tau rounds to 1 + 4 ulp: no profile, so not feasible.
+PAST_BOUND = scenario_dict(
+    n=10,
+    sigma_idle=0.2616532086612471,
+    sigma_success=0.4956368098890145,
+    sigma_collision=math.nextafter(0.4956368098890145, 1.0),
+    initial_ages=[0.4956368098890145] * 10,
+)
+
+
+def test_analyze_past_the_age_bound_reports_infeasible(tmp_path, capsys):
+    assert cli.main(["analyze", "--scenario", write(tmp_path, PAST_BOUND)]) == 0
+    out = capsys.readouterr().out
+    assert "  interior condition per node: " + ", ".join(["yes"] * 10) + "\n" in out
+    assert "\n  feasible: no\n" in out
+
+
+def test_simulate_past_the_age_bound_refuses_the_scenario(tmp_path, capsys):
+    assert cli.main(["simulate", "--scenario", write(tmp_path, PAST_BOUND)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: closed-form equilibrium is infeasible for this scenario; "
+        "provide an explicit 'taus' list to simulate\n"
+    )
 
 
 def test_analyze_short_collision_scenario_reports_dominance(tmp_path, capsys):

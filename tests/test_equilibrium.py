@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aoi_csma_game import (
@@ -28,8 +28,11 @@ from aoi_csma_game import (
 )
 from aoi_csma_game.reference import GOLDEN_TAU_TOLERANCE, REFERENCE_ROWS
 from helpers import (
+    U,
     best_response_oracle,
+    check_closed_form_at_equal_ages,
     closed_form_denominators,
+    closed_form_error_bounds,
     closed_form_numerators,
     closed_form_taus_exact,
     indifference_residuals_exact,
@@ -365,17 +368,35 @@ def test_msne_profile_is_the_one_its_residuals_were_read_from():
     assert result == MsneResult(*fields, result.indifference_residuals)
 
 
-def test_feasible_tau_rounded_past_one_keeps_no_profile():
-    # Collisions one ulp longer than successes put every age past the bound
-    # in msne_closed_form's docstring; at ten nodes of age sigma_success the
-    # raw taus round to 1 + 4 ulp, which the profile constructor refuses.
+def past_bound_game():
+    """Collisions one ulp longer than successes put every age past the bound
+    in msne_closed_form's docstring; at ten nodes of age sigma_success every
+    numerator is negative, yet the raw taus round to 1 + 4 ulp."""
     sigma_success = 0.4956368098890145
     lengths = SlotLengths(0.2616532086612471, sigma_success, math.nextafter(sigma_success, 1.0))
-    result = msne_closed_form(GameInstance(10, lengths, [sigma_success] * 10))
-    assert result.feasible
+    return GameInstance(10, lengths, [sigma_success] * 10)
+
+
+def test_tau_rounded_past_one_is_infeasible():
+    result = msne_closed_form(past_bound_game())
+    assert result.feasible_per_node == (True,) * 10
     assert result.raw_taus == (1.0000000000000009,) * 10
-    with pytest.raises(ValueError, match="not a probability in"):
+    assert not result.feasible
+    with pytest.raises(ValueError, match="interior"):
         result.profile()
+
+
+def test_derivatives_refuse_only_a_vanishing_own_denominator():
+    # Dyadic lengths and ages: the denominators are exactly 0, -1 and -0.5.
+    game = GameInstance(3, SlotLengths(0.25, 1.0, 0.5), (2.5, 2.0, 2.25))
+    assert closed_form_denominators(game) == [0, -1, Fraction(-1, 2)]
+    with pytest.raises(SingularGameError, match="vanishes for node 0;"):
+        msne_closed_form(game)
+    assert monotonicity_derivatives(game, 1, 0) == (1.0, -1.0)
+    assert monotonicity_derivatives(game, 2, 0) == (4.0, -4.0)
+    assert monotonicity_derivatives(game, 1, 2) == (1.0, -1.0)
+    with pytest.raises(SingularGameError, match="vanishes for node 0;"):
+        monotonicity_derivatives(game, 0, 1)
 
 
 def test_closed_form_mean_age_is_the_fsum_one_in_any_order():
@@ -607,9 +628,6 @@ def test_derivatives_validate_inputs():
 # ---------------------------------------------------------------------------
 # the closed form against exact arithmetic on its doubles
 
-U = Fraction(1, 2**53)  # the unit roundoff
-
-
 @st.composite
 def closed_form_games_st(draw, long_collisions=False):
     """Games of 2 to 40 nodes whose ages sit at sigma_success to 1e6 times it,
@@ -626,34 +644,21 @@ def closed_form_games_st(draw, long_collisions=False):
     return GameInstance(n, lengths, ages)
 
 
-def closed_form_error_bounds(game, i):
-    """Bounds on the rounding errors of node i's computed numerator and
-    denominator: 8 u times the sum of the magnitudes of their terms.
-
-    With m the mean age, the shared part s = (n - 1)(a_i - m) - m is formed
-    from a mean within 2u |m| of m (a correctly rounded `fsum` and one
-    division), which s scales by n, and three more roundings. As n |m| and
-    every intermediate are at most T_s = (n - 1)(|a_i| + |m|) + |m| (to
-    first order), s is within 5.01 u T_s. The numerator adds sigma_success -
-    sigma_idle in two roundings and the denominator the constant n
-    sigma_success - (n - 1) sigma_collision - sigma_idle in five, each
-    bounded by u times the terms it combines. So the numerator is within
-    7.01 u (sigma_success + sigma_idle + T_s) and the denominator within
-    6.01 u (n sigma_success + (n - 1) sigma_collision + sigma_idle + T_s).
-    """
-    n = game.n
-    lengths = game.slot_lengths
-    ages = [Fraction(age) for age in game.initial_ages]
-    mean = sum(ages) / n
-    shared = (n - 1) * (abs(ages[i]) + abs(mean)) + abs(mean)
-    sigma_idle, sigma_success, sigma_collision = (
-        Fraction(lengths.sigma_idle),
-        Fraction(lengths.sigma_success),
-        Fraction(lengths.sigma_collision),
-    )
-    numerator_terms = sigma_success + sigma_idle + shared
-    denominator_terms = n * sigma_success + (n - 1) * sigma_collision + sigma_idle + shared
-    return 8 * U * numerator_terms, 8 * U * denominator_terms
+@given(st.one_of(closed_form_games_st(), closed_form_games_st(long_collisions=True)))
+@example(past_bound_game())
+@settings(max_examples=200, deadline=None)
+def test_feasible_exactly_when_a_profile_exists(game):
+    try:
+        result = msne_closed_form(game)
+    except SingularGameError:
+        assume(False)
+    try:
+        profile = result.profile()
+    except ValueError:
+        assert not result.feasible
+    else:
+        assert result.feasible
+        assert profile.taus == result.raw_taus
 
 
 @given(closed_form_games_st())
@@ -704,34 +709,11 @@ def test_closed_form_taus_are_within_their_rounding_bound_of_exact(game):
     ],
 )
 def test_closed_form_at_equal_ages_is_within_its_rounding_bound(n, age, mean_rounds):
-    """With every age one double a, every raw tau is one double, bit for bit,
-    within the bound of `test_closed_form_taus_are_within_their_rounding_bound_of_exact`
-    of (a - sigma_s + sigma_i) / ((n - 1) sigma_c - n sigma_s + sigma_i + a).
-
-    That is N / D with the mean age equal to a. The computed mean, ``fsum``
-    of the n copies of a over n, may round away from a, as it does at the
-    second age of each size; the bound covers that rounding. 3.03 is the
-    age of the CI game.
-    """
-    game = GameInstance(n, LONG, [age] * n)
-    assert (math.fsum(game.initial_ages) / n != age) == mean_rounds
-    result = msne_closed_form(game)
-    assert len({tau.hex() for tau in result.raw_taus}) == 1
-    assert result.feasible
-    a = Fraction(age)
-    sigma_idle, sigma_success, sigma_collision = map(
-        Fraction, (LONG.sigma_idle, LONG.sigma_success, LONG.sigma_collision)
-    )
-    numerator = a - sigma_success + sigma_idle
-    denominator = (n - 1) * sigma_collision - n * sigma_success + sigma_idle + a
-    tau = numerator / denominator
-    numerator_error, denominator_error = closed_form_error_bounds(game, 0)
-    quotient_error = (numerator_error + tau * denominator_error) / (
-        denominator - denominator_error
-    )
-    bound = (1 + U) * quotient_error + U * tau
-    got = result.raw_taus[0]
-    assert abs(Fraction(got) - tau) <= bound, (got, float(tau), float(bound))
+    """`check_closed_form_at_equal_ages`, at sizes where the computed mean
+    age equals a and, at the second age of each size, where it rounds away.
+    CI's large-n smoke step runs the check at n = 10**6."""
+    assert (math.fsum([age] * n) / n != age) == mean_rounds
+    check_closed_form_at_equal_ages(n, age)
 
 
 @given(closed_form_games_st(long_collisions=True))
