@@ -162,13 +162,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _simulation_profile(scenario: Scenario) -> tuple[StrategyProfile, str]:
     if scenario.profile is not None:
         return scenario.profile, "explicit taus from scenario"
-    result = msne_closed_form(scenario.game)
-    if not result.feasible:
+    profile = msne_closed_form(scenario.game).profile
+    if profile is None:
         raise ScenarioError(
             "closed-form equilibrium is infeasible for this scenario; "
             "provide an explicit 'taus' list to simulate"
         )
-    return result.profile(), "closed-form mixed equilibrium"
+    return profile, "closed-form mixed equilibrium"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -94,32 +94,30 @@ class MsneResult:
 
     ``raw_taus`` are reported unclamped even when they fall outside (0, 1);
     ``feasible_per_node`` holds the per-node interior-region condition,
-    which is that the numerator of the node's raw value is negative, and
-    ``feasible`` additionally requires collisions to outlast successes and
-    every raw value to lie in [0, 1].
+    which is that the numerator of the node's raw value is negative.
     ``indifference_residuals`` give, per node, the payoff gap between always
     transmitting and always idling against the other nodes' raw values.
-
-    ``_profile`` is the feasible equilibrium's :class:`StrategyProfile`,
-    whose kernel table the residuals were read from. Like
-    ``StrategyProfile._others`` it is not a field: it takes no part in
-    construction, equality, hashing or repr.
+    ``profile`` is the equilibrium as a :class:`StrategyProfile` of the raw
+    values, or None when there is none: when collisions do not outlast
+    successes, some flag is unset or some raw value lies outside [0, 1].
+    ``feasible`` is ``profile is not None``.
     """
 
     raw_taus: tuple[float, ...]
     feasible_per_node: tuple[bool, ...]
-    feasible: bool
     indifference_residuals: tuple[float, ...]
+    profile: StrategyProfile | None
 
-    _profile = None
+    def __post_init__(self) -> None:
+        if self.profile is not None and not (
+            isinstance(self.profile, StrategyProfile) and self.profile.taus == self.raw_taus
+        ):
+            raise ValueError("profile must be None or the StrategyProfile of raw_taus")
 
-    def profile(self) -> StrategyProfile:
-        """The equilibrium as a strategy profile; only defined when feasible."""
-        if self._profile is None:
-            raise ValueError(
-                "closed-form values lie outside (0, 1); no interior equilibrium profile"
-            )
-        return self._profile
+    @property
+    def feasible(self) -> bool:
+        """``profile is not None``: the closed form is an equilibrium profile."""
+        return self.profile is not None
 
 
 def _keeps(game: GameInstance, i: int, transmits: bool, others: int) -> bool:
@@ -235,9 +233,7 @@ def _closed_form(
     feasible = all(per_node) and not lengths.short_collision and all(0.0 <= t <= 1.0 for t in raw)
     profile = StrategyProfile(raw) if feasible else None
     others = others_transmitting(raw) if profile is None else profile._others
-    result = MsneResult(raw, per_node, feasible, _indifference_gaps(lengths, ages, others))
-    object.__setattr__(result, "_profile", profile)
-    return result, others
+    return MsneResult(raw, per_node, _indifference_gaps(lengths, ages, others), profile), others
 
 
 def msne_closed_form(game: GameInstance) -> MsneResult:
@@ -249,17 +245,17 @@ def msne_closed_form(game: GameInstance) -> MsneResult:
         mean_age - (n - 1)/n * age_i > (sigma_success - sigma_idle) / n,
 
     which times n says that the numerator of tau_i is negative; the flag is
-    the sign of that numerator as computed. The overall flag additionally
-    requires sigma_collision > sigma_success (otherwise transmit is weakly
-    dominant and no node randomizes) and every raw value in [0, 1], so a
-    feasible result always has a profile. With longer collisions each
-    denominator lies below its numerator, so with every age below 2**51
-    (sigma_collision - sigma_success) a flag is set exactly when
-    0 < tau_i < 1, and the last condition adds nothing. The mean age is
-    ``math.fsum(ages) / n``, the same double in any node order.
+    the sign of that numerator as computed. The result's ``profile`` is
+    the raw values as a :class:`StrategyProfile` when every flag is set,
+    sigma_collision > sigma_success (otherwise transmit is weakly dominant
+    and no node randomizes) and every raw value lies in [0, 1]; otherwise
+    it is None, and ``feasible`` is ``profile is not None``. With longer
+    collisions each denominator lies below its numerator, so with every age
+    below 2**51 (sigma_collision - sigma_success) a flag is set exactly
+    when 0 < tau_i < 1, and the last condition adds nothing. The mean age
+    is ``math.fsum(ages) / n``, the same double in any node order.
 
-    A feasible result builds its :class:`StrategyProfile` once, and its
-    residuals read that profile's kernel table.
+    The profile is built once, and the residuals read its kernel table.
     """
     return _closed_form(game.slot_lengths, game.initial_ages)[0]
 

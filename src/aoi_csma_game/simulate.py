@@ -239,8 +239,9 @@ def simulate_age_trajectory(
     the initial boundary (time 0, the starting ages), then one block per chunk
     of slots. Node i's age at a boundary is sigma_success if it just succeeded,
     otherwise its previous age plus the realized slot duration.
-    A chunk holds at most 2**15 variates, so a block's memory does not grow
-    with `num_slots` or with n.
+    Whenever n <= 2**15 a chunk holds at most 2**15 variates, so a block's
+    memory grows with neither `num_slots` nor n; past that, a chunk is one
+    slot of n variates.
 
     The exhausted generator returns (as ``StopIteration.value``) the counts
     of its slots as `SimStats`: both experiments read the same stream, so

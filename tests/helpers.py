@@ -518,8 +518,8 @@ class PureNashSetTwin:
 class MsneResultTwin:
     raw_taus: tuple
     feasible_per_node: tuple
-    feasible: bool
     indifference_residuals: tuple
+    profile: StrategyProfile | None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -84,7 +84,7 @@ def test_criterion_03_feasibility_logic():
             assert result.feasible
             for residual in result.indifference_residuals:
                 assert abs(residual) < 1e-9
-            for residual in verify_indifference(game, result.profile()):
+            for residual in verify_indifference(game, result.profile):
                 assert abs(residual) < 1e-9
 
 
@@ -185,7 +185,7 @@ def test_criterion_08_monte_carlo_validation():
     with criterion(8, "Monte Carlo agreement at the feasible reference row"):
         start = time.perf_counter()
         game = ROW["IV"].game()
-        profile = msne_closed_form(game).profile()
+        profile = msne_closed_form(game).profile
         slots = 1_000_000
         stats = run_monte_carlo(game, profile, slots, seed=42)
         lengths = game.slot_lengths
@@ -223,7 +223,7 @@ def test_criterion_09_success_probability_sweep():
             game = GameInstance(3, lengths, ages)
             result = msne_closed_form(game)
             assert result.feasible
-            profile = result.profile()
+            profile = result.profile
             taus_per_point.append(result.raw_taus)
             psucc_per_point.append(
                 tuple(outcome_probabilities(i, profile)[1] for i in range(3))

@@ -975,6 +975,18 @@ TABLE1_CHECK_SHA256 = "a9990adfb5aa44816a88ef349d7b7042696e67c074c8b23b2efa96216
 SWEEP_ROW_IV_SHA256 = "749af2712e5f660db1d2814c93c9b706e1fe3afec4ac6180f262473b6f200719"
 TRAJECTORY_ROW_IV_SHA256 = "6fdf3e19c91dbe709191bb019a22ff11503124b74ed730f6b0a85378a4e338f0"
 SIMULATE_ROW_IV_SHA256 = "f897210d3ab2dc57143ced76393c0e68b4c3dc0cc3500ee7b3f68fd71cf00dcf"
+# `simulate` at n = 150 without taus, so at the closed-form profile: near-equal
+# ages (the CI wide.json game at a smaller n) with long collisions.
+SIMULATE_WIDE_N150 = scenario_dict(
+    n=150, initial_ages=[3.03 * (1 + 1e-6 * (i % 7)) for i in range(150)]
+)
+SIMULATE_WIDE_N150_SHA256 = "f44ee53bdf555a53241f831861797012924674094183dd22303a099a82d60e16"
+# `simulate` at explicit taus with sigma_c = sigma_s: the busy and collision
+# ages coincide, so each node's age distribution merges them into one value.
+SIMULATE_TIED_AGES = scenario_dict(
+    sigma_collision=1.01, initial_ages=[2.02, 3.03, 3.03], taus=[0.4, 0.3, 0.2]
+)
+SIMULATE_TIED_AGES_SHA256 = "aa20e278c58d2651a550b2915b8ef7b203818ae70db38d2d53ffd484402b1773"
 # `analyze` at n = 13 with short collisions (sigma_c = sigma_s / 2) and ages
 # drawn uniformly from [sigma_s, 4 sigma_s]: 8178 pure Nash profiles. Its
 # residuals are those of the centred numerator, (n - 1)(a_i - m) - m.
@@ -1030,13 +1042,22 @@ def test_simulate_trajectory_csv_is_byte_stable(tmp_path, capsys):
     assert sha256(out_path.read_bytes()) == TRAJECTORY_ROW_IV_SHA256
 
 
-def test_simulate_report_is_byte_stable(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "data, digest",
+    [
+        (scenario_dict(), SIMULATE_ROW_IV_SHA256),
+        (SIMULATE_WIDE_N150, SIMULATE_WIDE_N150_SHA256),
+        (SIMULATE_TIED_AGES, SIMULATE_TIED_AGES_SHA256),
+    ],
+    ids=["row-iv", "wide-n150", "tied-ages"],
+)
+def test_simulate_report_is_byte_stable(tmp_path, capsys, monkeypatch, data, digest):
     # A relative path keeps the report's "scenario:" line fixed.
-    write(tmp_path, scenario_dict())
+    write(tmp_path, data)
     monkeypatch.chdir(tmp_path)
     argv = ["simulate", "--scenario", "scenario.json", "--slots", "20000", "--seed", "7"]
     assert cli.main(argv) == 0
-    assert sha256(capsys.readouterr().out.encode()) == SIMULATE_ROW_IV_SHA256
+    assert sha256(capsys.readouterr().out.encode()) == digest
 
 
 @pytest.mark.parametrize(

@@ -336,7 +336,7 @@ def test_two_node_symmetric_feasible_equilibrium():
     assert result.feasible
     assert result.raw_taus[0] == result.raw_taus[1]
     assert 0.0 < result.raw_taus[0] < 1.0
-    for residual in verify_indifference(game, result.profile()):
+    for residual in verify_indifference(game, result.profile):
         assert abs(residual) < 1e-9
 
 
@@ -347,25 +347,21 @@ def test_singular_denominator_raises():
 
 
 def test_msne_profile_only_defined_when_feasible():
-    feasible = msne_closed_form(ROW["IV"].game())
-    profile = feasible.profile()
-    assert isinstance(profile, StrategyProfile)
-    infeasible = msne_closed_form(ROW["I"].game())
-    with pytest.raises(ValueError, match="interior"):
-        infeasible.profile()
+    assert isinstance(msne_closed_form(ROW["IV"].game()).profile, StrategyProfile)
+    assert msne_closed_form(ROW["I"].game()).profile is None
 
 
 def test_msne_profile_is_the_one_its_residuals_were_read_from():
     game = ROW["IV"].game()
     result = msne_closed_form(game)
-    profile = result.profile()
-    assert profile is result.profile()
+    profile = result.profile
     assert profile == StrategyProfile(result.raw_taus)
     assert verify_indifference(game, profile) == result.indifference_residuals
-    # Not a field: the held profile is not part of the repr or of equality.
-    assert "_profile" not in repr(result)
-    fields = (result.raw_taus, result.feasible_per_node, result.feasible)
-    assert result == MsneResult(*fields, result.indifference_residuals)
+    # A field: the profile is part of the repr and of equality.
+    assert repr(result).endswith(f", profile={profile!r})")
+    fields = (result.raw_taus, result.feasible_per_node, result.indifference_residuals)
+    assert result == MsneResult(*fields, profile)
+    assert result != MsneResult(*fields, None)
 
 
 def past_bound_game():
@@ -382,8 +378,28 @@ def test_tau_rounded_past_one_is_infeasible():
     assert result.feasible_per_node == (True,) * 10
     assert result.raw_taus == (1.0000000000000009,) * 10
     assert not result.feasible
-    with pytest.raises(ValueError, match="interior"):
-        result.profile()
+    assert result.profile is None
+
+
+@pytest.mark.parametrize(
+    "game",
+    [row.game() for row in REFERENCE_ROWS] + [past_bound_game()],
+    ids=[row.label for row in REFERENCE_ROWS] + ["past-bound"],
+)
+def test_result_is_rebuilt_from_its_fields(game):
+    result = msne_closed_form(game)
+    rebuilt = MsneResult(*(getattr(result, field) for field in MsneResult.__match_args__))
+    assert rebuilt == result and hash(rebuilt) == hash(result)
+    assert rebuilt.profile == result.profile
+    assert rebuilt.feasible == result.feasible == (rebuilt.profile is not None)
+
+
+def test_result_refuses_a_profile_other_than_its_raw_taus():
+    result = msne_closed_form(ROW["IV"].game())
+    fields = (result.raw_taus, result.feasible_per_node, result.indifference_residuals)
+    for wrong in (StrategyProfile((0.5,) * 3), True):
+        with pytest.raises(ValueError, match="profile"):
+            MsneResult(*fields, wrong)
 
 
 def test_derivatives_refuse_only_a_vanishing_own_denominator():
@@ -464,7 +480,7 @@ def test_feasibility_implies_interior_and_indifference():
             assert 0.0 < tau < 1.0
         for residual in result.indifference_residuals:
             assert abs(residual) < 1e-9
-        for residual in verify_indifference(game, result.profile()):
+        for residual in verify_indifference(game, result.profile):
             assert abs(residual) < 1e-9
 
 
@@ -495,7 +511,7 @@ def test_equal_ages_give_equal_taus():
 def test_verify_indifference_at_reference_equilibrium():
     game = ROW["IV"].game()
     result = msne_closed_form(game)
-    residuals = verify_indifference(game, result.profile())
+    residuals = verify_indifference(game, result.profile)
     for residual in residuals:
         assert abs(residual) < 1e-9
 
@@ -510,7 +526,7 @@ def test_lone_node_strictly_prefers_transmit():
 
 
 def test_indifference_breaks_off_equilibrium():
-    row_iv_taus = msne_closed_form(ROW["IV"].game()).profile()
+    row_iv_taus = msne_closed_form(ROW["IV"].game()).profile
     perturbed = GameInstance(3, LONG, (2.02, 3.03, 3.03 + 1.01))
     residuals = verify_indifference(perturbed, row_iv_taus)
     assert abs(residuals[2]) > 1e-6
@@ -652,13 +668,15 @@ def test_feasible_exactly_when_a_profile_exists(game):
         result = msne_closed_form(game)
     except SingularGameError:
         assume(False)
-    try:
-        profile = result.profile()
-    except ValueError:
+    in_unit_interval = all(0.0 <= tau <= 1.0 for tau in result.raw_taus)
+    interior = all(result.feasible_per_node) and not game.slot_lengths.short_collision
+    if result.profile is None:
         assert not result.feasible
+        assert not (interior and in_unit_interval)
     else:
         assert result.feasible
-        assert profile.taus == result.raw_taus
+        assert interior
+        assert result.profile.taus == result.raw_taus
 
 
 @given(closed_form_games_st())

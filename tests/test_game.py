@@ -325,7 +325,7 @@ def test_age_pmf_mass_holds_at_large_n():
     # 1e-12 at n = 1e5, so unscaled cells would fail AgePmf's own check.
     n = 100_000
     game = GameInstance(n, LENGTHS, [3.03 * (1 + 1e-6 * (i % 7)) for i in range(n)])
-    profile = msne_closed_form(game).profile()
+    profile = msne_closed_form(game).profile
     for i in (0, n // 2, n - 1):
         pmf = age_pmf(i, game.initial_ages[i], profile, LENGTHS)
         assert abs(math.fsum(p for _, p in pmf.support) - 1.0) <= 1e-12

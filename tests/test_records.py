@@ -71,6 +71,14 @@ def scenario_args(draw):
 
 
 @st.composite
+def msne_result_args(draw):
+    raw = draw(tuples_of(number) | tuples_of(probability, min_size=1))
+    is_profile = raw and all(0.0 <= tau <= 1.0 for tau in raw)
+    profile = StrategyProfile(raw) if is_profile and draw(st.booleans()) else None
+    return raw, draw(tuples_of(st.booleans())), draw(tuples_of(number)), profile
+
+
+@st.composite
 def sim_stats_args(draw):
     idle, collision = draw(small_int), draw(small_int)
     successes = draw(tuples_of(small_int))
@@ -89,9 +97,7 @@ ARGS = {
         small_int,
         tuples_of(st.tuples(small_int, st.frozensets(small_int), tuples_of(small_int))),
     ),
-    MsneResult: st.tuples(
-        tuples_of(number), tuples_of(st.booleans()), st.booleans(), tuples_of(number)
-    ),
+    MsneResult: msne_result_args(),
     SweepSpec: st.tuples(small_int, number, number, small_int),
     Scenario: scenario_args(),
     ReferenceRow: st.tuples(

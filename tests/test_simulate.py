@@ -447,7 +447,7 @@ def test_one_slot_age_histogram_matches_pmf():
 
 def test_reference_equilibrium_monte_carlo_agreement():
     game = ROW_IV.game()
-    profile = msne_closed_form(game).profile()
+    profile = msne_closed_form(game).profile
     slots = 200_000
     stats = run_monte_carlo(game, profile, slots, seed=8080)
     for i in range(3):
