@@ -142,17 +142,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         + [f"psucc_{k + 1}" for k in range(n)]
     )
     row = ",".join([_CELL] * (n + 1) + ["%s"] + [_CELL] * n) + "\n"
-    singular = (math.nan,) * n
+    nan = (math.nan,) * n
     with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as out:
         out.write(",".join(header) + "\n")
         for value in sweep.values():
             ages[sweep.node - 1] = value
             try:
-                result, others = _closed_form(game.slot_lengths, ages)
+                result = _closed_form(game.slot_lengths, ages)
             except SingularGameError:
-                out.write(row % (value, *singular, "false", *singular))
+                out.write(row % (value, *nan, "false", *nan))
                 continue
-            psucc = [t * q0 for t, (q0, _, _) in zip(result.raw_taus, others)]
+            # Raw taus that are no profile have no success probabilities.
+            psucc = nan if result.profile is None else [
+                outcome_probabilities(i, result.profile)[1] for i in range(n)
+            ]
             out.write(row % (value, *result.raw_taus, str(result.feasible).lower(), *psucc))
     if args.out is not None:
         print(f"sweep written to {args.out} ({sweep.steps} points)")

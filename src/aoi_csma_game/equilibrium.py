@@ -222,18 +222,16 @@ def _nonzero(denominator: float, i: int) -> float:
     return denominator
 
 
-def _closed_form(
-    lengths: SlotLengths, ages: Sequence[float]
-) -> tuple[MsneResult, Sequence[tuple[float, float, float]]]:
-    """The closed form at already checked `ages`, and the kernel table of its
-    raw values: the one its profile holds when it has one."""
+def _closed_form(lengths: SlotLengths, ages: Sequence[float]) -> MsneResult:
+    """The closed form at already checked `ages`. The residuals read the
+    kernel table of the raw values: the one its profile holds when it has one."""
     terms = _closed_form_terms(lengths, ages)
     raw = tuple(numerator / _nonzero(denom, i) for i, (numerator, denom) in enumerate(terms))
     per_node = tuple(numerator < 0.0 for numerator, _ in terms)
     feasible = all(per_node) and not lengths.short_collision and all(0.0 <= t <= 1.0 for t in raw)
     profile = StrategyProfile(raw) if feasible else None
     others = others_transmitting(raw) if profile is None else profile._others
-    return MsneResult(raw, per_node, _indifference_gaps(lengths, ages, others), profile), others
+    return MsneResult(raw, per_node, _indifference_gaps(lengths, ages, others), profile)
 
 
 def msne_closed_form(game: GameInstance) -> MsneResult:
@@ -257,7 +255,7 @@ def msne_closed_form(game: GameInstance) -> MsneResult:
 
     The profile is built once, and the residuals read its kernel table.
     """
-    return _closed_form(game.slot_lengths, game.initial_ages)[0]
+    return _closed_form(game.slot_lengths, game.initial_ages)
 
 
 def verify_indifference(game: GameInstance, profile: StrategyProfile) -> tuple[float, ...]:

@@ -163,7 +163,7 @@ class StrategyProfile:
 
 @_record
 class GameInstance:
-    """One-shot contention game: node count, slot lengths, and starting ages.
+    """One-shot contention game: slot lengths and each node's starting age.
 
     Every starting age must be finite and at least sigma_success, since that
     is the minimum time any delivered update has already aged by the time it
@@ -171,18 +171,19 @@ class GameInstance:
     nothing to model and the interior equilibrium formula degenerates.
     """
 
-    n: int
     slot_lengths: SlotLengths
     initial_ages: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"n must be an int, got {self.n!r}")
         object.__setattr__(self, "initial_ages", tuple(map(float, self.initial_ages)))
         if self.n < 2:
             raise ValueError(f"need at least 2 contending nodes, got n = {self.n}")
-        _check_entries("initial_ages", self.initial_ages, self.n)
         _check_ages(self.initial_ages, self.slot_lengths.sigma_success, "initial_ages[{i}] = {age}")
+
+    @property
+    def n(self) -> int:
+        """The node count: one starting age per node."""
+        return len(self.initial_ages)
 
 
 @_record

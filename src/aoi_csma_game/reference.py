@@ -25,7 +25,7 @@ class ReferenceRow:
 
     def game(self) -> GameInstance:
         lengths = SlotLengths(SIGMA_IDLE, SIGMA_SUCCESS, self.sigma_collision)
-        return GameInstance(3, lengths, self.initial_ages)
+        return GameInstance(lengths, self.initial_ages)
 
 
 _PREFER_TRANSMIT = frozenset({"TTT", "TIT", "ITT", "TTI"})

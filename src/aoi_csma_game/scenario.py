@@ -173,7 +173,7 @@ def parse_scenario(data: Any) -> Scenario:
     # Every SlotLengths/GameInstance/StrategyProfile invariant.
     try:
         lengths = SlotLengths(sigma_idle, sigma_success, sigma_collision)
-        game = GameInstance(n, lengths, ages)
+        game = GameInstance(lengths, ages)
         profile = None if taus is None else StrategyProfile(taus)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

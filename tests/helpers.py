@@ -247,7 +247,7 @@ def random_slot_lengths(rng: np.random.Generator, collision_ratio: tuple[float, 
 def random_game(rng: np.random.Generator, n: int, lengths: SlotLengths) -> GameInstance:
     """Random instance with ages drawn from [sigma_success, 10 sigma_success]."""
     ages = lengths.sigma_success * (1.0 + 9.0 * rng.random(n))
-    return GameInstance(n, lengths, ages)
+    return GameInstance(lengths, ages)
 
 
 def others_transmitting_exact(taus):
@@ -393,7 +393,7 @@ def check_closed_form_at_equal_ages(n, age):
     of the n copies of a over n, may round away from a; the bound covers
     that rounding. 3.03 is the age of the CI game."""
     lengths = SlotLengths(0.01, 1.01, 2.02)
-    game = GameInstance(n, lengths, [age] * n)
+    game = GameInstance(lengths, [age] * n)
     result = msne_closed_form(game)
     assert len({tau.hex() for tau in result.raw_taus}) == 1
     assert result.feasible
@@ -459,14 +459,14 @@ def random_feasible_game(rng: np.random.Generator, n: int) -> GameInstance:
     floor = 1.001 * lengths.sigma_success
     for _ in range(200):
         ages = tuple(float(a) for a in lengths.sigma_success * (1.001 + 9.0 * rng.random(n)))
-        game = GameInstance(n, lengths, ages)
+        game = GameInstance(lengths, ages)
         if interior_condition_holds(game):
             return game
     # Near-equal ages always satisfy the interior condition.
     base = float(rng.uniform(1.1, 10.0)) * lengths.sigma_success
     jitter = 0.001 * lengths.sigma_idle * rng.random(n)
     ages = tuple(float(base + j) for j in jitter)
-    game = GameInstance(n, lengths, ages)
+    game = GameInstance(lengths, ages)
     assert interior_condition_holds(game)
     assert all(a >= floor for a in ages)
     return game
@@ -490,7 +490,6 @@ class StrategyProfileTwin:
 
 @dataclasses.dataclass(frozen=True)
 class GameInstanceTwin:
-    n: int
     slot_lengths: SlotLengths
     initial_ages: tuple
 
@@ -551,7 +550,6 @@ class ReferenceRowTwin:
 
 @dataclasses.dataclass(frozen=True)
 class SimStatsTwin:
-    slots: int
     idle_count: int
     collision_count: int
     success_count_per_node: tuple

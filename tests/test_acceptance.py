@@ -167,7 +167,7 @@ def test_criterion_07_age_sensitivity_derivatives():
             step = 1e-5 * game.slot_lengths.sigma_success
 
             def tau_i_at(ages):
-                shifted = GameInstance(n, game.slot_lengths, ages)
+                shifted = GameInstance(game.slot_lengths, ages)
                 return msne_closed_form(shifted).raw_taus[i]
 
             for target, analytic in ((i, own), (j, cross)):
@@ -220,7 +220,7 @@ def test_criterion_09_success_probability_sweep():
         for value in swept:
             ages = base_ages.copy()
             ages[2] = float(value)
-            game = GameInstance(3, lengths, ages)
+            game = GameInstance(lengths, ages)
             result = msne_closed_form(game)
             assert result.feasible
             profile = result.profile

@@ -417,9 +417,27 @@ def test_sweep_singular_point_gets_a_nan_row(tmp_path, capsys):
     header, *rows = out.splitlines()
     assert header == "swept_age,tau_1,tau_2,feasible,psucc_1,psucc_2"
     assert rows[1] == "1.25,nan,nan,false,nan,nan"
+    # Short collisions: no row is a profile, so the taus are finite and
+    # every psucc cell is nan.
     for row in (rows[0], rows[2]):
         cells = row.split(",")
-        assert all(math.isfinite(float(c)) for c in cells[:3] + cells[4:])
+        assert all(math.isfinite(float(c)) for c in cells[:3])
+        assert cells[3:] == ["false", "nan", "nan"]
+
+
+def test_sweep_writes_psucc_only_for_a_profile(tmp_path, capsys):
+    """Row IV with node 1 swept past the feasible region: the last raw taus
+    are no profile, so the row has no success probabilities."""
+    data = scenario_dict(
+        initial_ages=[2.02, 3.03, 3.03],
+        sweep={"node": 1, "from": 1.01, "to": 6.06, "steps": 6},
+    )
+    assert cli.main(["sweep", "--scenario", write(tmp_path, data)]) == 0
+    out = capsys.readouterr().out
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["true"] * 5 + ["false"]
+    assert rows[5] == "6.06,-0.980392156863,0.714689265537,0.714689265537,false,nan,nan,nan"
+    assert sha256(out.encode()) == SWEEP_PAST_FEASIBLE_SHA256
 
 
 @pytest.mark.parametrize("n, steps", [(3, 11), (40, 7)])
@@ -439,9 +457,13 @@ def test_sweep_runs_the_kernel_once_per_point(tmp_path, capsys, monkeypatch, n, 
     data = sweep_scenario(steps=steps)
     data.update(n=n, initial_ages=[3.03] * n)
     assert cli.main(["sweep", "--scenario", write(tmp_path, data)]) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == steps
-    assert "nan" not in "".join(rows)
+    # nan exactly on the rows whose taus are no profile, in their psucc cells.
+    for row in rows:
+        assert row[n + 1] in ("true", "false")
+        nan_cells = [k for k, cell in enumerate(row) if cell == "nan"]
+        assert nan_cells == (list(range(n + 2, 2 * n + 2)) if row[n + 1] == "false" else [])
     assert calls == [n] * steps
 
 
@@ -974,6 +996,9 @@ print("numpy" in sys.modules)
 TABLE1_CHECK_SHA256 = "a9990adfb5aa44816a88ef349d7b7042696e67c074c8b23b2efa9621624bcc76"
 SWEEP_ROW_IV_SHA256 = "749af2712e5f660db1d2814c93c9b706e1fe3afec4ac6180f262473b6f200719"
 TRAJECTORY_ROW_IV_SHA256 = "6fdf3e19c91dbe709191bb019a22ff11503124b74ed730f6b0a85378a4e338f0"
+# `sweep` of row IV's node 1 from sigma_s to 6 sigma_s in 6 steps: the first
+# five rows are feasible; the last has raw tau_1 < 0 and nan psucc cells.
+SWEEP_PAST_FEASIBLE_SHA256 = "5deedbc567ac1b75e24d9543b3f819d0bcc7f1ca6ce864233a48d21263b0aa68"
 SIMULATE_ROW_IV_SHA256 = "f897210d3ab2dc57143ced76393c0e68b4c3dc0cc3500ee7b3f68fd71cf00dcf"
 # `simulate` at n = 150 without taus, so at the closed-form profile: near-equal
 # ages (the CI wide.json game at a smaller n) with long collisions.

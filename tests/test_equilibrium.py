@@ -60,7 +60,7 @@ ROW = {row.label: row for row in REFERENCE_ROWS}
 
 
 def test_transmit_weakly_dominant_when_collisions_short():
-    game = GameInstance(3, SHORT, (1.01, 2.02, 3.03))
+    game = GameInstance(SHORT, (1.01, 2.02, 3.03))
     for i in range(3):
         report = check_weak_dominance(game, i, Action.TRANSMIT)
         assert report.node == i
@@ -71,14 +71,14 @@ def test_transmit_weakly_dominant_when_collisions_short():
 
 
 def test_no_weakly_dominant_strategy_when_collisions_long():
-    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
+    game = GameInstance(LONG, (2.02, 3.03, 3.03))
     for i in range(3):
         for action in (Action.TRANSMIT, Action.IDLE):
             assert not check_weak_dominance(game, i, action).weakly_dominant
 
 
 def test_boundary_equal_lengths_transmit_dominant_strict_only_at_all_idle():
-    game = GameInstance(3, EQUAL, (2.02, 2.02, 2.02))
+    game = GameInstance(EQUAL, (2.02, 2.02, 2.02))
     report = check_weak_dominance(game, 0, Action.TRANSMIT)
     assert report.weakly_dominant
     assert report.strictly_better_somewhere
@@ -115,7 +115,7 @@ def untied_games_st(draw, min_n=2, max_n=6):
         assume(lengths.sigma_collision < widest)
     n = draw(st.integers(min_n, max_n))
     ages = st.floats(lengths.sigma_success, widest, exclude_max=True)
-    return GameInstance(n, lengths, tuple(draw(ages) for _ in range(n)))
+    return GameInstance(lengths, tuple(draw(ages) for _ in range(n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,7 +139,7 @@ def test_dominance_regime_dichotomy_property(game):
 
 
 def test_dominance_rejects_out_of_range_node():
-    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
+    game = GameInstance(LONG, (2.02, 3.03, 3.03))
     for i in (-1, 3):
         with pytest.raises(IndexError):
             check_weak_dominance(game, i, Action.TRANSMIT)
@@ -148,7 +148,7 @@ def test_dominance_rejects_out_of_range_node():
 @pytest.mark.parametrize("strategy", ["T", "I", True, None])
 def test_dominance_refuses_a_non_action_strategy(strategy):
     # "T" is not Action.TRANSMIT, so unchecked it would be judged as idling.
-    game = GameInstance(3, SHORT, (2.02, 3.03, 3.03))
+    game = GameInstance(SHORT, (2.02, 3.03, 3.03))
     with pytest.raises(ValueError, match="strategy = .* is not an Action"):
         check_weak_dominance(game, 0, strategy)
 
@@ -160,7 +160,7 @@ def test_float_tie_keeps_profiles_and_strictness():
     payoffs, not by the sign of sigma_s - sigma_c.
     """
     lengths = SlotLengths(0.01, 1.01, math.nextafter(1.01, 2.0))
-    game = GameInstance(2, lengths, (10.1, 10.1))
+    game = GameInstance(lengths, (10.1, 10.1))
     assert frozenset(enumerate_pure_nash(game).as_strings()) == {"IT", "TI", "TT"}
     for i in range(2):
         report = check_weak_dominance(game, i, Action.TRANSMIT)
@@ -186,7 +186,7 @@ ALL_BUT_III = {"IIT", "ITI", "ITT", "TII", "TIT", "TTI", "TTT"}
 def test_dominance_follows_float_ties_at_large_ages(lengths, age, dominant, nash):
     """With collisions longer than successes, transmit is weakly dominant at
     an age where a + sigma_collision rounds onto a + sigma_success."""
-    game = GameInstance(3, lengths, (age,) * 3)
+    game = GameInstance(lengths, (age,) * 3)
     assert lengths.sigma_collision > lengths.sigma_success
     assert ((age + lengths.sigma_collision) <= (age + lengths.sigma_success)) is dominant
     for i in range(3):
@@ -211,22 +211,22 @@ def test_reference_rows_pure_nash_sets(label):
 
 
 def test_two_node_pure_nash_long_collisions():
-    game = GameInstance(2, LONG, (2.02, 2.02))
+    game = GameInstance(LONG, (2.02, 2.02))
     assert frozenset(enumerate_pure_nash(game).as_strings()) == {"TI", "IT"}
 
 
 def test_two_node_pure_nash_equal_lengths():
-    game = GameInstance(2, EQUAL, (2.02, 2.02))
+    game = GameInstance(EQUAL, (2.02, 2.02))
     assert frozenset(enumerate_pure_nash(game).as_strings()) == {"TT", "TI", "IT"}
 
 
 def test_two_node_pure_nash_short_collisions():
-    game = GameInstance(2, SHORT, (2.02, 2.02))
+    game = GameInstance(SHORT, (2.02, 2.02))
     assert frozenset(enumerate_pure_nash(game).as_strings()) == {"TT"}
 
 
 def test_enumeration_guard_rejects_large_games():
-    game = GameInstance(21, LONG, (2.02,) * 21)
+    game = GameInstance(LONG, (2.02,) * 21)
     with pytest.raises(ValueError, match="capped"):
         enumerate_pure_nash(game)
 
@@ -255,7 +255,7 @@ def test_classes_that_split_the_nodes(toward, expected_class, expected):
     prefers one action where the old nodes tie. One ulp below, node 0 must
     transmit with one transmitter; one ulp above, it must idle with two."""
     lengths = SlotLengths(0.01, 1.01, math.nextafter(1.01, toward))
-    game = GameInstance(3, lengths, (1.01, 10.1, 10.1))
+    game = GameInstance(lengths, (1.01, 10.1, 10.1))
     nash = enumerate_pure_nash(game)
     assert expected_class in nash.classes
     assert nash.as_strings() == expected
@@ -331,7 +331,7 @@ def test_feasible_rows_have_vanishing_residuals():
 
 
 def test_two_node_symmetric_feasible_equilibrium():
-    game = GameInstance(2, LONG, (2.02, 2.02))
+    game = GameInstance(LONG, (2.02, 2.02))
     result = msne_closed_form(game)
     assert result.feasible
     assert result.raw_taus[0] == result.raw_taus[1]
@@ -341,7 +341,7 @@ def test_two_node_symmetric_feasible_equilibrium():
 
 
 def test_singular_denominator_raises():
-    game = GameInstance(2, SlotLengths(0.25, 1.0, 0.5), (1.25, 1.0))
+    game = GameInstance(SlotLengths(0.25, 1.0, 0.5), (1.25, 1.0))
     with pytest.raises(SingularGameError, match="denominator"):
         msne_closed_form(game)
 
@@ -370,7 +370,7 @@ def past_bound_game():
     numerator is negative, yet the raw taus round to 1 + 4 ulp."""
     sigma_success = 0.4956368098890145
     lengths = SlotLengths(0.2616532086612471, sigma_success, math.nextafter(sigma_success, 1.0))
-    return GameInstance(10, lengths, [sigma_success] * 10)
+    return GameInstance(lengths, [sigma_success] * 10)
 
 
 def test_tau_rounded_past_one_is_infeasible():
@@ -404,7 +404,7 @@ def test_result_refuses_a_profile_other_than_its_raw_taus():
 
 def test_derivatives_refuse_only_a_vanishing_own_denominator():
     # Dyadic lengths and ages: the denominators are exactly 0, -1 and -0.5.
-    game = GameInstance(3, SlotLengths(0.25, 1.0, 0.5), (2.5, 2.0, 2.25))
+    game = GameInstance(SlotLengths(0.25, 1.0, 0.5), (2.5, 2.0, 2.25))
     assert closed_form_denominators(game) == [0, -1, Fraction(-1, 2)]
     with pytest.raises(SingularGameError, match="vanishes for node 0;"):
         msne_closed_form(game)
@@ -423,7 +423,7 @@ def test_closed_form_mean_age_is_the_fsum_one_in_any_order():
     ages = (1e16, 1.01, 1.01)
     want = (1.0000000000000004, 0.9999999999999998, 0.9999999999999998)
     for order in itertools.permutations(range(3)):
-        result = msne_closed_form(GameInstance(3, LONG, [ages[i] for i in order]))
+        result = msne_closed_form(GameInstance(LONG, [ages[i] for i in order]))
         assert result.raw_taus == tuple(want[i] for i in order)
 
 
@@ -448,7 +448,7 @@ def long_collision_games_st(draw, min_n=3, max_n=12):
         for _ in range(draw(st.integers(0, 4))):
             age = math.nextafter(age, draw(st.sampled_from((0.0, math.inf))))
         ages[k] = min(max(age, sigma_success), math.nextafter(widest, 0.0))
-    return GameInstance(n, lengths, tuple(ages))
+    return GameInstance(lengths, tuple(ages))
 
 
 @settings(max_examples=300, deadline=None)
@@ -499,7 +499,7 @@ def test_equal_ages_give_equal_taus():
         n = int(rng.integers(2, 6))
         lengths = random_slot_lengths(rng, collision_ratio=(0.05, 3.0))
         age = float(lengths.sigma_success * rng.uniform(1.0, 10.0))
-        game = GameInstance(n, lengths, (age,) * n)
+        game = GameInstance(lengths, (age,) * n)
         result = msne_closed_form(game)
         assert len(set(result.raw_taus)) == 1
 
@@ -517,7 +517,7 @@ def test_verify_indifference_at_reference_equilibrium():
 
 
 def test_lone_node_strictly_prefers_transmit():
-    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
+    game = GameInstance(LONG, (2.02, 3.03, 3.03))
     residuals = verify_indifference(game, StrategyProfile((0.0, 0.0, 0.0)))
     for i in range(3):
         expected = (game.initial_ages[i] + 0.01) - 1.01
@@ -527,7 +527,7 @@ def test_lone_node_strictly_prefers_transmit():
 
 def test_indifference_breaks_off_equilibrium():
     row_iv_taus = msne_closed_form(ROW["IV"].game()).profile
-    perturbed = GameInstance(3, LONG, (2.02, 3.03, 3.03 + 1.01))
+    perturbed = GameInstance(LONG, (2.02, 3.03, 3.03 + 1.01))
     residuals = verify_indifference(perturbed, row_iv_taus)
     assert abs(residuals[2]) > 1e-6
 
@@ -542,14 +542,14 @@ def test_verify_indifference_rejects_length_mismatch():
 
 
 def test_best_response_against_silent_opponents_is_transmit():
-    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
+    game = GameInstance(LONG, (2.02, 3.03, 3.03))
     tau, payoff = best_response_oracle(game, 0, (0.0, 0.0))
     assert tau == 1.0
     assert payoff == -1.01
 
 
 def test_best_response_against_certain_transmitter_is_idle():
-    game = GameInstance(3, LONG, (2.02, 3.03, 3.03))
+    game = GameInstance(LONG, (2.02, 3.03, 3.03))
     tau, payoff = best_response_oracle(game, 0, (1.0, 0.0))
     assert tau == 0.0
     assert payoff == -(2.02 + 1.01)
@@ -587,7 +587,7 @@ def test_derivative_signs_for_long_collisions():
 
 
 def test_two_node_own_derivative_vanishes():
-    game = GameInstance(2, LONG, (2.02, 3.03))
+    game = GameInstance(LONG, (2.02, 3.03))
     own, cross = monotonicity_derivatives(game, 0, 1)
     assert own == 0.0
     assert cross > 0.0
@@ -595,7 +595,7 @@ def test_two_node_own_derivative_vanishes():
 
 def test_derivatives_at_huge_ages_underflow_instead_of_raising():
     # The denominator is about -3e200 for node 0; its square overflowed.
-    game = GameInstance(3, LONG, (1e200, 2e200, 3e200))
+    game = GameInstance(LONG, (1e200, 2e200, 3e200))
     own, cross = monotonicity_derivatives(game, 0, 1)
     assert own == 0.0
     assert cross == 0.0
@@ -612,7 +612,7 @@ def test_derivatives_match_finite_differences():
         step = 1e-5 * game.slot_lengths.sigma_success
 
         def tau_i_at(ages):
-            shifted = GameInstance(n, game.slot_lengths, ages)
+            shifted = GameInstance(game.slot_lengths, ages)
             return msne_closed_form(shifted).raw_taus[i]
 
         ages = list(game.initial_ages)
@@ -636,7 +636,7 @@ def test_derivatives_validate_inputs():
         monotonicity_derivatives(game, 1, 1)
     with pytest.raises(IndexError):
         monotonicity_derivatives(game, 0, 5)
-    singular = GameInstance(2, SlotLengths(0.25, 1.0, 0.5), (1.25, 1.0))
+    singular = GameInstance(SlotLengths(0.25, 1.0, 0.5), (1.25, 1.0))
     with pytest.raises(SingularGameError):
         monotonicity_derivatives(singular, 1, 0)
 
@@ -657,7 +657,7 @@ def closed_form_games_st(draw, long_collisions=False):
     base = lengths.sigma_success * draw(st.floats(1.0, 1e6))
     spread = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 1.0, 9.0]))
     ages = tuple(base * (1.0 + spread * draw(st.floats(0.0, 1.0))) for _ in range(n))
-    return GameInstance(n, lengths, ages)
+    return GameInstance(lengths, ages)
 
 
 @given(st.one_of(closed_form_games_st(), closed_form_games_st(long_collisions=True)))
@@ -827,7 +827,7 @@ def analysed_games_st(draw, min_n=2, max_n=40):
     base = draw(st.floats(1.0, 9.0))
     spread = draw(st.sampled_from((1e-3 * base, 9.0)))
     factors = [base + spread * draw(st.floats(0.0, 1.0)) for _ in range(n)]
-    return GameInstance(n, lengths, tuple(lengths.sigma_success * f for f in factors))
+    return GameInstance(lengths, tuple(lengths.sigma_success * f for f in factors))
 
 
 def _solved(game):
@@ -870,7 +870,7 @@ def test_relabelling_the_nodes_permutes_every_result(game, data):
     within 4 n eps of their terms, since the kernel's products round in
     node order."""
     order = data.draw(st.permutations(range(game.n)))
-    relabelled = GameInstance(game.n, game.slot_lengths, [game.initial_ages[i] for i in order])
+    relabelled = GameInstance(game.slot_lengths, [game.initial_ages[i] for i in order])
     result, moved = _solved(game), _solved(relabelled)
     assert moved.raw_taus == tuple(result.raw_taus[i] for i in order)
     assert moved.feasible_per_node == tuple(result.feasible_per_node[i] for i in order)
@@ -899,7 +899,6 @@ def test_rescaling_by_a_power_of_two_scales_every_result(game, k):
     scale = math.ldexp(1.0, k)
     lengths = game.slot_lengths
     scaled = GameInstance(
-        game.n,
         SlotLengths(
             scale * lengths.sigma_idle,
             scale * lengths.sigma_success,

@@ -76,12 +76,12 @@ def test_slot_regime_classification_is_total():
 )
 def test_game_instance_refuses_non_finite_or_too_small_ages(age, message):
     with pytest.raises(ValueError) as info:
-        GameInstance(3, LENGTHS, (2.02, age, 3.03))
+        GameInstance(LENGTHS, (2.02, age, 3.03))
     assert str(info.value) == message
 
 
 def test_game_instance_holds_its_ages_as_a_tuple_of_floats():
-    ages = GameInstance(2, LENGTHS, [2, 3.03]).initial_ages
+    ages = GameInstance(LENGTHS, [2, 3.03]).initial_ages
     assert ages == (2.0, 3.03)
     assert type(ages) is tuple and all(type(a) is float for a in ages)
 
@@ -104,24 +104,13 @@ def test_strategy_profile_purity():
 
 
 def test_game_instance_rejects_single_node():
-    with pytest.raises(ValueError, match="at least 2 contending nodes"):
-        GameInstance(1, LENGTHS, (2.02, 2.02))
-
-
-@pytest.mark.parametrize("n", [3.0, 2.5, float("nan"), True, False, "3"])
-def test_game_instance_refuses_a_non_int_node_count(n):
-    with pytest.raises(ValueError, match=r"^n must be an int, got "):
-        GameInstance(n, LENGTHS, (2.02, 2.02, 2.02))
-
-
-def test_game_instance_rejects_length_mismatch():
-    with pytest.raises(ValueError, match="entries for n"):
-        GameInstance(3, LENGTHS, (2.02, 2.02))
+    with pytest.raises(ValueError, match="^need at least 2 contending nodes, got n = 1$"):
+        GameInstance(LENGTHS, (2.02,))
 
 
 def test_game_instance_rejects_age_below_success_length():
     with pytest.raises(ValueError, match="sigma_success"):
-        GameInstance(2, LENGTHS, (1.0, 2.02))
+        GameInstance(LENGTHS, (1.0, 2.02))
 
 
 def test_action_string_round_trip():
@@ -324,7 +313,7 @@ def test_age_pmf_mass_holds_at_large_n():
     # On these near-equal taus the kernel's rows drift from mass 1 by about
     # 1e-12 at n = 1e5, so unscaled cells would fail AgePmf's own check.
     n = 100_000
-    game = GameInstance(n, LENGTHS, [3.03 * (1 + 1e-6 * (i % 7)) for i in range(n)])
+    game = GameInstance(LENGTHS, [3.03 * (1 + 1e-6 * (i % 7)) for i in range(n)])
     profile = msne_closed_form(game).profile
     for i in (0, n // 2, n - 1):
         pmf = age_pmf(i, game.initial_ages[i], profile, LENGTHS)
@@ -380,7 +369,7 @@ def test_expected_age_equals_pmf_mean():
 # ---------------------------------------------------------------------------
 # payoffs
 
-GAME3 = GameInstance(3, LENGTHS, (2.02, 3.03, 3.03))
+GAME3 = GameInstance(LENGTHS, (2.02, 3.03, 3.03))
 
 
 def test_pure_payoff_case_analysis():
@@ -454,7 +443,7 @@ def games_st(draw, min_n=2, max_n=4):
     ages = tuple(
         lengths.sigma_success * (1.0 + draw(st.floats(0.0, 9.0))) for _ in range(n)
     )
-    return GameInstance(n, lengths, ages)
+    return GameInstance(lengths, ages)
 
 
 @given(profiles_st())

@@ -52,7 +52,7 @@ def game_args(draw):
     n = draw(st.integers(2, 4))
     factors = draw(st.lists(st.floats(1.0, 9.0), min_size=n, max_size=n))
     ages = tuple(lengths.sigma_success * f for f in factors)
-    return n, lengths, ages
+    return lengths, ages
 
 
 @st.composite
@@ -81,9 +81,7 @@ def msne_result_args(draw):
 @st.composite
 def sim_stats_args(draw):
     idle, collision = draw(small_int), draw(small_int)
-    successes = draw(tuples_of(small_int))
-    slots = idle + collision + sum(successes)
-    return slots, idle, collision, successes, draw(tuples_of(number))
+    return idle, collision, draw(tuples_of(small_int)), draw(tuples_of(number))
 
 
 # Positional arguments of one valid instance of each type.

@@ -46,7 +46,7 @@ def write_scenario(tmp_path, data, name="scenario.json"):
 def test_load_valid_scenario(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, VALID))
     lengths = SlotLengths(0.01, 1.01, 2.02)
-    assert scenario.game == GameInstance(3, lengths, (2 * 1.01, 3 * 1.01, 3.03))
+    assert scenario.game == GameInstance(lengths, (2 * 1.01, 3 * 1.01, 3.03))
     assert scenario.seed == 42
     assert scenario.num_slots == 1000
     assert scenario.sweep == SweepSpec(node=3, start=3 * 1.01, stop=4 * 1.01, steps=5)
@@ -83,9 +83,11 @@ def test_unknown_field_rejected(tmp_path):
 
 
 def test_wrong_type_is_reported(tmp_path):
-    data = dict(VALID, n="three")
-    with pytest.raises(ScenarioError, match="'n' must be int"):
-        load_scenario(write_scenario(tmp_path, data))
+    # The scenario's n is the only node count a caller states; the game
+    # takes its count from initial_ages.
+    for n in ("three", 3.0, 2.5, True):
+        with pytest.raises(ScenarioError, match="'n' must be int"):
+            load_scenario(write_scenario(tmp_path, dict(VALID, n=n)))
 
 
 @pytest.mark.parametrize("value", ["1.01", True, None])

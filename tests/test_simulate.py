@@ -30,7 +30,7 @@ from aoi_csma_game.reference import REFERENCE_ROWS
 from helpers import sample_slot, slot_by_slot_counts, slot_outcome_codes
 
 LENGTHS = SlotLengths(0.01, 1.01, 2.02)
-GAME = GameInstance(3, LENGTHS, (2.02, 3.03, 3.03))
+GAME = GameInstance(LENGTHS, (2.02, 3.03, 3.03))
 ROW_IV = next(r for r in REFERENCE_ROWS if r.label == "IV")
 
 
@@ -54,7 +54,7 @@ def test_sample_slot_nobody_transmits_is_idle():
 
 
 def test_sample_slot_everyone_transmits_is_collision():
-    game = GameInstance(2, LENGTHS, (2.02, 3.03))
+    game = GameInstance(LENGTHS, (2.02, 3.03))
     stats = run_monte_carlo(game, StrategyProfile((1.0, 1.0)), 20, seed=0)
     assert stats.collision_count == 20
     assert stats.idle_count == 0
@@ -98,7 +98,7 @@ def test_num_slots_past_the_success_counters_is_refused_at_the_call():
             GameInstance, SlotLengths, StrategyProfile,
             run_monte_carlo, simulate_age_trajectory,
         )
-        game = GameInstance(2, SlotLengths(0.01, 1.01, 2.02), (2.02, 3.03))
+        game = GameInstance(SlotLengths(0.01, 1.01, 2.02), (2.02, 3.03))
         profile = StrategyProfile((0.5, 0.5))
         for num_slots in (2**63, 10**400):
             for run in (run_monte_carlo, simulate_age_trajectory):
@@ -139,8 +139,16 @@ def test_certain_transmitter_wins_every_slot():
 
 
 def test_sim_stats_counts_must_sum():
-    with pytest.raises(ValueError, match="sum"):
-        SimStats(10, 5, 4, (0, 0), (1.0, 1.0))
+    stats = run_monte_carlo(GAME, StrategyProfile((0.3, 0.4, 0.2)), 1000, seed=7)
+    assert stats.slots == 1000
+    assert stats.slots == (
+        stats.idle_count + stats.collision_count + sum(stats.success_count_per_node)
+    )
+
+
+def test_sim_stats_takes_no_slot_count():
+    with pytest.raises(TypeError, match="takes 4 arguments but 5 were given"):
+        SimStats(10, 5, 4, (0, 1), (1.0, 1.0))
 
 
 def test_determinism_identical_seeds_identical_stats():
@@ -317,7 +325,7 @@ def test_a_failing_span_stops_the_others_within_a_chunk(monkeypatch):
     monkeypatch.setattr(simulate, "_slot_outcomes", outcomes)
     chunks = 400
     slots = 2 * chunks * simulate._chunk_rows(2)
-    game = GameInstance(2, LENGTHS, (2.02, 3.03))
+    game = GameInstance(LENGTHS, (2.02, 3.03))
     with pytest.raises(SpanFailure):
         run_monte_carlo(game, StrategyProfile((0.5, 0.5)), slots, seed=1)
     assert drawn[0] == 1
@@ -336,7 +344,7 @@ def test_wide_game_counts_match_slot_by_slot_sampling(monkeypatch, cpus, taus):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
     n = len(taus)
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 100 * n)  # fewer rows than nodes
-    game = GameInstance(n, LENGTHS, (2.02,) * n)
+    game = GameInstance(LENGTHS, (2.02,) * n)
     profile = StrategyProfile(taus)
     stats = run_monte_carlo(game, profile, 1000, seed=5)
     expected = slot_by_slot_counts(profile, LENGTHS, 1000, seed=5)
@@ -350,7 +358,7 @@ def test_wide_game_counts_match_slot_by_slot_sampling(monkeypatch, cpus, taus):
 def test_one_row_chunks_match_slot_by_slot_sampling(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 8)
     assert simulate._chunk_rows(10) == 1
-    game = GameInstance(10, LENGTHS, (2.02,) * 10)
+    game = GameInstance(LENGTHS, (2.02,) * 10)
     profile = StrategyProfile(tuple(np.linspace(0.02, 0.3, 10)))
     stats = run_monte_carlo(game, profile, 300, seed=21)
     assert (
@@ -382,14 +390,14 @@ def test_restart_memory_does_not_grow_with_slots(monkeypatch, cpus):
 
 def test_certain_transmitter_wins_every_slot_in_a_wide_game():
     n = 300
-    game = GameInstance(n, LENGTHS, (2.02,) * n)
+    game = GameInstance(LENGTHS, (2.02,) * n)
     stats = run_monte_carlo(game, StrategyProfile((0.0,) * 7 + (1.0,) + (0.0,) * 292), 2000, seed=4)
     assert stats.success_count_per_node == (0,) * 7 + (2000,) + (0,) * 292
     assert stats.idle_count == stats.collision_count == 0
 
 
 def test_symmetric_profile_frequencies_converge():
-    game = GameInstance(2, LENGTHS, (2.02, 2.02))
+    game = GameInstance(LENGTHS, (2.02, 2.02))
     profile = StrategyProfile((0.5, 0.5))
     slots = 1_000_000
     stats = run_monte_carlo(game, profile, slots, seed=2718)
@@ -566,7 +574,7 @@ def test_trajectory_equals_the_slot_by_slot_rebuild(data, n, seed):
     chunk_variates = data.draw(
         st.one_of(st.integers(n, 64 * n), st.integers(n, simulate._CHUNK_VARIATES))
     )
-    game = GameInstance(n, LENGTHS, tuple(LENGTHS.sigma_success * 10.0**x for x in exponents))
+    game = GameInstance(LENGTHS, tuple(LENGTHS.sigma_success * 10.0**x for x in exponents))
     profile = StrategyProfile(taus)
     with mock.patch.object(simulate, "_CHUNK_VARIATES", chunk_variates):
         table = trajectory(game, profile, 200, seed)
@@ -579,7 +587,7 @@ def test_wide_trajectory_matches_slot_by_slot_rebuild(monkeypatch, n, certain):
     # Node 0 never transmits, so its age never resets. With a certain node 1
     # every slot is its success or a collision; without one, idles, lone
     # successes and collisions all occur.
-    game = GameInstance(n, LENGTHS, np.linspace(1.01, 9.0, n))
+    game = GameInstance(LENGTHS, np.linspace(1.01, 9.0, n))
     tau_1 = 1.0 if certain else 1.0 / n
     profile = StrategyProfile((0.0, tau_1) + tuple(np.linspace(0.1, 1.0, n - 2) / n))
     expected = rebuild_trajectory(game, profile, 600, seed=19)
@@ -598,7 +606,7 @@ def test_trajectory_blocks_hold_at_most_chunk_slots_rows(monkeypatch):
 
 def test_trajectory_blocks_are_capped_by_variates_for_wide_games():
     n = 30
-    game = GameInstance(n, LENGTHS, (2.02,) * n)
+    game = GameInstance(LENGTHS, (2.02,) * n)
     blocks = list(simulate_age_trajectory(game, StrategyProfile((0.05,) * n), 40_000, seed=3))
     assert sum(len(block) for block in blocks) == 40_001
     assert max(len(block) for block in blocks) <= max(1, simulate._CHUNK_VARIATES // n)
@@ -628,7 +636,7 @@ def trajectory_stats(game, profile, slots, seed):
 def test_trajectory_returns_the_restart_stats_of_its_slots(monkeypatch, n, taus, chunk_slots):
     if chunk_slots is not None:
         monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * n)
-    game = GameInstance(n, LENGTHS, tuple(np.linspace(1.01, 9.0, n)))
+    game = GameInstance(LENGTHS, tuple(np.linspace(1.01, 9.0, n)))
     profile = StrategyProfile(taus)
     stats = trajectory_stats(game, profile, 2000, seed=21)
     assert stats == run_monte_carlo(game, profile, 2000, seed=21)
@@ -662,9 +670,8 @@ def test_rescaling_by_a_power_of_two_scales_both_experiments(taus, age_factor, s
     n = len(taus)
     profile = StrategyProfile(tuple(taus))
     ages = [LENGTHS.sigma_success * (age_factor + i) for i in range(n)]
-    game = GameInstance(n, LENGTHS, ages)
+    game = GameInstance(LENGTHS, ages)
     scaled = GameInstance(
-        n,
         SlotLengths(
             scale * LENGTHS.sigma_idle,
             scale * LENGTHS.sigma_success,
