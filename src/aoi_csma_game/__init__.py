@@ -23,7 +23,6 @@ from .equilibrium import (
 )
 from .game import (
     Action,
-    AgePmf,
     GameInstance,
     SlotLengths,
     StrategyProfile,
@@ -42,7 +41,6 @@ from .simulate import (
 
 __all__ = [
     "Action",
-    "AgePmf",
     "DominanceReport",
     "GameInstance",
     "MAX_ENUMERATION_NODES",

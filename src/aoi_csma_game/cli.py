@@ -191,36 +191,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with open(args.out, "wb") as out:
             stats = _write_trajectory(out, game.n, blocks)
 
-    rows = []
+    n = game.n
     p_idle, _, _, p_coll = outcome_probabilities(0, profile)
-    rows.append(("p_idle", p_idle, stats.idle_count / num_slots, _freq_se(p_idle, num_slots)))
-    rows.append(
-        ("p_collision", p_coll, stats.collision_count / num_slots, _freq_se(p_coll, num_slots))
-    )
-    for i in range(game.n):
-        p = outcome_probabilities(i, profile)[1]
-        rows.append(
-            (
-                f"p_success_{i + 1}",
-                p,
-                stats.success_count_per_node[i] / num_slots,
-                _freq_se(p, num_slots),
-            )
-        )
-    for i in range(game.n):
-        pmf = age_pmf(i, game.initial_ages[i], profile, lengths)
-        mean = pmf.mean()
+    rows = [
+        ("p_idle", p_idle, stats.idle_count / num_slots, _freq_se(p_idle, num_slots)),
+        ("p_collision", p_coll, stats.collision_count / num_slots, _freq_se(p_coll, num_slots)),
+    ] + [None] * (2 * n)
+    # One pass fills node i's p_success row and, n rows later, its mean_age row.
+    for i in range(n):
+        psucc = outcome_probabilities(i, profile)[1]
+        success = stats.success_count_per_node[i] / num_slots
+        rows[2 + i] = (f"p_success_{i + 1}", psucc, success, _freq_se(psucc, num_slots))
+        support = age_pmf(i, game.initial_ages[i], profile, lengths)
+        mean = math.fsum(v * p for v, p in support)
         # Centred, so that a large age does not cancel the spread of a few
         # slots; hypot scales its terms, so their squares cannot overflow.
-        spread = math.hypot(*(math.sqrt(p) * (v - mean) for v, p in pmf.support))
-        rows.append(
-            (
-                f"mean_age_{i + 1}",
-                mean,
-                stats.mean_age_after_per_node[i],
-                spread / math.sqrt(num_slots),
-            )
-        )
+        spread = math.hypot(*(math.sqrt(p) * (v - mean) for v, p in support))
+        empirical = stats.mean_age_after_per_node[i]
+        rows[2 + n + i] = (f"mean_age_{i + 1}", mean, empirical, spread / math.sqrt(num_slots))
 
     print(f"scenario: {args.scenario}")
     print(f"profile source: {source}")

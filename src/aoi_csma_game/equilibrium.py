@@ -22,7 +22,8 @@ MAX_ENUMERATION_NODES = 20
 
 
 class SingularGameError(ValueError):
-    """The closed-form equilibrium denominator vanishes for this instance."""
+    """The closed-form equilibrium cannot be evaluated for this instance: a
+    denominator vanishes, or the starting ages sum past the largest float."""
 
 
 @_record
@@ -37,8 +38,6 @@ class DominanceReport:
     weakly dominant has it false.
     """
 
-    node: int
-    strategy: Action
     weakly_dominant: bool
     strictly_better_somewhere: bool
 
@@ -148,10 +147,7 @@ def check_weak_dominance(game: GameInstance, i: int, strategy: Action) -> Domina
     at_least = all(_keeps(game, i, transmits, k) for k in counts)
     strictly_somewhere = any(not _keeps(game, i, not transmits, k) for k in counts)
     return DominanceReport(
-        node=i,
-        strategy=strategy,
-        weakly_dominant=at_least,
-        strictly_better_somewhere=at_least and strictly_somewhere,
+        weakly_dominant=at_least, strictly_better_somewhere=at_least and strictly_somewhere
     )
 
 
@@ -202,7 +198,13 @@ def _indifference_gaps(
 def _closed_form_terms(lengths: SlotLengths, ages: Sequence[float]) -> list[tuple[float, float]]:
     """Every node's numerator and denominator of its closed-form equilibrium value."""
     n = len(ages)
-    mean_age = math.fsum(ages) / n
+    try:
+        mean_age = math.fsum(ages) / n
+    except OverflowError:  # fsum's partial sums overflow
+        raise SingularGameError(
+            "the starting ages sum past the largest float; "
+            "the closed form cannot be evaluated for this instance"
+        ) from None
     lead = lengths.sigma_success - lengths.sigma_idle
     lag = n * lengths.sigma_success - (n - 1) * lengths.sigma_collision - lengths.sigma_idle
     # (n - 1) a_i - n mean_age, centred: a_i - mean_age is exact while a_i is

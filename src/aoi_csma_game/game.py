@@ -165,10 +165,11 @@ class StrategyProfile:
 class GameInstance:
     """One-shot contention game: slot lengths and each node's starting age.
 
-    Every starting age must be finite and at least sigma_success, since that
-    is the minimum time any delivered update has already aged by the time it
-    is received. Single-node "games" are rejected: without contention there is
-    nothing to model and the interior equilibrium formula degenerates.
+    Every starting age must be at least sigma_success, since that is the
+    minimum time any delivered update has already aged by the time it is
+    received, and must stay finite through any one slot. Single-node "games"
+    are rejected: without contention there is nothing to model and the
+    interior equilibrium formula degenerates.
     """
 
     slot_lengths: SlotLengths
@@ -178,7 +179,7 @@ class GameInstance:
         object.__setattr__(self, "initial_ages", tuple(map(float, self.initial_ages)))
         if self.n < 2:
             raise ValueError(f"need at least 2 contending nodes, got n = {self.n}")
-        _check_ages(self.initial_ages, self.slot_lengths.sigma_success, "initial_ages[{i}] = {age}")
+        _check_ages(self.initial_ages, self.slot_lengths, "initial_ages[{i}] = {age}")
 
     @property
     def n(self) -> int:
@@ -186,52 +187,33 @@ class GameInstance:
         return len(self.initial_ages)
 
 
-@_record
-class AgePmf:
-    """Discrete distribution of a node's age at the end of one slot.
-
-    Support values are distinct (coinciding outcome ages are merged on
-    construction by the producing operation) and probabilities sum to one.
-    """
-
-    support: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        values = [v for v, _ in self.support]
-        if len(set(values)) != len(values):
-            raise ValueError("support values must be distinct")
-        for value, prob in self.support:
-            if not math.isfinite(value):
-                raise ValueError(f"age {value} is not finite")
-            if prob < 0.0:
-                raise ValueError(f"probability {prob} at age {value} is negative")
-        mass = math.fsum(p for _, p in self.support)
-        # Written so that a nan mass (from a nan probability) is refused too.
-        if not abs(mass - 1.0) <= 1e-12:
-            raise ValueError(f"probabilities sum to {mass}, expected 1 within 1e-12")
-
-    def mean(self) -> float:
-        return math.fsum(v * p for v, p in self.support)
-
-
 def _check_entries(name: str, entries: Sized, n: int) -> None:
     if len(entries) != n:
         raise ValueError(f"{name} has {len(entries)} entries for n = {n} nodes")
 
 
-def _check_ages(ages: Iterable[float], sigma_success: float, name: str) -> None:
-    """Refuse an age that is not finite or is below sigma_success.
+def _check_ages(ages: Iterable[float], lengths: SlotLengths, name: str) -> None:
+    """Refuse an age below sigma_success, or one that a slot would age past
+    the largest float.
 
     A delivered update is already sigma_success old when it arrives, so no
-    age can be smaller. ``name`` is formatted with the refused age's
-    position ``i`` and value ``age`` only when one is refused.
+    age can be smaller. No slot outlasts the longer of sigma_success and
+    sigma_collision, so an age that stays finite plus that length keeps
+    every end-of-slot age finite. ``name`` is formatted with the refused
+    age's position ``i`` and value ``age`` only when one is refused.
     """
+    sigma_success = lengths.sigma_success
+    longest = max(sigma_success, lengths.sigma_collision)
     for i, age in enumerate(ages):
-        if not sigma_success <= age < math.inf:  # also refuses nan
+        if not (sigma_success <= age and age + longest < math.inf):  # also refuses nan
             label = name.format(i=i, age=age)
             if not math.isfinite(age):
                 raise ValueError(f"{label} is not finite")
-            raise ValueError(f"{label} violates age >= sigma_success ({sigma_success})")
+            if age < sigma_success:
+                raise ValueError(f"{label} violates age >= sigma_success ({sigma_success})")
+            raise ValueError(
+                f"{label} is too large: a slot of {longest} would age it past the largest float"
+            )
 
 
 def _check_node_index(i: int, n: int) -> None:
@@ -294,8 +276,11 @@ def _outcome_ages(lengths: SlotLengths, age: float) -> tuple[tuple[float, ...], 
 
 def age_pmf(
     i: int, age_before: float, profile: StrategyProfile, slot_lengths: SlotLengths
-) -> AgePmf:
+) -> tuple[tuple[float, float], ...]:
     """Distribution of node i's age at the end of the slot, given its age at the start.
+
+    The result is the support as ``((age, probability), ...)`` in increasing
+    age, with distinct ages and probabilities that sum to one.
 
     Each cell of :func:`_outcome_ages` carries the mass of node i's action
     times that of its count of other transmitters. Outcome ages that
@@ -303,7 +288,7 @@ def age_pmf(
     are merged into a single support point; zero-probability outcomes are
     dropped.
     """
-    _check_ages((age_before,), slot_lengths.sigma_success, "age_before = {age}")
+    _check_ages((age_before,), slot_lengths, "age_before = {age}")
     _check_node_index(i, len(profile))
     tau = profile[i]
     others = profile._others[i]
@@ -314,14 +299,14 @@ def age_pmf(
     for ages, own in zip(_outcome_ages(slot_lengths, age_before), (1.0 - tau, tau)):
         for value, q in zip(ages, others):
             merged[value] = merged.get(value, 0.0) + own * (q / mass)
-    support = tuple(sorted((v, p) for v, p in merged.items() if p != 0.0))
-    return AgePmf(support)
+    return tuple(sorted((v, p) for v, p in merged.items() if p != 0.0))
 
 
 def mixed_payoff(i: int, game: GameInstance, profile: StrategyProfile) -> float:
     """Node i's payoff under a mixed profile: minus the mean of its :func:`age_pmf`."""
     _check_entries("profile", profile, game.n)
-    return -age_pmf(i, game.initial_ages[i], profile, game.slot_lengths).mean()
+    support = age_pmf(i, game.initial_ages[i], profile, game.slot_lengths)
+    return -math.fsum(v * p for v, p in support)
 
 
 def pure_payoff(i: int, game: GameInstance, actions: Sequence[Action]) -> float:

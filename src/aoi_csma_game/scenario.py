@@ -109,7 +109,7 @@ class Scenario:
     profile: StrategyProfile | None = None
 
 
-def _parse_sweep(block: Any, n: int, sigma_success: float) -> SweepSpec:
+def _parse_sweep(block: Any, n: int, lengths: SlotLengths) -> SweepSpec:
     """Check a sweep block, with its grid's first and last points.
 
     Rounding keeps the points monotone in k, so the endpoints bound every
@@ -127,12 +127,12 @@ def _parse_sweep(block: Any, n: int, sigma_success: float) -> SweepSpec:
     steps = _require(block, "steps", int, minimum=2, maximum=2**53)
     if "from" not in block or "to" not in block:
         raise ScenarioError("sweep requires both 'from' and 'to'")
-    start = _duration(block["from"], sigma_success, "sweep.from")
-    stop = _duration(block["to"], sigma_success, "sweep.to")
+    start = _duration(block["from"], lengths.sigma_success, "sweep.from")
+    stop = _duration(block["to"], lengths.sigma_success, "sweep.to")
     step = (stop - start) / (steps - 1)
     try:
         for k in (0, steps - 1):  # point 0 is NaN when step is infinite
-            _check_ages((start + k * step,), sigma_success, f"sweep value {{age}} (point {k})")
+            _check_ages((start + k * step,), lengths, f"sweep value {{age}} (point {k})")
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     return SweepSpec(node, start, stop, steps)
@@ -178,7 +178,7 @@ def parse_scenario(data: Any) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    sweep = None if "sweep" not in data else _parse_sweep(data["sweep"], n, sigma_success)
+    sweep = None if "sweep" not in data else _parse_sweep(data["sweep"], n, lengths)
     return Scenario(game, seed, num_slots, sweep, profile)
 
 

@@ -200,19 +200,25 @@ def _sim_stats(game, counts, num_slots):
     outcome code over `num_slots` slots."""
     idle, collision, successes = int(counts[0]), int(counts[-1]), counts[1:-1]
     lengths = game.slot_lengths
-    total_duration = (
-        idle * lengths.sigma_idle
-        + int(successes.sum()) * lengths.sigma_success
-        + collision * lengths.sigma_collision
+    terms = (
+        (idle, lengths.sigma_idle),
+        (int(successes.sum()), lengths.sigma_success),
+        (collision, lengths.sigma_collision),
     )
+    # Where the slots' total duration, or a huge age times the misses, would
+    # overflow, both terms are divided by a power of two, which rounds
+    # nothing, and the mean is multiplied back. The total is summed in units
+    # of 2**shift, from lengths so divided.
+    shift = max(0, *(math.frexp(sigma)[1] + count.bit_length() - 1021 for count, sigma in terms))
+    unit = 2.0**-shift
+    total_duration = sum(count * (sigma * unit) for count, sigma in terms)
     mean_ages = []
     for age, succeeded in zip(game.initial_ages, successes.tolist()):
         misses = num_slots - succeeded
-        # Where a huge age times the misses would overflow, both terms are
-        # divided by a power of two, which rounds nothing, and the mean is
-        # multiplied back.
-        scale = 2.0 ** max(0, math.frexp(age)[1] + misses.bit_length() - 1021)
-        mean_ages.append((total_duration / scale + age / scale * misses) / num_slots * scale)
+        exponent = max(shift, math.frexp(age)[1] + misses.bit_length() - 1021)
+        scale = 2.0**exponent
+        total = total_duration / 2.0 ** (exponent - shift)
+        mean_ages.append((total + age / scale * misses) / num_slots * scale)
     return SimStats(
         idle_count=idle,
         collision_count=collision,

@@ -33,7 +33,6 @@ import numpy as np
 
 from aoi_csma_game import (
     Action,
-    AgePmf,
     DominanceReport,
     GameInstance,
     MsneResult,
@@ -117,6 +116,11 @@ def age_pmf_oracle(i, taus, age, lengths):
 def expected_age_oracle(i, taus, age, lengths):
     """Node i's expected end-of-slot age: the mean of `age_pmf_oracle`."""
     return math.fsum(value * mass for value, mass in age_pmf_oracle(i, taus, age, lengths).items())
+
+
+def support_mean(support):
+    """The mean of an ``age_pmf`` support, summed as ``mixed_payoff`` sums it."""
+    return math.fsum(value * mass for value, mass in support)
 
 
 def _game_payoff_oracle(game, i, transmit_vector):
@@ -495,14 +499,7 @@ class GameInstanceTwin:
 
 
 @dataclasses.dataclass(frozen=True)
-class AgePmfTwin:
-    support: tuple
-
-
-@dataclasses.dataclass(frozen=True)
 class DominanceReportTwin:
-    node: int
-    strategy: Action
     weakly_dominant: bool
     strictly_better_somewhere: bool
 
@@ -560,7 +557,6 @@ RECORD_TWINS = {
     SlotLengths: SlotLengthsTwin,
     StrategyProfile: StrategyProfileTwin,
     GameInstance: GameInstanceTwin,
-    AgePmf: AgePmfTwin,
     DominanceReport: DominanceReportTwin,
     PureNashSet: PureNashSetTwin,
     MsneResult: MsneResultTwin,

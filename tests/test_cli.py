@@ -679,20 +679,76 @@ def test_simulate_age_band_of_a_silent_node_does_not_depend_on_its_age(tmp_path,
     assert bands[0] == bands[1]
 
 
-@pytest.mark.parametrize("age", [1e200, 1e307, sys.float_info.max])
-def test_simulate_reports_finite_bands_at_huge_ages(tmp_path, capsys, age):
-    # Squaring the age deviations overflowed at 1e200, and the restart mean's
-    # age times the slot count at 1e307.
-    data = scenario_dict(n=2, initial_ages=[age, age], taus=[0.5, 0.5], seed=0, num_slots=1000)
+HUGE_AGES = [1e200, 1e307, sys.float_info.max]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        *(
+            scenario_dict(n=2, initial_ages=[age, age], taus=[0.5, 0.5], seed=0, num_slots=1000)
+            for age in HUGE_AGES
+        ),
+        scenario_dict(
+            sigma_collision=1e308,
+            initial_ages=[1.01, 2.02, 3.03],
+            taus=[0.3] * 3,
+            seed=1,
+            num_slots=100,
+        ),
+    ],
+    ids=[*map(str, HUGE_AGES), "sigma_collision=1e+308"],
+)
+def test_simulate_reports_finite_bands_at_huge_ages(tmp_path, capsys, data):
+    # Squaring the age deviations overflowed at 1e200, the restart mean's
+    # age times the slot count at 1e307, and its total duration at 25
+    # collisions of 1e308.
     assert cli.main(["simulate", "--scenario", write(tmp_path, data)]) == 0
     out = capsys.readouterr().out
     rows = [line.split() for line in out.splitlines() if line.startswith("mean_age_")]
-    assert len(rows) == 2
+    assert len(rows) == data["n"]
     for _, analytic, empirical, diff, band, within in rows:
         assert all(math.isfinite(float(cell)) for cell in (analytic, empirical, diff, band))
         assert float(band) > 0.0
         assert within == "yes"
     assert out.endswith("all quantities within 3 standard errors: yes\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+def test_ages_summing_past_the_largest_float_have_no_closed_form(tmp_path, capsys, command):
+    """math.fsum of these ages overflows: analyze and simulate refuse the
+    scenario, and sweep writes each point's nan row."""
+    sweep = {"node": 1, "from": 1e308, "to": 1.5e308, "steps": 3}
+    data = scenario_dict(initial_ages=[1e308] * 3, sweep=sweep)
+    code = cli.main([command, "--scenario", write(tmp_path, data)])
+    out, err = capsys.readouterr()
+    if command == "sweep":
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            f"{age},nan,nan,nan,false,nan,nan,nan" for age in ("1e+308", "1.25e+308", "1.5e+308")
+        ]
+    else:
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the starting ages sum past the largest float; "
+            "the closed form cannot be evaluated for this instance\n"
+        )
+
+
+def test_simulate_out_refuses_an_age_a_slot_would_overflow(tmp_path, capsys):
+    # A collision would age every node to inf, so the game is refused at load.
+    data = scenario_dict(sigma_collision=1e308, initial_ages=[1e308] * 3, taus=[0.3] * 3)
+    csv_path = tmp_path / "trajectory.csv"
+    code = cli.main(["simulate", "--scenario", write(tmp_path, data), "--out", str(csv_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert err.endswith(
+        ": initial_ages[0] = 1e+308 is too large: "
+        "a slot of 1e+308 would age it past the largest float\n"
+    )
+    assert err.count("\n") == 1
+    assert not csv_path.exists()
 
 
 def test_simulate_infeasible_without_taus_exits_1(tmp_path, capsys):

@@ -63,8 +63,6 @@ def test_transmit_weakly_dominant_when_collisions_short():
     game = GameInstance(SHORT, (1.01, 2.02, 3.03))
     for i in range(3):
         report = check_weak_dominance(game, i, Action.TRANSMIT)
-        assert report.node == i
-        assert report.strategy is Action.TRANSMIT
         assert report.weakly_dominant
         assert report.strictly_better_somewhere
         assert not check_weak_dominance(game, i, Action.IDLE).weakly_dominant
@@ -132,8 +130,8 @@ def test_dominance_regime_dichotomy_property(game):
             assert not transmit.weakly_dominant
             assert not idle.weakly_dominant
         # Both flags against a brute-force loop over every opponent profile.
-        for report in (transmit, idle):
-            weakly, strictly = dominance_oracle(game, i, report.strategy is Action.TRANSMIT)
+        for report, transmits in ((transmit, True), (idle, False)):
+            weakly, strictly = dominance_oracle(game, i, transmits)
             assert report.weakly_dominant == weakly
             assert report.strictly_better_somewhere == strictly
 
@@ -413,6 +411,14 @@ def test_derivatives_refuse_only_a_vanishing_own_denominator():
     assert monotonicity_derivatives(game, 1, 2) == (1.0, -1.0)
     with pytest.raises(SingularGameError, match="vanishes for node 0;"):
         monotonicity_derivatives(game, 0, 1)
+
+
+def test_ages_summing_past_the_largest_float_are_singular():
+    # Each age is valid, but math.fsum of all three overflows.
+    game = GameInstance(LONG, (1e308, 1e308, 1e308))
+    for call in (lambda: msne_closed_form(game), lambda: monotonicity_derivatives(game, 0, 1)):
+        with pytest.raises(SingularGameError, match="^the starting ages sum past the largest float;"):
+            call()
 
 
 def test_closed_form_mean_age_is_the_fsum_one_in_any_order():

@@ -15,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_csma_game import (
-    Action,
-    AgePmf,
     DominanceReport,
     GameInstance,
     MsneResult,
@@ -56,13 +54,6 @@ def game_args(draw):
 
 
 @st.composite
-def age_pmf_args(draw):
-    values = draw(st.lists(positive, min_size=1, max_size=4, unique=True))
-    weights = draw(st.lists(st.integers(1, 8), min_size=len(values), max_size=len(values)))
-    return (tuple((v, w / sum(weights)) for v, w in zip(values, weights)),)
-
-
-@st.composite
 def scenario_args(draw):
     game = GameInstance(*draw(game_args()))
     sweep = draw(st.none() | st.builds(SweepSpec, small_int, number, number, small_int))
@@ -89,8 +80,7 @@ ARGS = {
     SlotLengths: slot_lengths_args(),
     StrategyProfile: st.tuples(tuples_of(probability, min_size=1)),
     GameInstance: game_args(),
-    AgePmf: age_pmf_args(),
-    DominanceReport: st.tuples(small_int, st.sampled_from(Action), st.booleans(), st.booleans()),
+    DominanceReport: st.tuples(st.booleans(), st.booleans()),
     PureNashSet: st.tuples(
         small_int,
         tuples_of(st.tuples(small_int, st.frozensets(small_int), tuples_of(small_int))),

@@ -27,7 +27,7 @@ from aoi_csma_game import (
 )
 from aoi_csma_game import simulate
 from aoi_csma_game.reference import REFERENCE_ROWS
-from helpers import sample_slot, slot_by_slot_counts, slot_outcome_codes
+from helpers import sample_slot, slot_by_slot_counts, slot_outcome_codes, support_mean
 
 LENGTHS = SlotLengths(0.01, 1.01, 2.02)
 GAME = GameInstance(LENGTHS, (2.02, 3.03, 3.03))
@@ -430,8 +430,8 @@ def test_restart_mean_age_converges_to_analytic_expectation():
     for i in range(3):
         age = GAME.initial_ages[i]
         pmf = age_pmf(i, age, profile, LENGTHS)
-        expected = pmf.mean()
-        variance = sum(p * v * v for v, p in pmf.support) - expected**2
+        expected = support_mean(pmf)
+        variance = sum(p * v * v for v, p in pmf) - expected**2
         band = 3.0 * math.sqrt(variance / slots)
         assert abs(stats.mean_age_after_per_node[i] - expected) <= band
 
@@ -441,7 +441,7 @@ def test_one_slot_age_histogram_matches_pmf():
     slots = 200_000
     stats = run_monte_carlo(GAME, profile, slots, seed=4242)
     for i in range(3):
-        pmf = dict(age_pmf(i, GAME.initial_ages[i], profile, LENGTHS).support)
+        pmf = dict(age_pmf(i, GAME.initial_ages[i], profile, LENGTHS))
         other_successes = sum(stats.success_count_per_node) - stats.success_count_per_node[i]
         empirical = {
             GAME.initial_ages[i] + LENGTHS.sigma_idle: stats.idle_count / slots,
