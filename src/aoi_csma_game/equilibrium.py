@@ -23,7 +23,8 @@ MAX_ENUMERATION_NODES = 20
 
 class SingularGameError(ValueError):
     """The closed-form equilibrium cannot be evaluated for this instance: a
-    denominator vanishes, or the starting ages sum past the largest float."""
+    denominator vanishes, the starting ages sum past the largest float, or
+    an age lies so far above their mean that its term overflows."""
 
 
 @_record
@@ -211,6 +212,11 @@ def _closed_form_terms(lengths: SlotLengths, ages: Sequence[float]) -> list[tupl
     # within a factor of 2 of the mean, where the uncentred form cancels two
     # products and keeps their rounding.
     shifted = [(n - 1) * (age - mean_age) - mean_age for age in ages]
+    if not all(map(math.isfinite, shifted)):
+        raise SingularGameError(
+            "a starting age lies too far above the mean age; "
+            "the closed form cannot be evaluated for this instance"
+        )
     return [(lead + s, lag + s) for s in shifted]
 
 

@@ -13,8 +13,10 @@ in node-index order within the slot. Identical inputs replay bit-identically.
 A span of slots starting at slot s reads the same stream from a PCG64
 generator advanced by ``s * n`` variates, so splitting a run into spans or
 chunks never changes a draw. ``_CHUNK_VARIATES`` is the one chunk size: a
-chunk holds at most 2**15 variates (but at least one slot), so the buffers
-of a restart span take at most about 0.75 MB and fit a 1 MB L2 cache.
+chunk holds at most 2**15 variates (but at least one slot), in whole tiles
+of a quarter chunk. A restart span holds one chunk of uniforms, one tile of
+thresholds and two arrays of 8 bytes a slot: about 0.37 MiB at n = 10 and
+at most about 0.82 MiB (at n = 1), under a 1 MiB L2 cache.
 
 Both experiments read each slot as one outcome code: 0 for idle, j + 1 for a
 lone success by node j (its trajectory column) and n + 1 for a collision.
@@ -73,16 +75,23 @@ def _check_run(game, profile, num_slots, seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
+def _tile_rows(n):
+    """Rows of the threshold tile for n nodes: a quarter of a chunk, but at
+    least one row."""
+    return max(1, _CHUNK_VARIATES // n // 4)
+
+
 def _chunk_rows(n):
     """Slots per chunk for n nodes: at most _CHUNK_VARIATES variates, but at
-    least one slot."""
-    return max(1, _CHUNK_VARIATES // n)
+    least one slot, rounded down to a whole number of threshold tiles."""
+    tile = _tile_rows(n)
+    return max(1, _CHUNK_VARIATES // n) // tile * tile
 
 
 def _slot_outcomes(taus, seed, start, stop):
-    """Yield the outcome codes of slots `start`..`stop`, one ``intp`` array
-    per chunk: 0 for an idle slot, j + 1 for a lone success by node j, and
-    n + 1 for a collision.
+    """Yield the outcome codes of slots `start`..`stop`, one fresh ``intp``
+    array per chunk: 0 for an idle slot, j + 1 for a lone success by node j,
+    and n + 1 for a collision.
 
     The generator is advanced past the ``start * n`` variates that earlier
     slots consume, so any span reads exactly its part of the single
@@ -106,19 +115,29 @@ def _slot_outcomes(taus, seed, start, stop):
     bit_generator.advance(start * n)
     rng = np.random.Generator(bit_generator)
     rows = min(_chunk_rows(n), stop - start)
+    tile = min(_tile_rows(n), rows)
     uniforms = np.empty((rows, n))
-    # Each node's tau on every row of a chunk. Compared with a broadcast
-    # tau row instead, numpy would run the comparison through a buffer, at
-    # about half the speed.
-    thresholds = np.tile(taus, (rows, 1))
+    # Each node's tau on a tile's rows, broadcast over the tiles of a chunk.
+    # Against a broadcast tau row, numpy would run the comparison through a
+    # buffer at about half the speed, and against a tile of fewer variates
+    # than that 8192-element buffer (an eighth of a chunk) about 1.5 times
+    # slower than against a quarter chunk or more.
+    thresholds = np.tile(taus, (tile, 1))
     weights = np.arange(n, 2 * n, dtype=float)
+    sums = np.empty(rows)
     for lo in range(start, stop, rows):
         block = rng.random(out=uniforms[: stop - lo])
-        transmits = np.less(block, thresholds[: len(block)], out=block)
-        # Unnamed, the codes are freed as soon as the caller drops them.
-        yield np.clip(
-            np.einsum("ij,j->i", transmits, weights) - (n - 1), 0, n + 1
-        ).astype(np.intp)
+        whole = len(block) // tile * tile
+        tiles = block[:whole].reshape(-1, tile, n)
+        np.less(tiles, thresholds, out=tiles)
+        if whole < len(block):  # only in a run's last chunk
+            rest = block[whole:]
+            np.less(rest, thresholds[: len(rest)], out=rest)
+        codes = np.einsum("ij,j->i", block, weights, out=sums[: len(block)])
+        np.subtract(codes, n - 1, out=codes)
+        np.clip(codes, 0, n + 1, out=codes)
+        # A fresh array: the caller may keep every chunk's codes.
+        yield codes.astype(np.intp)
 
 
 def _span_counts(taus, seed, start, stop, failed):
@@ -157,10 +176,11 @@ def run_monte_carlo(
     realized slot length otherwise.
 
     The slots are split into one contiguous span per usable CPU (never more
-    spans than chunks), each counted on its own thread; numpy releases the
-    GIL while it fills, compares and counts. Integer counts add up the same
-    in any order, so the result does not depend on the CPU count or chunk
-    size.
+    spans than chunks), each counted on its own thread. numpy releases the
+    GIL while it fills a chunk and while its loops compare and sum, but
+    ``bincount`` and the Python side of each call, ``np.clip``'s wrapper
+    among them, hold it. Integer counts add up the same in any order, so
+    the result does not depend on the CPU count or chunk size.
     """
     import numpy as np
 
@@ -272,8 +292,10 @@ def _trajectory_blocks(game, taus, num_slots, seed):
     # before one, so that t - (-a) is exactly the t + a of no reset. Every
     # slot boundary is positive and every -a negative, so a positive reset
     # time says the node has succeeded, and its age gains sigma_success. The
-    # time column is a node reset at 0 that never succeeds: t - 0 is t.
-    reset_at = np.concatenate(([0.0], -initial))
+    # time column is reset at +inf, so that the mask of successes has no gap
+    # there (a gappy mask makes numpy's masked add about 9x slower), and its
+    # values are then overwritten with the times.
+    reset_at = np.concatenate(([math.inf], -initial))
     counts = np.zeros(n + 2, dtype=np.int64)
     for codes in _slot_outcomes(taus, seed, 0, num_slots):
         counts += np.bincount(codes, minlength=len(counts))
@@ -294,6 +316,7 @@ def _trajectory_blocks(game, taus, num_slots, seed):
         succeeded = table > 0
         np.subtract(times[:, np.newaxis], table, out=table)
         np.add(table, lengths.sigma_success, out=table, where=succeeded)
+        table[:, 0] = times
         # Dropped before the block is written, as the block is before the next is built.
         del codes, lone, succeeded, times
         yield table

@@ -735,6 +735,28 @@ def test_ages_summing_past_the_largest_float_have_no_closed_form(tmp_path, capsy
         )
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+def test_an_age_far_above_the_mean_has_no_closed_form(tmp_path, capsys, command):
+    """The ages sum to a finite double, but node 1's closed-form term
+    9 * (1e308 - 1e307) overflows: analyze and simulate refuse the scenario,
+    and sweep writes each point's nan row. Before, analyze printed a raw tau
+    of nan and residuals of nan and exited 0."""
+    sweep = {"node": 2, "from": 1.01, "to": 3.03, "steps": 3}
+    data = scenario_dict(n=10, initial_ages=[1e308] + [1.01] * 9, sweep=sweep)
+    code = cli.main([command, "--scenario", write(tmp_path, data)])
+    out, err = capsys.readouterr()
+    if command == "sweep":
+        assert (code, err) == (0, "")
+        nan_row = ",".join(["nan"] * 10 + ["false"] + ["nan"] * 10)
+        assert out.splitlines()[1:] == [f"{age},{nan_row}" for age in ("1.01", "2.02", "3.03")]
+    else:
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: a starting age lies too far above the mean age; "
+            "the closed form cannot be evaluated for this instance\n"
+        )
+
+
 def test_simulate_out_refuses_an_age_a_slot_would_overflow(tmp_path, capsys):
     # A collision would age every node to inf, so the game is refused at load.
     data = scenario_dict(sigma_collision=1e308, initial_ages=[1e308] * 3, taus=[0.3] * 3)

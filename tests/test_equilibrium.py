@@ -421,6 +421,14 @@ def test_ages_summing_past_the_largest_float_are_singular():
             call()
 
 
+def test_an_age_far_above_the_mean_is_singular():
+    # The ages sum to a finite double, but 9 * (1e308 - 1e307) overflows.
+    game = GameInstance(LONG, (1e308,) + (1.01,) * 9)
+    for call in (lambda: msne_closed_form(game), lambda: monotonicity_derivatives(game, 1, 2)):
+        with pytest.raises(SingularGameError, match="^a starting age lies too far above the mean"):
+            call()
+
+
 def test_closed_form_mean_age_is_the_fsum_one_in_any_order():
     # ulp(1e16) = 2, so the exact sum 1e16 + 2.02 rounds to 1e16 + 2, which
     # math.fsum gives in any order. Plain additions from the left round up

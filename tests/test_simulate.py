@@ -379,13 +379,37 @@ def test_restart_memory_does_not_grow_with_slots(monkeypatch, cpus):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # A span holds one chunk of uniforms and one of thresholds (8 bytes a
-    # variate each) and at most two arrays of 8 bytes a slot: with 3 nodes,
-    # below 3 * 8 bytes a variate in all. Both runs peak near 686 KiB a span;
+    # A span holds one chunk of uniforms, a tile of thresholds a quarter of
+    # a chunk long (8 bytes a variate each) and two arrays of 8 bytes a
+    # slot: the row buffer the codes are formed in and the codes it yields.
+    # With 3 nodes that is 491 KiB, and both runs peak near 496 KiB a span;
     # the float32 counting kernel with 2**18-variate chunks read 3.1 MiB.
-    assert max(peaks) < cpus * 3 * 8 * simulate._CHUNK_VARIATES
+    rows = simulate._chunk_rows(3)
+    span = 8 * (3 * rows + 3 * simulate._tile_rows(3) + 2 * rows)
+    assert max(peaks) < cpus * (span + 16 * 1024)
     if cpus == 1:  # how long two spans' buffers coexist depends on the threads
         assert peaks[1] < peaks[0] + 8 * 1024
+
+
+@pytest.mark.parametrize(
+    "n, chunk_variates, start, stop, chunks",
+    [
+        # A span shorter than a chunk: 2 tiles of 10 rows and 7 rows over.
+        (3, 3 * 40, 0, 27, [27]),
+        # 43 rows a chunk round down to 4 tiles of 10; the last chunk is one
+        # tile and 7 rows over.
+        (3, 3 * 43, 5, 142, [40, 40, 40, 17]),
+        # Chunks of 3 rows: a quarter chunk is less than a row, so tiles are one row.
+        (50, 150, 0, 10, [3, 3, 3, 1]),
+    ],
+    ids=["short-span", "partial-last-chunk", "one-row-tile"],
+)
+def test_threshold_tiles_cover_every_row(monkeypatch, n, chunk_variates, start, stop, chunks):
+    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_variates)
+    taus = np.linspace(0.05, 0.95, n)
+    blocks = list(simulate._slot_outcomes(taus, 31, start, stop))
+    assert [len(codes) for codes in blocks] == chunks
+    assert np.array_equal(np.concatenate(blocks), slot_outcome_codes(taus, 31, start, stop))
 
 
 def test_certain_transmitter_wins_every_slot_in_a_wide_game():
