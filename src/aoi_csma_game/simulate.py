@@ -16,7 +16,7 @@ chunks never changes a draw. ``_CHUNK_VARIATES`` is the one chunk size: a
 chunk holds at most 2**15 variates (but at least one slot), in whole tiles
 of a quarter chunk. A restart span holds one chunk of uniforms, one tile of
 thresholds and two arrays of 8 bytes a slot: about 0.37 MiB at n = 10 and
-at most about 0.82 MiB (at n = 1), under a 1 MiB L2 cache.
+at most 576 KiB (at n = 2, the smallest game), under a 1 MiB L2 cache.
 
 Both experiments read each slot as one outcome code: 0 for idle, j + 1 for a
 lone success by node j (its trajectory column) and n + 1 for a collision.
@@ -51,7 +51,10 @@ _MAX_SLOTS = (1 << 63) - 1
 
 @_record
 class SimStats:
-    """Aggregate counts and restart-experiment age means over a simulation run."""
+    """Aggregate counts and restart-experiment age means over a simulation run.
+
+    Each mean is the correctly rounded value of a rational in the integer
+    counts, and it is finite for every game that `GameInstance` accepts."""
 
     idle_count: int
     collision_count: int
@@ -218,32 +221,25 @@ def run_monte_carlo(
 def _sim_stats(game, counts, num_slots):
     """The restart experiment's `SimStats` from the ``int64`` counts of each
     outcome code over `num_slots` slots."""
-    idle, collision, successes = int(counts[0]), int(counts[-1]), counts[1:-1]
+    idle, collision, successes = int(counts[0]), int(counts[-1]), counts[1:-1].tolist()
     lengths = game.slot_lengths
-    terms = (
-        (idle, lengths.sigma_idle),
-        (int(successes.sum()), lengths.sigma_success),
-        (collision, lengths.sigma_collision),
-    )
-    # Where the slots' total duration, or a huge age times the misses, would
-    # overflow, both terms are divided by a power of two, which rounds
-    # nothing, and the mean is multiplied back. The total is summed in units
-    # of 2**shift, from lengths so divided.
-    shift = max(0, *(math.frexp(sigma)[1] + count.bit_length() - 1021 for count, sigma in terms))
-    unit = 2.0**-shift
-    total_duration = sum(count * (sigma * unit) for count, sigma in terms)
-    mean_ages = []
-    for age, succeeded in zip(game.initial_ages, successes.tolist()):
-        misses = num_slots - succeeded
-        exponent = max(shift, math.frexp(age)[1] + misses.bit_length() - 1021)
-        scale = 2.0**exponent
-        total = total_duration / 2.0 ** (exponent - shift)
-        mean_ages.append((total + age / scale * misses) / num_slots * scale)
+    durations = (lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision)
+    ratios = [value.as_integer_ratio() for value in durations + game.initial_ages]
+    # Each double is an int over a power of two, so over the largest of them
+    # every length, age and sum below is an exact int, and one int division
+    # rounds each mean correctly. It cannot overflow: a mean is at most an age
+    # plus the longest slot, which _check_ages keeps finite.
+    scale = max(den for _, den in ratios)
+    sigma_idle, sigma_success, sigma_collision, *ages = [num * scale // den for num, den in ratios]
+    total = idle * sigma_idle + sum(successes) * sigma_success + collision * sigma_collision
+    divisor = num_slots * scale
     return SimStats(
         idle_count=idle,
         collision_count=collision,
-        success_count_per_node=tuple(int(s) for s in successes),
-        mean_age_after_per_node=tuple(mean_ages),
+        success_count_per_node=tuple(successes),
+        mean_age_after_per_node=tuple(
+            (total + age * (num_slots - won)) / divisor for age, won in zip(ages, successes)
+        ),
     )
 
 

@@ -10,8 +10,8 @@ variate stream one slot at a time, the outcome-code oracle decodes a whole
 transmit matrix of that stream, and the grid best-response oracle searches
 a node's own transmit probability with the generic mixed payoff. The
 exact oracles read every double as the rational number it is: the kernel
-oracle multiplies out each node's others one by one in ``Fraction``
-arithmetic, and the closed-form oracles state each node's numerator
+oracle multiplies out each node's others one by one in integers over a
+power of two, and the closed-form oracles state each node's numerator
 (whose sign is its interior condition), denominator and value, the
 indifference residuals at given taus, and the age derivatives by the
 quotient rule. At equal taus the kernel oracle is a closed form evaluated
@@ -257,15 +257,24 @@ def random_game(rng: np.random.Generator, n: int, lengths: SlotLengths) -> GameI
 def others_transmitting_exact(taus):
     """For every node i, the exact chances that 0, 1 and >= 2 *other* nodes
     transmit, as ``Fraction``s of the double taus, from the product of
-    ``(1 - tau_j) + tau_j x`` over j != i, one factor at a time."""
-    exact = [Fraction(tau) for tau in taus]
+    ``(1 - tau_j) + tau_j x`` over j != i, one factor at a time.
+
+    Each double tau is an integer over a power of two, so over the largest
+    of those powers every factor is an int: the products are taken in ints
+    and each chance becomes a ``Fraction`` once."""
+    ratios = [float(tau).as_integer_ratio() for tau in taus]
+    scale = max(den for _, den in ratios)
+    exact = [num * scale // den for num, den in ratios]
+    whole = scale ** (len(exact) - 1)
     rows = []
     for i in range(len(exact)):
-        none, one = Fraction(1), Fraction(0)
+        none, one = 1, 0
         for j, tau in enumerate(exact):
             if j != i:
-                none, one = none * (1 - tau), one * (1 - tau) + none * tau
-        rows.append((none, one, 1 - none - one))
+                none, one = none * (scale - tau), one * (scale - tau) + none * tau
+        rows.append(
+            (Fraction(none, whole), Fraction(one, whole), Fraction(whole - none - one, whole))
+        )
     return rows
 
 

@@ -1079,11 +1079,14 @@ TRAJECTORY_ROW_IV_SHA256 = "6fdf3e19c91dbe709191bb019a22ff11503124b74ed730f6b0a8
 SWEEP_PAST_FEASIBLE_SHA256 = "5deedbc567ac1b75e24d9543b3f819d0bcc7f1ca6ce864233a48d21263b0aa68"
 SIMULATE_ROW_IV_SHA256 = "f897210d3ab2dc57143ced76393c0e68b4c3dc0cc3500ee7b3f68fd71cf00dcf"
 # `simulate` at n = 150 without taus, so at the closed-form profile: near-equal
-# ages (the CI wide.json game at a smaller n) with long collisions.
+# ages (the CI wide.json game at a smaller n) with long collisions. The exact
+# restart means in rows mean_age_50, _64, _71 and _85 sit on a 7th-decimal
+# tie (4.5104275 in _50), so each printed cell follows its correctly rounded
+# double.
 SIMULATE_WIDE_N150 = scenario_dict(
     n=150, initial_ages=[3.03 * (1 + 1e-6 * (i % 7)) for i in range(150)]
 )
-SIMULATE_WIDE_N150_SHA256 = "f44ee53bdf555a53241f831861797012924674094183dd22303a099a82d60e16"
+SIMULATE_WIDE_N150_SHA256 = "8d2189b5d474f85813a809fb554ab878273028a963994c9417965fcb50422cd1"
 # `simulate` at explicit taus with sigma_c = sigma_s: the busy and collision
 # ages coincide, so each node's age distribution merges them into one value.
 SIMULATE_TIED_AGES = scenario_dict(

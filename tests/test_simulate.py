@@ -7,11 +7,12 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoi_csma_game import (
@@ -149,6 +150,68 @@ def test_sim_stats_counts_must_sum():
 def test_sim_stats_takes_no_slot_count():
     with pytest.raises(TypeError, match="takes 4 arguments but 5 were given"):
         SimStats(10, 5, 4, (0, 1), (1.0, 1.0))
+
+
+@st.composite
+def restart_counts(draw):
+    """A game and the counts of a restart run on it, any of them near a limit."""
+    # Up to 8e307, so that an age lies between sigma_success and the largest
+    # float less the longest slot.
+    positive = st.floats(min_value=5e-324, max_value=8e307)
+    pair = st.lists(positive, min_size=2, max_size=2, unique=True)
+    sigma_idle, sigma_success = sorted(draw(pair))
+    lengths = SlotLengths(sigma_idle, sigma_success, draw(positive))
+    longest = max(sigma_success, lengths.sigma_collision)
+    n = draw(st.integers(2, 5))
+    age = st.floats(min_value=sigma_success, max_value=sys.float_info.max - longest)
+    ages = draw(st.lists(age.filter(lambda a: a + longest < math.inf), min_size=n, max_size=n))
+    count = st.integers(0, simulate._MAX_SLOTS // (n + 2))
+    counts = draw(st.lists(count, min_size=n + 2, max_size=n + 2).filter(any))
+    return GameInstance(lengths, ages), counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(restart_counts())
+# The largest age with 2**63 - 1 slots: a power-of-two rescaled sum rounded
+# the second node's mean to 3.6637499999999994, not 3.66375.
+@example(
+    (
+        GameInstance(LENGTHS, (sys.float_info.max, 3.03, 1.01)),
+        [2**61, 2**61, 2**60, 2**60, 2**61 - 1],
+    )
+)
+# Subnormal slot lengths and ages: every mean is subnormal.
+@example(
+    (
+        GameInstance(SlotLengths(5e-324, 1e-323, 2e-323), (1e-323, 3e-323, 7.4e-322)),
+        [2**62, 3, 2**40, 5, 2**61 + 7],
+    )
+)
+# Collisions of 1e308: the slots' total duration is far past the largest
+# float, but no mean is.
+@example(
+    (
+        GameInstance(SlotLengths(0.01, 1.01, 1e308), (1.01, 3.03, 7e307)),
+        [5, 2**62, 3, 2**40, 2**62 - 2**41],
+    )
+)
+def test_restart_means_are_correctly_rounded(game_counts):
+    """Each restart mean is the double nearest (total + age * misses) / slots,
+    for counts in `SimStats` order: idle, each node's wins, collisions."""
+    game, counts = game_counts
+    lengths = game.slot_lengths
+    idle, *wins, collision = counts
+    slots = sum(counts)
+    total = (
+        idle * Fraction(lengths.sigma_idle)
+        + sum(wins) * Fraction(lengths.sigma_success)
+        + collision * Fraction(lengths.sigma_collision)
+    )
+    stats = simulate._sim_stats(game, np.array(counts, dtype=np.int64), slots)
+    assert stats.mean_age_after_per_node == tuple(
+        float(Fraction(total + Fraction(age) * (slots - won), slots))
+        for age, won in zip(game.initial_ages, wins)
+    )
 
 
 def test_determinism_identical_seeds_identical_stats():
@@ -369,26 +432,31 @@ def test_one_row_chunks_match_slot_by_slot_sampling(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_restart_memory_does_not_grow_with_slots(monkeypatch, cpus):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-    profile = StrategyProfile((0.3, 0.4, 0.2))
-    run_monte_carlo(GAME, profile, 1000, seed=3)  # one-off allocations are not traced
-    peaks = []
-    for slots in (200_000, 800_000):  # 19 and 74 chunks of 10922 slots
-        tracemalloc.start()
-        try:
-            run_monte_carlo(GAME, profile, slots, seed=3)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # A span holds one chunk of uniforms, a tile of thresholds a quarter of
-    # a chunk long (8 bytes a variate each) and two arrays of 8 bytes a
-    # slot: the row buffer the codes are formed in and the codes it yields.
-    # With 3 nodes that is 491 KiB, and both runs peak near 496 KiB a span;
-    # the float32 counting kernel with 2**18-variate chunks read 3.1 MiB.
-    rows = simulate._chunk_rows(3)
-    span = 8 * (3 * rows + 3 * simulate._tile_rows(3) + 2 * rows)
-    assert max(peaks) < cpus * (span + 16 * 1024)
-    if cpus == 1:  # how long two spans' buffers coexist depends on the threads
-        assert peaks[1] < peaks[0] + 8 * 1024
+    for taus in ((0.3, 0.4), (0.3, 0.4, 0.2)):
+        n = len(taus)
+        game = GameInstance(LENGTHS, GAME.initial_ages[:n])
+        profile = StrategyProfile(taus)
+        run_monte_carlo(game, profile, 1000, seed=3)  # one-off allocations are not traced
+        peaks = []
+        for slots in (200_000, 800_000):  # 13 and 49 chunks at n = 2, 19 and 74 at n = 3
+            tracemalloc.start()
+            try:
+                run_monte_carlo(game, profile, slots, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # A span holds one chunk of uniforms, a tile of thresholds a quarter
+        # of a chunk long (8 bytes a variate each) and two arrays of 8 bytes
+        # a slot: the row buffer the codes are formed in and the codes it
+        # yields. That is 576 KiB with 2 nodes, the most at any n a game
+        # accepts, and 491 KiB with 3; the runs peak near 582 and 496 KiB a
+        # span. The float32 counting kernel with 2**18-variate chunks read
+        # 3.1 MiB at n = 3.
+        rows = simulate._chunk_rows(n)
+        span = 8 * (n * rows + n * simulate._tile_rows(n) + 2 * rows)
+        assert max(peaks) < cpus * (span + 16 * 1024), n
+        if cpus == 1:  # how long two spans' buffers coexist depends on the threads
+            assert peaks[1] < peaks[0] + 8 * 1024, n
 
 
 @pytest.mark.parametrize(
