@@ -14,9 +14,11 @@ A span of slots starting at slot s reads the same stream from a PCG64
 generator advanced by ``s * n`` variates, so splitting a run into spans or
 chunks never changes a draw. ``_CHUNK_VARIATES`` is the one chunk size: a
 chunk holds at most 2**15 variates (but at least one slot), in whole tiles
-of a quarter chunk. A restart span holds one chunk of uniforms, one tile of
-thresholds and two arrays of 8 bytes a slot: about 0.37 MiB at n = 10 and
-at most 576 KiB (at n = 2, the smallest game), under a 1 MiB L2 cache.
+of a quarter chunk, and every chunk compares every tile. A span's buffers
+depend on n alone, whatever the run's length: one chunk of uniforms, one
+tile of thresholds and two arrays of 8 bytes a slot, about 0.37 MiB at
+n = 10 and at most 576 KiB (at n = 2, the smallest game), under a 1 MiB L2
+cache.
 
 Both experiments read each slot as one outcome code: 0 for idle, j + 1 for a
 lone success by node j (its trajectory column) and n + 1 for a collision.
@@ -78,17 +80,12 @@ def _check_run(game, profile, num_slots, seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
-def _tile_rows(n):
-    """Rows of the threshold tile for n nodes: a quarter of a chunk, but at
-    least one row."""
-    return max(1, _CHUNK_VARIATES // n // 4)
-
-
 def _chunk_rows(n):
-    """Slots per chunk for n nodes: at most _CHUNK_VARIATES variates, but at
-    least one slot, rounded down to a whole number of threshold tiles."""
-    tile = _tile_rows(n)
-    return max(1, _CHUNK_VARIATES // n) // tile * tile
+    """The chunk geometry for n nodes, ``(rows, tile)``: at most _CHUNK_VARIATES
+    variates but at least one slot a chunk, in whole threshold tiles of a
+    quarter chunk but at least one row."""
+    tile = max(1, _CHUNK_VARIATES // n // 4)
+    return max(1, _CHUNK_VARIATES // n) // tile * tile, tile
 
 
 def _slot_outcomes(taus, seed, start, stop):
@@ -99,7 +96,9 @@ def _slot_outcomes(taus, seed, start, stop):
     The generator is advanced past the ``start * n`` variates that earlier
     slots consume, so any span reads exactly its part of the single
     ``default_rng(seed)`` stream (slot-major, node order within a slot),
-    whatever the span bounds and chunk size.
+    whatever the span bounds and chunk size. The buffers depend on n alone,
+    whatever the span's length, and every chunk compares every tile: a short
+    chunk's rows past its draws too, which are never summed.
 
     A code is the slot's 0/1 transmit row summed by one float64 ``einsum``
     against the weights n + j, less n - 1, clipped to [0, n + 1]. No
@@ -117,9 +116,9 @@ def _slot_outcomes(taus, seed, start, stop):
     bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
     bit_generator.advance(start * n)
     rng = np.random.Generator(bit_generator)
-    rows = min(_chunk_rows(n), stop - start)
-    tile = min(_tile_rows(n), rows)
-    uniforms = np.empty((rows, n))
+    rows, tile = _chunk_rows(n)
+    uniforms = np.zeros((rows, n))  # so that rows never drawn compare as numbers
+    tiles = uniforms.reshape(-1, tile, n)
     # Each node's tau on a tile's rows, broadcast over the tiles of a chunk.
     # Against a broadcast tau row, numpy would run the comparison through a
     # buffer at about half the speed, and against a tile of fewer variates
@@ -130,12 +129,7 @@ def _slot_outcomes(taus, seed, start, stop):
     sums = np.empty(rows)
     for lo in range(start, stop, rows):
         block = rng.random(out=uniforms[: stop - lo])
-        whole = len(block) // tile * tile
-        tiles = block[:whole].reshape(-1, tile, n)
         np.less(tiles, thresholds, out=tiles)
-        if whole < len(block):  # only in a run's last chunk
-            rest = block[whole:]
-            np.less(rest, thresholds[: len(rest)], out=rest)
         codes = np.einsum("ij,j->i", block, weights, out=sums[: len(block)])
         np.subtract(codes, n - 1, out=codes)
         np.clip(codes, 0, n + 1, out=codes)
@@ -189,7 +183,7 @@ def run_monte_carlo(
 
     _check_run(game, profile, num_slots, seed)
     taus = np.asarray(profile.taus)
-    num_spans = min(_usable_cpus(), -(-num_slots // _chunk_rows(game.n)))
+    num_spans = min(_usable_cpus(), -(-num_slots // _chunk_rows(game.n)[0]))
     bounds = [num_slots * k // num_spans for k in range(num_spans + 1)]
     results = [None] * num_spans
     # Set by a span that fails, Ctrl-C included, so that every span stops
@@ -215,13 +209,14 @@ def run_monte_carlo(
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    return _sim_stats(game, sum(results), num_slots)
+    return _sim_stats(game, sum(results))
 
 
-def _sim_stats(game, counts, num_slots):
+def _sim_stats(game, counts):
     """The restart experiment's `SimStats` from the ``int64`` counts of each
-    outcome code over `num_slots` slots."""
+    outcome code; every slot has one code, so they sum to the slot count."""
     idle, collision, successes = int(counts[0]), int(counts[-1]), counts[1:-1].tolist()
+    num_slots = idle + collision + sum(successes)
     lengths = game.slot_lengths
     durations = (lengths.sigma_idle, lengths.sigma_success, lengths.sigma_collision)
     ratios = [value.as_integer_ratio() for value in durations + game.initial_ages]
@@ -268,6 +263,20 @@ def simulate_age_trajectory(
     import numpy as np
 
     _check_run(game, profile, num_slots, seed)
+    lengths = game.slot_lengths
+    longest = max(lengths.sigma_success, lengths.sigma_collision)
+    # Every time is a running float sum of at most num_slots slot lengths,
+    # each at most `longest`, and every age at most a time plus the largest
+    # starting age. A rounded sum is no further from the exact one than the
+    # old sum is, so each addition adds at most twice its addend: the factor
+    # 2 is the rounding margin. A running sum gains that much only while its
+    # addends sit just above half its spacing, so the margin also covers the
+    # three roundings of this check.
+    if not 2 * (num_slots * longest) + max(game.initial_ages) < math.inf:
+        raise ValueError(
+            f"{num_slots} slots of up to {longest} could run the trajectory's "
+            "clock or ages past the largest float"
+        )
     return _trajectory_blocks(game, np.asarray(profile.taus), num_slots, seed)
 
 
@@ -317,4 +326,4 @@ def _trajectory_blocks(game, taus, num_slots, seed):
         del codes, lone, succeeded, times
         yield table
         del table
-    return _sim_stats(game, counts, num_slots)
+    return _sim_stats(game, counts)

@@ -365,12 +365,13 @@ def closed_form_taus_exact(game: GameInstance):
 U = Fraction(1, 2**53)  # the unit roundoff
 
 
-def closed_form_error_bounds(game, i):
-    """Bounds on the rounding errors of node i's computed numerator and
-    denominator: 8 u times the sum of the magnitudes of their terms.
+def closed_form_error_bounds(game):
+    """Bounds on the rounding errors of each node's computed numerator and
+    denominator, as one ``(e_N, e_D)`` pair per node: 8 u times the sum of
+    the magnitudes of their terms.
 
-    With m the mean age, the shared part s = (n - 1)(a_i - m) - m is formed
-    from a mean within 2u |m| of m (a correctly rounded `fsum` and one
+    With m the mean age, node i's shared part s = (n - 1)(a_i - m) - m is
+    formed from a mean within 2u |m| of m (a correctly rounded `fsum` and one
     division), which s scales by n, and three more roundings. As n |m| and
     every intermediate are at most T_s = (n - 1)(|a_i| + |m|) + |m| (to
     first order), s is within 5.01 u T_s. The numerator adds sigma_success -
@@ -379,20 +380,26 @@ def closed_form_error_bounds(game, i):
     bounded by u times the terms it combines. So the numerator is within
     7.01 u (sigma_success + sigma_idle + T_s) and the denominator within
     6.01 u (n sigma_success + (n - 1) sigma_collision + sigma_idle + T_s).
+
+    The mean is summed once per game, and each distinct age's pair is formed
+    once, so a game costs O(n) `Fraction` additions.
     """
     n = game.n
     lengths = game.slot_lengths
-    ages = [Fraction(age) for age in game.initial_ages]
-    mean = sum(ages) / n
-    shared = (n - 1) * (abs(ages[i]) + abs(mean)) + abs(mean)
+    mean = abs(sum(map(Fraction, game.initial_ages)) / n)
     sigma_idle, sigma_success, sigma_collision = (
         Fraction(lengths.sigma_idle),
         Fraction(lengths.sigma_success),
         Fraction(lengths.sigma_collision),
     )
-    numerator_terms = sigma_success + sigma_idle + shared
-    denominator_terms = n * sigma_success + (n - 1) * sigma_collision + sigma_idle + shared
-    return 8 * U * numerator_terms, 8 * U * denominator_terms
+    # The terms of T_s but node i's (n - 1)|a_i|.
+    numerator_terms = sigma_success + sigma_idle + n * mean
+    denominator_terms = n * sigma_success + (n - 1) * sigma_collision + sigma_idle + n * mean
+    bounds = {}
+    for age in set(game.initial_ages):
+        own = (n - 1) * abs(Fraction(age))
+        bounds[age] = (8 * U * (numerator_terms + own), 8 * U * (denominator_terms + own))
+    return [bounds[age] for age in game.initial_ages]
 
 
 def check_closed_form_at_equal_ages(n, age):
@@ -417,7 +424,7 @@ def check_closed_form_at_equal_ages(n, age):
     numerator = a - sigma_success + sigma_idle
     denominator = (n - 1) * sigma_collision - n * sigma_success + sigma_idle + a
     tau = numerator / denominator
-    numerator_error, denominator_error = closed_form_error_bounds(game, 0)
+    numerator_error, denominator_error = closed_form_error_bounds(game)[0]
     quotient_error = (numerator_error + tau * denominator_error) / (
         denominator - denominator_error
     )

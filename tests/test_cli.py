@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -111,7 +112,7 @@ def test_flag_inside_the_rounding_band_prints_the_computed_sign(tmp_path, capsys
     data = scenario_dict(initial_ages=[1.4304652777486766, 2.8808811370123335, 3.31134641476101])
     path = write(tmp_path, data)
     game = load_scenario(path).game
-    assert 0 < -closed_form_numerators(game)[2] <= closed_form_error_bounds(game, 2)[0]
+    assert 0 < -closed_form_numerators(game)[2] <= closed_form_error_bounds(game)[2][0]
     assert cli.main(["analyze", "--scenario", path]) == 0
     out = capsys.readouterr().out
     assert (
@@ -664,6 +665,37 @@ def test_a_closed_form_profile_runs_the_kernel_once(
     assert calls == [3]
 
 
+@pytest.mark.parametrize(
+    "command, sizes, passes",
+    [("simulate", (40, 400), 1), ("sweep", (40, 400), 3), ("analyze", (2, 20), 1)],
+)
+def test_each_kernel_pass_takes_linear_work(tmp_path, capsys, monkeypatch, command, sizes, passes):
+    """A kernel pass makes 2(n - 1) `_times` steps, n - 1 for the prefix
+    products and n - 1 for the suffix ones: one pass for the closed-form
+    profile simulate runs without taus, one per point of a 3-point sweep
+    and one for analyze. The counter changes no byte of stdout."""
+    times = game_module._times
+    calls = []
+
+    def counted(c, tau):
+        calls.append(tau)
+        return times(c, tau)
+
+    for n in sizes:
+        data = sweep_scenario(steps=3) if command == "sweep" else scenario_dict()
+        data.update(n=n, initial_ages=[3.03] * n)
+        argv = [command, "--scenario", write(tmp_path, data)]
+        argv += ["--slots", "10"] if command == "simulate" else []
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(game_module, "_times", counted)
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert len(calls) == passes * 2 * (n - 1), n
+
+
 def test_simulate_age_band_of_a_silent_node_does_not_depend_on_its_age(tmp_path, capsys):
     # A node that never transmits ages by one slot length whatever its age, so
     # its band is 3 SE of the slot length alone, at 3 sigma_s as at 1e9 sigma_s.
@@ -770,6 +802,28 @@ def test_simulate_out_refuses_an_age_a_slot_would_overflow(tmp_path, capsys):
         "a slot of 1e+308 would age it past the largest float\n"
     )
     assert err.count("\n") == 1
+    assert not csv_path.exists()
+
+
+def test_simulate_out_refuses_a_clock_that_could_overflow(tmp_path, capsys):
+    # 100 slots of up to 1e308 could run the clock past the largest float:
+    # the run is refused before the file is created. Before, it exited 0 with
+    # two RuntimeWarnings and 91 of the CSV's 101 rows held nan or inf. The
+    # restart report on this scenario is finite and stays.
+    data = scenario_dict(
+        sigma_collision=1e308, initial_ages=[1.01, 2.02, 3.03], taus=[0.3] * 3, seed=1
+    )
+    csv_path = tmp_path / "trajectory.csv"
+    argv = ["simulate", "--scenario", write(tmp_path, data), "--out", str(csv_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv + ["--slots", "100"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 100 slots of up to 1e+308 could run the trajectory's "
+        "clock or ages past the largest float\n"
+    )
     assert not csv_path.exists()
 
 
@@ -895,7 +949,7 @@ def test_simulate_out_reports_what_the_restart_spans_report(
     n = len(taus)
     if chunk == "7n":
         monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * n)
-    slots = 2 * simulate._chunk_rows(n) + 5
+    slots = 2 * simulate._chunk_rows(n)[0] + 5
     ages = [1.01 * (1 + 0.37 * k) for k in range(n)]
     path = write(tmp_path, scenario_dict(n=n, initial_ages=ages, taus=list(taus), seed=5))
     out_path = tmp_path / "trajectory.csv"

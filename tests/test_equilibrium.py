@@ -713,8 +713,9 @@ def test_closed_form_taus_are_within_their_rounding_bound_of_exact(game):
         return
     taus = closed_form_taus_exact(game)
     numerators = closed_form_numerators(game)
-    for i, (got, denominator) in enumerate(zip(result.raw_taus, closed_form_denominators(game))):
-        numerator_error, denominator_error = closed_form_error_bounds(game, i)
+    for i, (got, denominator, (numerator_error, denominator_error)) in enumerate(
+        zip(result.raw_taus, closed_form_denominators(game), closed_form_error_bounds(game))
+    ):
         if abs(denominator) <= denominator_error:
             continue
         tau = taus[i]
@@ -806,7 +807,7 @@ def test_derivatives_are_within_their_rounding_bound_of_exact(game, data):
     i = data.draw(st.integers(0, game.n - 1))
     j = data.draw(st.integers(0, game.n - 2))
     j += j >= i
-    denominator_error = closed_form_error_bounds(game, i)[1]
+    denominator_error = closed_form_error_bounds(game)[i][1]
     denominator = abs(closed_form_denominators(game)[i])
     if denominator <= 2 * denominator_error:
         return

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -207,7 +208,7 @@ def test_restart_means_are_correctly_rounded(game_counts):
         + sum(wins) * Fraction(lengths.sigma_success)
         + collision * Fraction(lengths.sigma_collision)
     )
-    stats = simulate._sim_stats(game, np.array(counts, dtype=np.int64), slots)
+    stats = simulate._sim_stats(game, np.array(counts, dtype=np.int64))
     assert stats.mean_age_after_per_node == tuple(
         float(Fraction(total + Fraction(age) * (slots - won), slots))
         for age, won in zip(game.initial_ages, wins)
@@ -387,7 +388,7 @@ def test_a_failing_span_stops_the_others_within_a_chunk(monkeypatch):
 
     monkeypatch.setattr(simulate, "_slot_outcomes", outcomes)
     chunks = 400
-    slots = 2 * chunks * simulate._chunk_rows(2)
+    slots = 2 * chunks * simulate._chunk_rows(2)[0]
     game = GameInstance(LENGTHS, (2.02, 3.03))
     with pytest.raises(SpanFailure):
         run_monte_carlo(game, StrategyProfile((0.5, 0.5)), slots, seed=1)
@@ -420,7 +421,7 @@ def test_wide_game_counts_match_slot_by_slot_sampling(monkeypatch, cpus, taus):
 
 def test_one_row_chunks_match_slot_by_slot_sampling(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 8)
-    assert simulate._chunk_rows(10) == 1
+    assert simulate._chunk_rows(10) == (1, 1)
     game = GameInstance(LENGTHS, (2.02,) * 10)
     profile = StrategyProfile(tuple(np.linspace(0.02, 0.3, 10)))
     stats = run_monte_carlo(game, profile, 300, seed=21)
@@ -452,8 +453,8 @@ def test_restart_memory_does_not_grow_with_slots(monkeypatch, cpus):
         # accepts, and 491 KiB with 3; the runs peak near 582 and 496 KiB a
         # span. The float32 counting kernel with 2**18-variate chunks read
         # 3.1 MiB at n = 3.
-        rows = simulate._chunk_rows(n)
-        span = 8 * (n * rows + n * simulate._tile_rows(n) + 2 * rows)
+        rows, tile = simulate._chunk_rows(n)
+        span = 8 * (n * rows + n * tile + 2 * rows)
         assert max(peaks) < cpus * (span + 16 * 1024), n
         if cpus == 1:  # how long two spans' buffers coexist depends on the threads
             assert peaks[1] < peaks[0] + 8 * 1024, n
@@ -462,12 +463,14 @@ def test_restart_memory_does_not_grow_with_slots(monkeypatch, cpus):
 @pytest.mark.parametrize(
     "n, chunk_variates, start, stop, chunks",
     [
-        # A span shorter than a chunk: 2 tiles of 10 rows and 7 rows over.
+        # A span shorter than a chunk: its 27 rows fill 2 of the chunk's 4
+        # tiles of 10 and 7 rows of a third; all 4 are compared, 27 rows summed.
         (3, 3 * 40, 0, 27, [27]),
-        # 43 rows a chunk round down to 4 tiles of 10; the last chunk is one
-        # tile and 7 rows over.
+        # 43 rows a chunk round down to 4 tiles of 10; the last chunk draws one
+        # tile and 7 rows over, and compares the rows left from the chunk before.
         (3, 3 * 43, 5, 142, [40, 40, 40, 17]),
-        # Chunks of 3 rows: a quarter chunk is less than a row, so tiles are one row.
+        # Chunks of 3 rows: a quarter chunk is less than a row, so tiles are
+        # one row; the last chunk draws one of them.
         (50, 150, 0, 10, [3, 3, 3, 1]),
     ],
     ids=["short-span", "partial-last-chunk", "one-row-tile"],
@@ -745,6 +748,26 @@ def test_trajectory_validates_inputs():
         simulate_age_trajectory(GAME, StrategyProfile((0.5, 0.5)), 10, seed=1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         simulate_age_trajectory(GAME, StrategyProfile((0.5, 0.5, 0.5)), 10, seed=-1)
+
+
+def test_trajectory_refuses_a_clock_that_could_overflow():
+    # Raised at the call: every time is at most 2 * num_slots * the longest
+    # slot, and every age at most that plus the largest starting age. Seven
+    # collisions of 2**1020 stay finite; eight would end at 2**1023, but their
+    # bound passes the largest float, so the run is refused.
+    game = GameInstance(SlotLengths(0.01, 1.01, 2.0**1020), (1.01, 2.02, 3.03))
+    profile = StrategyProfile((1.0, 1.0, 1.0))
+    table = np.concatenate(list(simulate_age_trajectory(game, profile, 7, seed=1)))
+    assert np.isfinite(table).all()
+    assert table[-1, 0] == 7 * 2.0**1020
+    message = (
+        "8 slots of up to 1.1235582092889474e+307 could run the trajectory's "
+        "clock or ages past the largest float"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_age_trajectory(game, profile, 8, seed=1)
+    # The restart experiment sums its means exactly, and still runs.
+    assert run_monte_carlo(game, profile, 8, seed=1).collision_count == 8
 
 
 @settings(max_examples=40, deadline=None)
