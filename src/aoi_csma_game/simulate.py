@@ -7,27 +7,39 @@ describe. ``simulate_age_trajectory`` instead lets ages carry over from slot
 to slot, producing sawtooth sample paths; it is an illustrative multi-slot
 extension (nodes never adapt their transmit probabilities).
 
-Randomness contract: draws come from ``numpy.random.default_rng(seed)`` and
-each node's transmit decision consumes exactly one uniform variate per slot,
-in node-index order within the slot. Identical inputs replay bit-identically.
-A span of slots starting at slot s reads the same stream from a PCG64
-generator advanced by ``s * n`` variates, so splitting a run into spans or
-chunks never changes a draw. ``_CHUNK_VARIATES`` is the one chunk size: a
-chunk holds at most 2**15 variates (but at least one slot), in whole tiles
-of a quarter chunk, and every chunk compares every tile. A span's buffers
-depend on n alone, whatever the run's length: one chunk of uniforms, one
-tile of thresholds and two arrays of 8 bytes a slot, about 0.37 MiB at
-n = 10 and at most 576 KiB (at n = 2, the smallest game), under a 1 MiB L2
-cache.
+Randomness contract: each transmit decision reads one 16-bit lane of the
+``PCG64(SeedSequence(seed))`` stream, a little-endian quarter of a
+``random_raw`` word, so the lanes are the same on any byte order. Lanes are
+laid out node-major in blocks of B slots, B * n near ``_BLOCK_LANES`` and a
+whole number of words: slot s of node j reads lane
+``(s // B) * B * n + j * B + s % B``. With T_j = ceil(tau_j * 2**53), node j
+transmits when lane * 2**37 + t < T_j, t being 37 more bits. That is the
+law of ``Generator.random() < tau_j``, whose 53 bits are ``raw >> 11``:
+the lane is compared with hi_j = min(T_j >> 37, 0xFFFF), and only on a tie
+(one lane in 2**16, whatever tau) is t read, as the top 37 bits of word l
+of a second stream, ``PCG64(SeedSequence(seed, spawn_key=(0,)))``, l being
+the decision's lane index. The draws are a function of (seed, n, slot)
+alone: every block draws all of its lanes, so a run, any prefix of it and
+any split into spans read the same lanes, and identical inputs replay
+bit-identically. Only the bit generators are used, whose streams numpy
+keeps stable across releases (NEP 19), not ``Generator`` methods.
 
-Both experiments read each slot as one outcome code: 0 for idle, j + 1 for a
-lone success by node j (its trajectory column) and n + 1 for a collision.
-The restart experiment counts each span's codes into one vector, in
-`SimStats` order; the trajectory takes each slot's duration and each node's
-resets from them, and counts them into the same vector as it goes. One
-helper turns such a vector into `SimStats`, so a single trajectory pass also
-yields the restart experiment's statistics: ``simulate --out`` samples each
-slot once and starts no span threads.
+A span's buffers depend on n alone, whatever the run's length: the block's
+raw words (2 bytes a lane), its transmit matrix (1 byte a lane) and one
+mask of the same size while it is drawn or counted, about 256 KiB for
+2**16 lanes, under a 1 MiB L2 cache. The trajectory builds its tables in
+pieces of at most max(1, 2**15 // n) rows.
+
+Both experiments count slots into one vector in `SimStats` order: idle, a
+lone success by each node, collision. The restart experiment counts
+straight from each block: its senders per slot, the lone senders of each
+node, and the rest. The trajectory reads each slot as one outcome code, 0
+for idle, j + 1 for a lone success by node j (its trajectory column) and
+n + 1 for a collision, takes each slot's duration and each node's resets
+from them, and counts them into the same vector as it goes. One helper
+turns such a vector into `SimStats`, so a single trajectory pass also
+yields the restart experiment's statistics: ``simulate --out`` samples
+each slot once and starts no span threads.
 """
 
 from __future__ import annotations
@@ -45,8 +57,8 @@ from .game import GameInstance, StrategyProfile, _check_entries, _record
 if TYPE_CHECKING:
     import numpy as np
 
-# Variates per chunk: the simulator's one chunk size.
-_CHUNK_VARIATES = 1 << 15
+# Lanes per block: the simulator's one block size.
+_BLOCK_LANES = 1 << 16
 # The range of the int64 per-node success counters.
 _MAX_SLOTS = (1 << 63) - 1
 
@@ -80,75 +92,108 @@ def _check_run(game, profile, num_slots, seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
-def _chunk_rows(n):
-    """The chunk geometry for n nodes, ``(rows, tile)``: at most _CHUNK_VARIATES
-    variates but at least one slot a chunk, in whole threshold tiles of a
-    quarter chunk but at least one row."""
-    tile = max(1, _CHUNK_VARIATES // n // 4)
-    return max(1, _CHUNK_VARIATES // n) // tile * tile, tile
+def _block_slots(n):
+    """Slots per block for n nodes: about _BLOCK_LANES lanes, at least one
+    slot, and n times as many lanes as slots in whole 64-bit words."""
+    step = 4 // math.gcd(n, 4)
+    return max(step, _BLOCK_LANES // n // step * step)
 
 
-def _slot_outcomes(taus, seed, start, stop):
-    """Yield the outcome codes of slots `start`..`stop`, one fresh ``intp``
-    array per chunk: 0 for an idle slot, j + 1 for a lone success by node j,
-    and n + 1 for a collision.
+def _thresholds(taus):
+    """Each node's ``(hi, lo)`` split of T = ceil(tau * 2**53), the count of
+    53-bit values below tau * 2**53: ``hi`` the ``uint16`` lane to compare
+    with and ``lo`` (Python ints) the bound on the 37 tie bits when the lane
+    equals it. ``hi`` is clamped to 0xFFFF, so tau = 1 has lo = 2**37."""
+    import numpy as np
 
-    The generator is advanced past the ``start * n`` variates that earlier
-    slots consume, so any span reads exactly its part of the single
-    ``default_rng(seed)`` stream (slot-major, node order within a slot),
-    whatever the span bounds and chunk size. The buffers depend on n alone,
-    whatever the span's length, and every chunk compares every tile: a short
-    chunk's rows past its draws too, which are never summed.
+    # tau * 2**53 is exact, so its ceiling is T itself.
+    limits = np.ceil(np.asarray(taus) * 2.0**53).astype(np.uint64)
+    hi = np.minimum(limits >> np.uint64(37), np.uint64(0xFFFF))
+    return hi.astype(np.uint16), (limits - (hi << np.uint64(37))).tolist()
 
-    A code is the slot's 0/1 transmit row summed by one float64 ``einsum``
-    against the weights n + j, less n - 1, clipped to [0, n + 1]. No
-    transmitter sums to 0 and a lone transmitter j to exactly n + j, one
-    weight among zeros. Two or more sum to at least 2n under any summation
-    order, because each weight is at least n and rounding to nearest is
-    monotone. So the code is exact at every n whose weights are exact
-    doubles, and every partial sum is an exact integer anyway while
-    n * 2n < 2**53. ``einsum`` is used rather than a matrix product, which
-    would dispatch to a multithreaded BLAS and oversubscribe the span threads.
+
+def _transmit_blocks(taus, seed, start, stop):
+    """Yield the ``(n, slots)`` bool transmit matrix of slots `start`..`stop`,
+    one block at a time: a view of one buffer that the next block overwrites.
+
+    Each block draws all of its lanes, from a stream advanced to its first
+    word, and compares them with hi. A lane equal to its hi_j is decided by
+    the top 37 bits of the tie stream's word at the lane's index, against
+    lo_j; the tie stream only moves forward, as the ties come in lane order.
     """
     import numpy as np
 
     n = len(taus)
-    bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
-    bit_generator.advance(start * n)
-    rng = np.random.Generator(bit_generator)
-    rows, tile = _chunk_rows(n)
-    uniforms = np.zeros((rows, n))  # so that rows never drawn compare as numbers
-    tiles = uniforms.reshape(-1, tile, n)
-    # Each node's tau on a tile's rows, broadcast over the tiles of a chunk.
-    # Against a broadcast tau row, numpy would run the comparison through a
-    # buffer at about half the speed, and against a tile of fewer variates
-    # than that 8192-element buffer (an eighth of a chunk) about 1.5 times
-    # slower than against a quarter chunk or more.
-    thresholds = np.tile(taus, (tile, 1))
-    weights = np.arange(n, 2 * n, dtype=float)
-    sums = np.empty(rows)
-    for lo in range(start, stop, rows):
-        block = rng.random(out=uniforms[: stop - lo])
-        np.less(tiles, thresholds, out=tiles)
-        codes = np.einsum("ij,j->i", block, weights, out=sums[: len(block)])
-        np.subtract(codes, n - 1, out=codes)
-        np.clip(codes, 0, n + 1, out=codes)
-        # A fresh array: the caller may keep every chunk's codes.
-        yield codes.astype(np.intp)
+    slots = _block_slots(n)
+    words = n * slots // 4
+    hi, lo = _thresholds(taus)
+    hi = hi[:, np.newaxis]
+    first = start // slots
+    stream = np.random.PCG64(np.random.SeedSequence(seed))
+    stream.advance(first * words)
+    ties = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,)))
+    next_tie = 0  # the tie stream's next word
+    block = np.empty((n, slots), dtype=bool)
+    for k in range(first, -(-stop // slots)):
+        drawn = stream.random_raw(words).astype("<u8", copy=False).view("<u2").reshape(n, slots)
+        np.less(drawn, hi, out=block)
+        # About one lane in 2**16 ties, whatever tau; each reads one tie word.
+        for flat in np.flatnonzero(drawn == hi).tolist():
+            lane = k * n * slots + flat
+            ties.advance(lane - next_tie)
+            next_tie = lane + 1
+            block.flat[flat] = ties.random_raw() >> 27 < lo[flat // slots]
+        del drawn  # before the next block is drawn
+        yield block[:, max(start - k * slots, 0) : stop - k * slots]
+
+
+def _count(mask, axis):
+    """The count of True along `axis` of a bool matrix, summed as bytes into
+    the narrowest unsigned type that holds the axis length: a wider sum is
+    several times slower, and a narrower one wraps (uint8 turns 256 senders
+    into an idle 0)."""
+    import numpy as np
+
+    width = np.min_scalar_type(mask.shape[axis])
+    return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=width)
+
+
+def _slot_outcomes(taus, seed, start, stop):
+    """Yield the outcome codes of slots `start`..`stop`, in ``intp`` arrays of
+    at most max(1, 2**15 // n) slots: 0 for an idle slot, j + 1 for a lone
+    success by node j, and n + 1 for a collision. A code is the weighted sum
+    of the slot's senders, j + 1 for sender j, wherever fewer than two send."""
+    import numpy as np
+
+    n = len(taus)
+    weights = np.arange(1, n + 1)
+    rows = max(1, _BLOCK_LANES // 2 // n)
+    for block in _transmit_blocks(taus, seed, start, stop):
+        for lo in range(0, block.shape[1], rows):
+            sent = block[:, lo : lo + rows]
+            codes = np.einsum("j,js->s", weights, sent)
+            codes[_count(sent, 0) > 1] = n + 1
+            yield codes
 
 
 def _span_counts(taus, seed, start, stop, failed):
     """The ``int64`` counts of each outcome code over slots `start`..`stop`,
     indexed by code: idle, a lone success by each node, collision. Once the
-    `failed` event is set, the counts stop at the next chunk, partial."""
+    `failed` event is set, the counts stop at the next block, partial."""
     import numpy as np
 
-    counts = np.zeros(len(taus) + 2, dtype=np.int64)
-    for codes in _slot_outcomes(taus, seed, start, stop):
+    n = len(taus)
+    counts = np.zeros(n + 2, dtype=np.int64)
+    for sent in _transmit_blocks(taus, seed, start, stop):
         if failed.is_set():
             break
-        counts += np.bincount(codes, minlength=len(counts))
-        del codes  # before the next chunk is drawn
+        senders = _count(sent, 0)
+        wins = _count(sent & (senders == 1), 1)
+        idle = senders.size - np.count_nonzero(senders)
+        counts[0] += idle
+        counts[1:-1] += wins
+        counts[-1] += senders.size - idle - int(wins.sum())
+        del senders  # before the next block is drawn
     return counts
 
 
@@ -173,21 +218,21 @@ def run_monte_carlo(
     realized slot length otherwise.
 
     The slots are split into one contiguous span per usable CPU (never more
-    spans than chunks), each counted on its own thread. numpy releases the
-    GIL while it fills a chunk and while its loops compare and sum, but
-    ``bincount`` and the Python side of each call, ``np.clip``'s wrapper
-    among them, hold it. Integer counts add up the same in any order, so
-    the result does not depend on the CPU count or chunk size.
+    spans than blocks), each counted on its own thread. numpy releases the
+    GIL while it draws a block and while its loops compare and sum, but the
+    Python side of each call holds it. The draws do not depend on the span
+    bounds, and integer counts add up the same in any order, so the result
+    does not depend on the CPU count.
     """
     import numpy as np
 
     _check_run(game, profile, num_slots, seed)
     taus = np.asarray(profile.taus)
-    num_spans = min(_usable_cpus(), -(-num_slots // _chunk_rows(game.n)[0]))
+    num_spans = min(_usable_cpus(), -(-num_slots // _block_slots(game.n)))
     bounds = [num_slots * k // num_spans for k in range(num_spans + 1)]
     results = [None] * num_spans
     # Set by a span that fails, Ctrl-C included, so that every span stops
-    # within a chunk instead of running to its end.
+    # within a block instead of running to its end.
     failed = threading.Event()
 
     def count_span(k):
@@ -249,12 +294,12 @@ def simulate_age_trajectory(
     Inputs are checked at the call. The result is a generator of blocks of
     slot boundaries, each a C-contiguous ``(rows, n + 1)`` float64 table laid
     out as the CSV: a boundary's time, then each node's age there. First comes
-    the initial boundary (time 0, the starting ages), then one block per chunk
-    of slots. Node i's age at a boundary is sigma_success if it just succeeded,
-    otherwise its previous age plus the realized slot duration.
-    Whenever n <= 2**15 a chunk holds at most 2**15 variates, so a block's
-    memory grows with neither `num_slots` nor n; past that, a chunk is one
-    slot of n variates.
+    the initial boundary (time 0, the starting ages), then blocks of at most
+    max(1, 2**15 // n) slots. Node i's age at a boundary is sigma_success if
+    it just succeeded, otherwise its previous age plus the realized slot
+    duration. Whenever n <= 2**15 a block holds at most 2**15 ages, so its
+    memory grows with neither `num_slots` nor n; past that, a block is one
+    slot.
 
     The exhausted generator returns (as ``StopIteration.value``) the counts
     of its slots as `SimStats`: both experiments read the same stream, so
@@ -305,7 +350,7 @@ def _trajectory_blocks(game, taus, num_slots, seed):
     for codes in _slot_outcomes(taus, seed, 0, num_slots):
         counts += np.bincount(codes, minlength=len(counts))
         # Summing from the carried clock keeps every time bit-identical to
-        # one cumulative sum over the whole run, whatever the chunk size.
+        # one cumulative sum over the whole run, whatever the table size.
         times = np.cumsum(np.concatenate(([now], slot_duration[codes])))[1:]
         now = times[-1]
         # The CSV's rows, built in place: each column's reset time, then its

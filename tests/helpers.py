@@ -5,10 +5,10 @@ weights, deliberately sharing no code with the closed-form probability
 operations it checks; the age-distribution oracle does the same, taking
 each pattern's age from the pure-payoff case analysis. The dominance and
 pure-Nash oracles loop over every pure profile with that independently
-coded payoff case analysis. The slot sampler replays the simulator's
-variate stream one slot at a time, the outcome-code oracle decodes a whole
-transmit matrix of that stream, and the grid best-response oracle searches
-a node's own transmit probability with the generic mixed payoff. The
+coded payoff case analysis. The outcome-code oracle decides each node's
+transmission slot by slot from the simulator's raw PCG64 words, and the
+grid best-response oracle searches a node's own transmit probability with
+the generic mixed payoff. The
 exact oracles read every double as the rational number it is: the kernel
 oracle multiplies out each node's others one by one in integers over a
 power of two, and the closed-form oracles state each node's numerator
@@ -164,48 +164,41 @@ def pure_nash_oracle(game):
     return stable
 
 
-def sample_slot(profile, slot_lengths, rng):
-    """Draw one slot: every node transmits independently with its own probability.
+def slot_outcome_codes(taus, seed, start, stop, block):
+    """Outcome codes of slots `start`..`stop` with `block` slots a block,
+    decided slot by slot in Python ints: 0 for idle, j + 1 for a lone
+    success by node j, n + 1 for a collision.
 
-    Consumes one uniform variate per node, in node order. Returns
-    ``(kind, duration, successful_node)`` with kind "idle", "success" or
-    "collision"; ``successful_node`` is None unless the slot is a success.
-    """
-    draws = rng.random(len(profile))
-    transmitters = [i for i, tau in enumerate(profile) if draws[i] < tau]
-    if not transmitters:
-        return "idle", slot_lengths.sigma_idle, None
-    if len(transmitters) == 1:
-        return "success", slot_lengths.sigma_success, transmitters[0]
-    return "collision", slot_lengths.sigma_collision, None
-
-
-def slot_by_slot_counts(profile, slot_lengths, slots, seed):
-    """``(idle, collision, successes per node)`` of `slots` `sample_slot`
-    draws from one ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    idle = collision = 0
-    successes = [0] * len(profile)
-    for _ in range(slots):
-        kind, _, winner = sample_slot(profile, slot_lengths, rng)
-        if kind == "idle":
-            idle += 1
-        elif kind == "collision":
-            collision += 1
-        else:
-            successes[winner] += 1
-    return idle, collision, tuple(successes)
-
-
-def slot_outcome_codes(taus, seed, start, stop):
-    """Outcome codes of slots `start`..`stop`, decoded from the transmit
-    matrix ``default_rng(seed).random((stop, n)) < taus``: 0 for idle,
-    j + 1 for a lone success by node j, n + 1 for a collision."""
+    Slot s of node j reads lane l = (s // block) * block * n + j * block +
+    s % block: bits 16 (l % 4) to 16 (l % 4) + 15 of word l // 4 of
+    ``PCG64(SeedSequence(seed))``. The lane is the top 16 bits of a 53-bit
+    integer x whose low 37 bits are the top 37 bits of word l of the tie
+    stream ``PCG64(SeedSequence(seed, spawn_key=(0,)))``, and the node
+    transmits when the double x / 2**53 is below its tau, as
+    ``Generator.random() < tau`` does with its own 53 bits."""
     n = len(taus)
-    transmits = np.random.default_rng(seed).random((stop, n))[start:] < np.asarray(taus)
-    counts = transmits.sum(axis=1)
-    lone_codes = 1 + transmits.argmax(axis=1)
-    return np.where(counts == 0, 0, np.where(counts == 1, lone_codes, n + 1))
+    lanes = -(-stop // block) * block * n
+    words = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(lanes // 4).tolist()
+    tie_stream = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,)))
+    tie_words = tie_stream.random_raw(lanes).tolist()
+    codes = []
+    for s in range(start, stop):
+        senders = []
+        for j, tau in enumerate(taus):
+            lane = (s // block) * block * n + j * block + s % block
+            x = (words[lane // 4] >> 16 * (lane % 4) & 0xFFFF) << 37 | tie_words[lane] >> 27
+            if x / 2**53 < tau:
+                senders.append(j)
+        codes.append(0 if not senders else senders[0] + 1 if len(senders) == 1 else n + 1)
+    return np.array(codes, dtype=np.intp)
+
+
+def slot_by_slot_counts(taus, seed, slots, block):
+    """``(idle, collision, successes per node)`` of slots 0..`slots` by
+    `slot_outcome_codes`."""
+    n = len(taus)
+    counts = np.bincount(slot_outcome_codes(taus, seed, 0, slots, block), minlength=n + 2)
+    return int(counts[0]), int(counts[-1]), tuple(counts[1:-1].tolist())
 
 
 def response_payoffs(game, i, opponent_taus, grid_size):

@@ -914,10 +914,11 @@ TINY_SLOTS = {"sigma_idle": 1e-7, "sigma_success": 1e-6, "sigma_collision": 2e-6
 def test_simulate_csv_slices_match_a_per_row_writer(
     tmp_path, capsys, monkeypatch, taus, overrides
 ):
-    # 7-slot chunks written in 10-cell slices: 3, 2, 2 and 1 rows per slice for
-    # n = 2, 3, 4 and 40, so several blocks, short last slices and one-row slices.
+    # Tables of at most 7 rows written in 10-cell slices: 3, 2, 2 and 1 rows
+    # per slice for n = 2, 3, 4 and 40, so several blocks, short last slices
+    # and one-row slices.
     n = len(taus)
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * n)
+    monkeypatch.setattr(simulate, "_BLOCK_LANES", 14 * n)
     monkeypatch.setattr(csv_cells, "_SLICE_CELLS", 10)
     ages = [1.01 * (1 + 0.37 * k) for k in range(n)]
     scenario = scenario_dict(n=n, initial_ages=ages, taus=list(taus), seed=11)
@@ -944,12 +945,12 @@ def test_simulate_out_reports_what_the_restart_spans_report(
     tmp_path, capsys, monkeypatch, taus, chunk
 ):
     # With --out the report's counts come from the trajectory's own pass;
-    # without it, from one restart span per CPU. Two full chunks and a short
+    # without it, from one restart span per CPU. Two full blocks and a short
     # one give each of up to three spans its own, unaligned, part of the stream.
     n = len(taus)
     if chunk == "7n":
-        monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * n)
-    slots = 2 * simulate._chunk_rows(n)[0] + 5
+        monkeypatch.setattr(simulate, "_BLOCK_LANES", 7 * n)
+    slots = 2 * simulate._block_slots(n) + 5
     ages = [1.01 * (1 + 0.37 * k) for k in range(n)]
     path = write(tmp_path, scenario_dict(n=n, initial_ages=ages, taus=list(taus), seed=5))
     out_path = tmp_path / "trajectory.csv"
@@ -964,9 +965,9 @@ def test_simulate_out_reports_what_the_restart_spans_report(
 
 
 def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypatch):
-    # 1024-slot chunks written in 512-cell slices keep the traced runs short;
-    # 2500 and 10000 slots are 3 and 10 chunks.
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 1024 * 3)
+    # 1024-row tables (2048-slot blocks) written in 512-cell slices keep the
+    # traced runs short; 2500 and 10000 slots are 3 and 10 tables.
+    monkeypatch.setattr(simulate, "_BLOCK_LANES", 2048 * 3)
     monkeypatch.setattr(csv_cells, "_SLICE_CELLS", 512)
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
     argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]
@@ -981,16 +982,17 @@ def test_simulate_out_memory_does_not_grow_with_slots(tmp_path, capsys, monkeypa
             tracemalloc.stop()
         assert code == 0
         assert capsys.readouterr().out.endswith(f"({slots + 1} breakpoints)\n")
-        # Both peak near 210 KiB, and the one-`%`-per-slice writer read 244 KiB.
-        # Formatting a whole chunk at once peaks near 560 KiB.
+        # Both peak near 132 KiB (numpy 2.4), and the one-`%`-per-slice writer
+        # read 244 KiB. Formatting a whole table at once peaks near 560 KiB.
         assert peak < 270 * 1024
 
 
 def test_simulate_out_holds_one_trajectory_block_at_a_time(tmp_path, capsys, monkeypatch):
-    # With 2048-slot chunks a block outweighs the 512-cell slices, so a writer
-    # that keeps the last block alive while the next one is built peaks higher
-    # once two full blocks meet (5000 slots) than with one (2500 slots).
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 2048 * 3)
+    # With 2048-row tables (4096-slot blocks) a table outweighs the 512-cell
+    # slices, so a writer that keeps the last table alive while the next one
+    # is built peaks higher once two full tables meet (5000 slots) than with
+    # one (2500 slots).
+    monkeypatch.setattr(simulate, "_BLOCK_LANES", 4096 * 3)
     monkeypatch.setattr(csv_cells, "_SLICE_CELLS", 512)
     path = write(tmp_path, scenario_dict(taus=[0.4, 0.3, 0.2]))
     argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "trajectory.csv")]
@@ -1005,8 +1007,29 @@ def test_simulate_out_holds_one_trajectory_block_at_a_time(tmp_path, capsys, mon
             tracemalloc.stop()
         assert code == 0
     capsys.readouterr()
-    # 328 and 324 KiB; holding two blocks read 328 and 354 KiB.
+    # 223 and 224 KiB (numpy 2.4); holding two tables read 328 and 354 KiB.
     assert peaks[1] < peaks[0] + 8 * 1024
+
+
+def test_simulate_reads_only_the_bit_generators(tmp_path, capsys, monkeypatch):
+    # numpy keeps the bit generators' streams stable across releases, but not
+    # the output of Generator methods (NEP 19), so no pinned byte may rest
+    # on a Generator.
+    import numpy as np
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.random.Generator constructed")
+
+    monkeypatch.setattr(np.random, "Generator", refused)
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    out_path = tmp_path / "trajectory.csv"
+    path = write(tmp_path, sweep_scenario())
+    argv = ["simulate", "--scenario", path, "--slots", "20000", "--seed", "7"]
+    assert cli.main(argv) == 0
+    report = capsys.readouterr().out
+    assert cli.main(argv + ["--out", str(out_path)]) == 0
+    assert capsys.readouterr().out.startswith(report)
+    assert sha256(out_path.read_bytes()) == TRAJECTORY_ROW_IV_SHA256
 
 
 def test_simulate_seed_override_changes_output(tmp_path, capsys):
@@ -1127,26 +1150,26 @@ print("numpy" in sys.modules)
 
 TABLE1_CHECK_SHA256 = "a9990adfb5aa44816a88ef349d7b7042696e67c074c8b23b2efa9621624bcc76"
 SWEEP_ROW_IV_SHA256 = "749af2712e5f660db1d2814c93c9b706e1fe3afec4ac6180f262473b6f200719"
-TRAJECTORY_ROW_IV_SHA256 = "6fdf3e19c91dbe709191bb019a22ff11503124b74ed730f6b0a85378a4e338f0"
+TRAJECTORY_ROW_IV_SHA256 = "7bdd169e68410c85654211ca401a217d8cc6f09d6ff71f252431c90353dd3468"
 # `sweep` of row IV's node 1 from sigma_s to 6 sigma_s in 6 steps: the first
 # five rows are feasible; the last has raw tau_1 < 0 and nan psucc cells.
 SWEEP_PAST_FEASIBLE_SHA256 = "5deedbc567ac1b75e24d9543b3f819d0bcc7f1ca6ce864233a48d21263b0aa68"
-SIMULATE_ROW_IV_SHA256 = "f897210d3ab2dc57143ced76393c0e68b4c3dc0cc3500ee7b3f68fd71cf00dcf"
+SIMULATE_ROW_IV_SHA256 = "443786d2d5039780fc6fd2cdc40c38f1fd77cfeebc917d316d255d9d0c7c4943"
 # `simulate` at n = 150 without taus, so at the closed-form profile: near-equal
 # ages (the CI wide.json game at a smaller n) with long collisions. The exact
-# restart means in rows mean_age_50, _64, _71 and _85 sit on a 7th-decimal
-# tie (4.5104275 in _50), so each printed cell follows its correctly rounded
-# double.
+# restart means in eight rows, mean_age_15, _64 and _85 among them, sit
+# within 2e-16 of a 7th-decimal tie (4.4846185 in _64), so each printed cell
+# follows its correctly rounded double.
 SIMULATE_WIDE_N150 = scenario_dict(
     n=150, initial_ages=[3.03 * (1 + 1e-6 * (i % 7)) for i in range(150)]
 )
-SIMULATE_WIDE_N150_SHA256 = "8d2189b5d474f85813a809fb554ab878273028a963994c9417965fcb50422cd1"
+SIMULATE_WIDE_N150_SHA256 = "d046b846a42fcd9bdeda07bb1f265d35f0303da690ce8c7269bafb59e2868bfa"
 # `simulate` at explicit taus with sigma_c = sigma_s: the busy and collision
 # ages coincide, so each node's age distribution merges them into one value.
 SIMULATE_TIED_AGES = scenario_dict(
     sigma_collision=1.01, initial_ages=[2.02, 3.03, 3.03], taus=[0.4, 0.3, 0.2]
 )
-SIMULATE_TIED_AGES_SHA256 = "aa20e278c58d2651a550b2915b8ef7b203818ae70db38d2d53ffd484402b1773"
+SIMULATE_TIED_AGES_SHA256 = "f0005c7b89eceab0c405b0807cfcb864b3ad1715f12b727877a4245f986390b7"
 # `analyze` at n = 13 with short collisions (sigma_c = sigma_s / 2) and ages
 # drawn uniformly from [sigma_s, 4 sigma_s]: 8178 pure Nash profiles. Its
 # residuals are those of the centred numerator, (n - 1)(a_i - m) - m.

@@ -29,7 +29,12 @@ from aoi_csma_game import (
 )
 from aoi_csma_game import simulate
 from aoi_csma_game.reference import REFERENCE_ROWS
-from helpers import sample_slot, slot_by_slot_counts, slot_outcome_codes, support_mean
+from helpers import (
+    outcome_probabilities_oracle,
+    slot_by_slot_counts,
+    slot_outcome_codes,
+    support_mean,
+)
 
 LENGTHS = SlotLengths(0.01, 1.01, 2.02)
 GAME = GameInstance(LENGTHS, (2.02, 3.03, 3.03))
@@ -224,60 +229,100 @@ def test_determinism_identical_seeds_identical_stats():
     assert c != a
 
 
+def counts_of(stats):
+    return stats.idle_count, stats.collision_count, stats.success_count_per_node
+
+
+def block_slots(monkeypatch, n, slots):
+    """Patch the block size to `slots` slots at n nodes; returns it."""
+    monkeypatch.setattr(simulate, "_BLOCK_LANES", slots * n)
+    assert simulate._block_slots(n) == slots
+    return slots
+
+
 def test_chunking_does_not_change_results(monkeypatch):
+    # The block size picks the lanes, so each size has its own counts, but a
+    # run at any size counts exactly its slots, and its first 3001 slots are
+    # those of the longer run: the last block draws all of its lanes.
     profile = StrategyProfile((0.3, 0.4, 0.2))
-    whole = run_monte_carlo(GAME, profile, 5000, seed=42)
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * 3)
-    chunked = run_monte_carlo(GAME, profile, 5000, seed=42)
-    assert whole == chunked
+    for block in (4, 28, 21844):  # the last is the default
+        block_slots(monkeypatch, 3, block)
+        codes = slot_outcome_codes(profile.taus, 42, 0, 5000, block)
+        for slots in (3001, 5000):
+            expected = np.bincount(codes[:slots], minlength=5)
+            stats = run_monte_carlo(GAME, profile, slots, seed=42)
+            assert counts_of(stats) == (expected[0], expected[-1], tuple(expected[1:-1])), block
 
 
 def test_run_monte_carlo_matches_slot_by_slot_sampling():
-    """The vectorized run must replay the same variate stream as the slot-by-slot oracle."""
+    """The vectorized run must decide every slot as the slot-by-slot oracle does."""
     profile = StrategyProfile((0.3, 0.4, 0.2))
     slots = 3000
     stats = run_monte_carlo(GAME, profile, slots, seed=77)
-    rng = np.random.default_rng(77)
-    idle = collision = 0
-    successes = [0, 0, 0]
-    for _ in range(slots):
-        kind, _, winner = sample_slot(profile, LENGTHS, rng)
-        if kind == "idle":
-            idle += 1
-        elif kind == "collision":
-            collision += 1
-        else:
-            successes[winner] += 1
-    assert stats.idle_count == idle
-    assert stats.collision_count == collision
-    assert stats.success_count_per_node == tuple(successes)
+    assert counts_of(stats) == slot_by_slot_counts(
+        profile.taus, 77, slots, simulate._block_slots(3)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, slots",
+    [(1, 65536), (2, 32768), (3, 21844), (4, 16384), (10, 6552), (12, 5461), (150, 436),
+     (4097, 12), (2**14, 4), (2**14 + 1, 4), (10**5, 1)],
+)
+def test_blocks_fill_whole_words_near_the_block_size(n, slots):
+    # The most slots whose n lanes each fill whole 64-bit words within 2**16
+    # lanes, or the fewest that fill whole words at all.
+    assert simulate._BLOCK_LANES == 1 << 16
+    assert simulate._block_slots(n) == slots
+    assert n * slots % 4 == 0
+    assert n * slots <= 1 << 16 or slots == 4 // math.gcd(n, 4)
 
 
 # ---------------------------------------------------------------------------
-# spans: each span's generator is advanced to its own offset in the stream
+# spans: each span's generator is advanced to its own block in the stream
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
 @pytest.mark.parametrize(
-    "start, stop, chunk_slots",
+    "start, stop, per_block",
     [(0, 50, 7), (13, 50, 7), (5, 41, 1), (33, 34, 4), (0, 50, 1 << 16)],
 )
-def test_span_variates_are_the_single_stream_slice(monkeypatch, n, start, stop, chunk_slots):
-    # Each chunk decodes its own rows of default_rng(2024), and no chunk
-    # holds more slots than the chunk size allows.
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * n)
+def test_span_variates_are_the_single_stream_slice(monkeypatch, n, start, stop, per_block):
+    # Each block decides its own lanes of the stream, and no block yields
+    # more slots than it holds. At these odd n a block fills whole words
+    # with a multiple of 4 slots, so 1, 4 and 7 slots a block make 4.
+    monkeypatch.setattr(simulate, "_BLOCK_LANES", per_block * n)
+    block = simulate._block_slots(n)
     taus = np.linspace(0.2, 0.8, n)
-    expected = slot_outcome_codes(taus, 2024, start, stop)
+    expected = slot_outcome_codes(taus, 2024, start, stop, block)
     lo = 0
-    for codes in simulate._slot_outcomes(taus, 2024, start, stop):
-        assert 1 <= len(codes) <= chunk_slots
+    for sent in simulate._transmit_blocks(taus, 2024, start, stop):
+        assert 1 <= sent.shape[1] <= block
+        codes = decode(sent)
         assert np.array_equal(codes, expected[lo : lo + len(codes)])
         lo += len(codes)
     assert lo == stop - start
 
 
+def decode(sent):
+    """Outcome codes of an ``(n, slots)`` transmit matrix."""
+    n = len(sent)
+    count = sent.sum(axis=0)
+    return np.where(count == 0, 0, np.where(count == 1, 1 + sent.argmax(axis=0), n + 1))
+
+
 def outcome_codes(taus, seed, start, stop):
-    return np.concatenate(list(simulate._slot_outcomes(taus, seed, start, stop)))
+    return np.concatenate(list(simulate._slot_outcomes(np.asarray(taus), seed, start, stop)))
+
+
+def trajectory_stats(game, profile, slots, seed):
+    """The `SimStats` that an exhausted trajectory generator returns."""
+    blocks = simulate_age_trajectory(game, profile, slots, seed)
+    while True:
+        try:
+            next(blocks)
+        except StopIteration as done:
+            return done.value
 
 
 @pytest.mark.parametrize(
@@ -290,31 +335,109 @@ def outcome_codes(taus, seed, start, stop):
     ids=["lone-last-of-4097", "all-of-4097", "all-of-300"],
 )
 def test_outcome_codes_are_exact_in_wide_games(taus, code):
-    assert np.array_equal(outcome_codes(np.array(taus), 6, 3, 40), np.full(37, code))
+    assert np.array_equal(outcome_codes(taus, 6, 3, 40), np.full(37, code))
+    counts = simulate._span_counts(np.array(taus), 6, 3, 40, threading.Event())
+    assert np.array_equal(counts, np.bincount(np.full(37, code), minlength=len(taus) + 2))
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_256_senders_are_a_collision(n):
+    # A uint8 count of senders wraps 256 to 0, which would read as idle.
+    game = GameInstance(LENGTHS, (2.02,) * n)
+    profile = StrategyProfile((1.0,) * n)
+    every_slot_collides = (0, 50, (0,) * n)
+    assert counts_of(run_monte_carlo(game, profile, 50, seed=3)) == every_slot_collides
+    assert counts_of(trajectory_stats(game, profile, 50, seed=3)) == every_slot_collides
+
+
+# The edges of the threshold split: T = 0, 1, 2**36 (hi = 0 and lo = 2**36),
+# 2**53 - 1 (hi = 0xFFFF, lo = 2**37 - 1) and 2**53 (hi clamped, lo = 2**37).
+EDGE_TAUS = [0.0, 2.0**-53, 2.0**-17, 1.0 - 2.0**-53, 1.0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     taus=st.lists(
-        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=400
+        st.one_of(st.sampled_from(EDGE_TAUS), st.floats(0.0, 1.0)), min_size=1, max_size=400
     ),
     seed=st.integers(0, 2**32),
     bounds=st.tuples(st.integers(0, 30), st.integers(1, 30)),
-    chunk_slots=st.integers(1, 40),
+    per_block=st.integers(1, 40),
 )
-def test_outcome_codes_match_the_decoded_transmit_matrix(taus, seed, bounds, chunk_slots):
+def test_outcome_codes_match_the_decoded_transmit_matrix(taus, seed, bounds, per_block):
     start, stop = bounds[0], bounds[0] + bounds[1]
-    with mock.patch.object(simulate, "_CHUNK_VARIATES", chunk_slots * len(taus)):
-        codes = outcome_codes(np.array(taus), seed, start, stop)
-    assert np.array_equal(codes, slot_outcome_codes(taus, seed, start, stop))
+    with mock.patch.object(simulate, "_BLOCK_LANES", per_block * len(taus)):
+        codes = outcome_codes(taus, seed, start, stop)
+        block = simulate._block_slots(len(taus))
+    assert np.array_equal(codes, slot_outcome_codes(taus, seed, start, stop, block))
+
+
+def drawn_lane(seed, n, block, slot, node):
+    """The lane that decides `node`'s transmission in `slot`, read from the
+    raw words by the addressing the oracle states."""
+    lane = (slot // block) * block * n + node * block + slot % block
+    stream = np.random.PCG64(np.random.SeedSequence(seed))
+    stream.advance(lane // 4)
+    return stream.random_raw() >> 16 * (lane % 4) & 0xFFFF
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), seed=st.integers(0, 2**32))
+def test_forced_ties_are_decided_by_the_tie_stream(data, n, seed):
+    # A node's tau puts its hi on the lane it draws in one slot of the span,
+    # with lo anywhere in [0, 2**37): that decision ties, and the tie
+    # stream's 37 bits decide it. The other nodes take edge taus.
+    block = data.draw(st.sampled_from([4, 12, None]), label="block")
+    start = data.draw(st.integers(0, 30), label="start")
+    stop = start + data.draw(st.integers(1, 30), label="slots")
+    lanes = simulate._BLOCK_LANES if block is None else block * n
+    with mock.patch.object(simulate, "_BLOCK_LANES", lanes):
+        block = simulate._block_slots(n)
+        taus, tied = [], {}
+        for j in range(n):
+            if data.draw(st.booleans(), label=f"node {j} ties"):
+                slot = data.draw(st.integers(start, stop - 1), label=f"node {j} slot")
+                tied[j] = drawn_lane(seed, n, block, slot, j)
+                low = data.draw(st.integers(0, 2**37 - 1), label=f"node {j} lo")
+                taus.append((tied[j] * 2**37 + low) / 2**53)
+            else:
+                taus.append(data.draw(st.sampled_from(EDGE_TAUS), label=f"node {j} tau"))
+        hi, _ = simulate._thresholds(taus)
+        codes = outcome_codes(taus, seed, start, stop)
+    assert all(hi[j] == lane for j, lane in tied.items())
+    assert np.array_equal(codes, slot_outcome_codes(taus, seed, start, stop, block))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    word=st.integers(0, 2**64 - 1),
+    tau=st.one_of(st.sampled_from(EDGE_TAUS), st.floats(0.0, 1.0)),
+)
+def test_the_lane_rule_is_the_law_of_random_below_tau(word, tau):
+    # Generator.random() reads (raw >> 11) * 2**-53. Its top 16 bits are the
+    # lane and its low 37 bits the tie bits, so the rule decides exactly
+    # where random() < tau does.
+    uniform = (word >> 11) * 2.0**-53
+    lane, tie = word >> 48, (word >> 11) & (2**37 - 1)
+    assert (uniform < tau) == (lane * 2**37 + tie < math.ceil(tau * 2**53))
+    (hi,), (lo,) = simulate._thresholds([tau])
+    assert (uniform < tau) == (lane < hi or (lane == hi and tie < lo))
+
+
+def test_random_is_the_top_53_bits_of_the_raw_word():
+    # The law the lane rule keeps: numpy's random() over PCG64 is its raw
+    # word shifted right by 11, times 2**-53.
+    words = np.random.PCG64(np.random.SeedSequence(5)).random_raw(100_000)
+    uniforms = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))).random(100_000)
+    assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
 
 
 def test_span_counts_add_up_to_one_span(monkeypatch):
     taus = np.array([0.3, 0.4, 0.2])
-    whole = simulate._span_counts(taus, 8, 0, 5000, threading.Event())
-    for bounds in ([0, 1, 777, 778, 3001, 5000], [0, 2500, 5000], [0, 4999, 5000]):
-        for chunk_slots in (1 << 16, 7):
-            monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * 3)
+    for per_block in (1 << 16, 7):
+        monkeypatch.setattr(simulate, "_BLOCK_LANES", per_block * 3)
+        whole = simulate._span_counts(taus, 8, 0, 5000, threading.Event())
+        for bounds in ([0, 1, 777, 778, 3001, 5000], [0, 2500, 5000], [0, 4999, 5000]):
             parts = [
                 simulate._span_counts(taus, 8, lo, hi, threading.Event())
                 for lo, hi in zip(bounds, bounds[1:])
@@ -324,19 +447,16 @@ def test_span_counts_add_up_to_one_span(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 5])
 def test_threaded_spans_match_slot_by_slot_sampling(monkeypatch, cpus):
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * 3)
+    block = block_slots(monkeypatch, 3, 8)
     profile = StrategyProfile((0.3, 0.4, 0.2))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a lost count would show
     try:
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
         stats = run_monte_carlo(GAME, profile, 5000, seed=77)
     finally:
         sys.setswitchinterval(interval)
-    assert (
-        stats.idle_count, stats.collision_count, stats.success_count_per_node
-    ) == slot_by_slot_counts(profile, LENGTHS, 5000, seed=77)
-    monkeypatch.undo()
+    assert counts_of(stats) == slot_by_slot_counts(profile.taus, 77, 5000, block)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     assert stats == run_monte_carlo(GAME, profile, 5000, seed=77)
 
@@ -370,30 +490,30 @@ def test_a_span_error_is_raised_on_the_calling_thread(monkeypatch):
 
 
 def test_a_failing_span_stops_the_others_within_a_chunk(monkeypatch):
-    # Span 0 fails after its first chunk. The other span, 400 default-size
-    # chunks long, stops at its next chunk instead of drawing all of them.
+    # Span 0 fails after its first block. The other span, 400 default-size
+    # blocks long, stops at its next block instead of drawing all of them.
     class SpanFailure(Exception):
         pass
 
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    slot_outcomes = simulate._slot_outcomes
+    transmit_blocks = simulate._transmit_blocks
     drawn = {}
 
-    def outcomes(taus, seed, start, stop):
-        for k, codes in enumerate(slot_outcomes(taus, seed, start, stop)):
+    def blocks(taus, seed, start, stop):
+        for k, sent in enumerate(transmit_blocks(taus, seed, start, stop)):
             if start == 0 and k == 1:
                 raise SpanFailure
             drawn[start] = k + 1
-            yield codes
+            yield sent
 
-    monkeypatch.setattr(simulate, "_slot_outcomes", outcomes)
-    chunks = 400
-    slots = 2 * chunks * simulate._chunk_rows(2)[0]
+    monkeypatch.setattr(simulate, "_transmit_blocks", blocks)
+    span_blocks = 400
+    slots = 2 * span_blocks * simulate._block_slots(2)
     game = GameInstance(LENGTHS, (2.02, 3.03))
     with pytest.raises(SpanFailure):
         run_monte_carlo(game, StrategyProfile((0.5, 0.5)), slots, seed=1)
     assert drawn[0] == 1
-    assert drawn.get(slots // 2, 0) < chunks // 2
+    assert drawn.get(slots // 2, 0) < span_blocks // 2
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -407,27 +527,25 @@ def test_a_failing_span_stops_the_others_within_a_chunk(monkeypatch):
 def test_wide_game_counts_match_slot_by_slot_sampling(monkeypatch, cpus, taus):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
     n = len(taus)
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 100 * n)  # fewer rows than nodes
+    block = block_slots(monkeypatch, n, 100)  # fewer slots than nodes
     game = GameInstance(LENGTHS, (2.02,) * n)
-    profile = StrategyProfile(taus)
-    stats = run_monte_carlo(game, profile, 1000, seed=5)
-    expected = slot_by_slot_counts(profile, LENGTHS, 1000, seed=5)
-    assert (
-        stats.idle_count, stats.collision_count, stats.success_count_per_node
-    ) == expected
+    stats = run_monte_carlo(game, StrategyProfile(taus), 1000, seed=5)
+    expected = slot_by_slot_counts(taus, 5, 1000, block)
+    assert counts_of(stats) == expected
     if taus[0] < 1.0:
         assert expected[0] > 0 and expected[1] > 0 and sum(expected[2]) > 0
 
 
 def test_one_row_chunks_match_slot_by_slot_sampling(monkeypatch):
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 8)
-    assert simulate._chunk_rows(10) == (1, 1)
-    game = GameInstance(LENGTHS, (2.02,) * 10)
-    profile = StrategyProfile(tuple(np.linspace(0.02, 0.3, 10)))
-    stats = run_monte_carlo(game, profile, 300, seed=21)
-    assert (
-        stats.idle_count, stats.collision_count, stats.success_count_per_node
-    ) == slot_by_slot_counts(profile, LENGTHS, 300, seed=21)
+    # The smallest blocks: a whole number of words is 2 slots at n = 10 and
+    # one slot at n = 12.
+    monkeypatch.setattr(simulate, "_BLOCK_LANES", 8)
+    for n, slots in ((10, 2), (12, 1)):
+        assert simulate._block_slots(n) == slots
+        game = GameInstance(LENGTHS, (2.02,) * n)
+        profile = StrategyProfile(tuple(np.linspace(0.02, 0.3, n)))
+        stats = run_monte_carlo(game, profile, 300, seed=21)
+        assert counts_of(stats) == slot_by_slot_counts(profile.taus, 21, 300, slots)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -439,48 +557,44 @@ def test_restart_memory_does_not_grow_with_slots(monkeypatch, cpus):
         profile = StrategyProfile(taus)
         run_monte_carlo(game, profile, 1000, seed=3)  # one-off allocations are not traced
         peaks = []
-        for slots in (200_000, 800_000):  # 13 and 49 chunks at n = 2, 19 and 74 at n = 3
+        for slots in (200_000, 800_000):  # 7 and 25 blocks at n = 2, 10 and 37 at n = 3
             tracemalloc.start()
             try:
                 run_monte_carlo(game, profile, slots, seed=3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # A span holds one chunk of uniforms, a tile of thresholds a quarter
-        # of a chunk long (8 bytes a variate each) and two arrays of 8 bytes
-        # a slot: the row buffer the codes are formed in and the codes it
-        # yields. That is 576 KiB with 2 nodes, the most at any n a game
-        # accepts, and 491 KiB with 3; the runs peak near 582 and 496 KiB a
-        # span. The float32 counting kernel with 2**18-variate chunks read
-        # 3.1 MiB at n = 3.
-        rows, tile = simulate._chunk_rows(n)
-        span = 8 * (n * rows + n * tile + 2 * rows)
+        # A span holds a block's raw words (2 bytes a lane), its transmit
+        # matrix and one mask of the same size (a byte a lane each): 256 KiB
+        # for 2**16 lanes at any n up to 2**14. The runs peak near 262 KiB a
+        # span, against 576 KiB for the chunks of uniforms this replaced.
+        span = 4 * n * simulate._block_slots(n)
         assert max(peaks) < cpus * (span + 16 * 1024), n
         if cpus == 1:  # how long two spans' buffers coexist depends on the threads
             assert peaks[1] < peaks[0] + 8 * 1024, n
 
 
 @pytest.mark.parametrize(
-    "n, chunk_variates, start, stop, chunks",
+    "n, lanes, start, stop, widths",
     [
-        # A span shorter than a chunk: its 27 rows fill 2 of the chunk's 4
-        # tiles of 10 and 7 rows of a third; all 4 are compared, 27 rows summed.
+        # A span shorter than a block: one block of 40 slots, 27 of them yielded.
         (3, 3 * 40, 0, 27, [27]),
-        # 43 rows a chunk round down to 4 tiles of 10; the last chunk draws one
-        # tile and 7 rows over, and compares the rows left from the chunk before.
-        (3, 3 * 43, 5, 142, [40, 40, 40, 17]),
-        # Chunks of 3 rows: a quarter chunk is less than a row, so tiles are
-        # one row; the last chunk draws one of them.
-        (50, 150, 0, 10, [3, 3, 3, 1]),
+        # 43 slots a block round down to 40, a whole number of words at n = 3;
+        # the first and last blocks are cut to the span.
+        (3, 3 * 43, 5, 142, [35, 40, 40, 22]),
+        # Fewer lanes than nodes: blocks of 2 slots, a whole number of words.
+        (50, 150, 0, 10, [2, 2, 2, 2, 2]),
     ],
-    ids=["short-span", "partial-last-chunk", "one-row-tile"],
+    ids=["short-span", "partial-last-block", "two-slot-blocks"],
 )
-def test_threshold_tiles_cover_every_row(monkeypatch, n, chunk_variates, start, stop, chunks):
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_variates)
+def test_blocks_cover_every_slot_of_a_span(monkeypatch, n, lanes, start, stop, widths):
+    monkeypatch.setattr(simulate, "_BLOCK_LANES", lanes)
     taus = np.linspace(0.05, 0.95, n)
-    blocks = list(simulate._slot_outcomes(taus, 31, start, stop))
-    assert [len(codes) for codes in blocks] == chunks
-    assert np.array_equal(np.concatenate(blocks), slot_outcome_codes(taus, 31, start, stop))
+    blocks = [sent.copy() for sent in simulate._transmit_blocks(taus, 31, start, stop)]
+    assert [sent.shape[1] for sent in blocks] == widths
+    codes = np.concatenate([decode(sent) for sent in blocks])
+    block = simulate._block_slots(n)
+    assert np.array_equal(codes, slot_outcome_codes(taus, 31, start, stop, block))
 
 
 def test_certain_transmitter_wins_every_slot_in_a_wide_game():
@@ -516,6 +630,37 @@ def test_frequencies_converge_at_reference_profile():
         assert abs(
             stats.success_count_per_node[i] / slots - p
         ) <= three_sigma_freq(p, slots)
+
+
+@pytest.mark.parametrize("case", ["row-iv", "n10-tau0.1"])
+def test_pearson_chi2_rejects_at_its_stated_rate(case):
+    """Pearson's chi-squared test of the n + 2 outcome counts (idle, each
+    node's successes, collision) against the brute-force cell probabilities,
+    at alpha = 0.01 over 200 seeds of 20 000 slots. A sampler with the law of
+    independent Bernoulli(tau_j) decisions rejects Binomial(200, 0.01)
+    times, 2 on average, and more than 8 with probability 2.1e-4."""
+    from scipy.stats import binom, chi2
+
+    if case == "row-iv":
+        game = ROW_IV.game()
+        profile = msne_closed_form(game).profile
+    else:
+        game = GameInstance(LENGTHS, (3.03,) * 10)
+        profile = StrategyProfile((0.1,) * 10)
+    p_idle, p_success, p_collision, _ = outcome_probabilities_oracle(profile.taus)
+    expected = 20_000 * np.array([p_idle, *p_success, p_collision])
+    seeds, alpha = 200, 0.01
+    rejections = 0
+    for seed in range(seeds):
+        stats = run_monte_carlo(game, profile, 20_000, seed)
+        idle, collision, wins = counts_of(stats)
+        observed = np.array([idle, *wins, collision])
+        statistic = ((observed - expected) ** 2 / expected).sum()
+        rejections += chi2.sf(statistic, df=game.n + 1) < alpha
+    # The fewest rejections exceeded with probability at most 1e-3: 8.
+    limit = binom.isf(1e-3, seeds, alpha)
+    assert limit == 8
+    assert rejections <= limit, rejections
 
 
 def test_restart_mean_age_converges_to_analytic_expectation():
@@ -569,19 +714,24 @@ def trajectory(game, profile, slots, seed):
     return np.concatenate(list(simulate_age_trajectory(game, profile, slots, seed)))
 
 
-def rebuild_trajectory(game, profile, slots, seed):
-    """Slot-by-slot rebuild: each age is the time since the node's last
-    success plus sigma_success, or its starting age plus the elapsed time."""
+def rebuild_trajectory(game, profile, slots, seed, block=None):
+    """Slot-by-slot rebuild from the oracle's codes, at the default block
+    size unless `block` is given: each age is the time since the node's
+    last success plus sigma_success, or its starting age plus the elapsed
+    time."""
     lengths = game.slot_lengths
-    rng = np.random.default_rng(seed)
+    block = block or simulate._block_slots(game.n)
     now = 0.0
     reset_at = [None] * game.n
     rows = [[now, *game.initial_ages]]
-    for _ in range(slots):
-        _, duration, winner = sample_slot(profile, lengths, rng)
-        now += duration
-        if winner is not None:
-            reset_at[winner] = now
+    for code in slot_outcome_codes(profile.taus, seed, 0, slots, block).tolist():
+        if code == 0:
+            now += lengths.sigma_idle
+        elif code <= game.n:
+            now += lengths.sigma_success
+            reset_at[code - 1] = now
+        else:
+            now += lengths.sigma_collision
         rows.append([now] + [
             age + now if reset is None else lengths.sigma_success + (now - reset)
             for age, reset in zip(game.initial_ages, reset_at)
@@ -638,11 +788,14 @@ def test_trajectory_increments_are_slot_durations_or_resets():
 
 @pytest.mark.parametrize("taus", [(0.4, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
 def test_trajectory_is_chunk_invariant(monkeypatch, taus):
+    # A shorter run is a prefix of a longer one at any block size, with
+    # tables cut anywhere: the last block draws all of its lanes.
     profile = StrategyProfile(taus)
-    table = trajectory(GAME, profile, 2000, seed=13)
-    for chunk_slots in (1, 7):
-        monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * 3)
-        assert np.array_equal(trajectory(GAME, profile, 2000, seed=13), table)
+    for block in (4, 8, 21844):  # the last is the default
+        block_slots(monkeypatch, 3, block)
+        table = trajectory(GAME, profile, 2000, seed=13)
+        for slots in (1, 7, 1999):
+            assert np.array_equal(trajectory(GAME, profile, slots, seed=13), table[: slots + 1])
 
 
 def test_trajectory_matches_slot_by_slot_rebuild():
@@ -661,19 +814,20 @@ def test_trajectory_matches_slot_by_slot_rebuild():
 )
 def test_trajectory_equals_the_slot_by_slot_rebuild(data, n, seed):
     # Ages from sigma_s to 1e12 sigma_s, log-uniform; nodes that never or
-    # always transmit; chunks of one slot up to the default size, with half
-    # of the runs split into several chunks.
+    # always transmit; blocks of the fewest slots up to the default size,
+    # with half of the runs split into several blocks.
     exponents = data.draw(st.lists(st.floats(0.0, 12.0), min_size=n, max_size=n))
     tau = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     taus = data.draw(st.lists(tau, min_size=n, max_size=n))
-    chunk_variates = data.draw(
-        st.one_of(st.integers(n, 64 * n), st.integers(n, simulate._CHUNK_VARIATES))
+    lanes = data.draw(
+        st.one_of(st.integers(n, 64 * n), st.integers(n, simulate._BLOCK_LANES))
     )
     game = GameInstance(LENGTHS, tuple(LENGTHS.sigma_success * 10.0**x for x in exponents))
     profile = StrategyProfile(taus)
-    with mock.patch.object(simulate, "_CHUNK_VARIATES", chunk_variates):
+    with mock.patch.object(simulate, "_BLOCK_LANES", lanes):
         table = trajectory(game, profile, 200, seed)
-    assert table.tolist() == rebuild_trajectory(game, profile, 200, seed)
+        block = simulate._block_slots(n)
+    assert table.tolist() == rebuild_trajectory(game, profile, 200, seed, block)
 
 
 @pytest.mark.parametrize("n", [40, 150])
@@ -685,17 +839,19 @@ def test_wide_trajectory_matches_slot_by_slot_rebuild(monkeypatch, n, certain):
     game = GameInstance(LENGTHS, np.linspace(1.01, 9.0, n))
     tau_1 = 1.0 if certain else 1.0 / n
     profile = StrategyProfile((0.0, tau_1) + tuple(np.linspace(0.1, 1.0, n - 2) / n))
-    expected = rebuild_trajectory(game, profile, 600, seed=19)
-    # The last chunk size is the default: 819 or 218 slots a chunk.
-    for chunk_variates in (n, 7 * n, 64 * n, simulate._CHUNK_VARIATES):
-        monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_variates)
+    # The last block size is the default: 1638 or 436 slots a block.
+    for lanes in (n, 7 * n, 64 * n, 1 << 16):
+        monkeypatch.setattr(simulate, "_BLOCK_LANES", lanes)
+        expected = rebuild_trajectory(game, profile, 600, 19, simulate._block_slots(n))
         assert trajectory(game, profile, 600, seed=19).tolist() == expected
 
 
 def test_trajectory_blocks_hold_at_most_chunk_slots_rows(monkeypatch):
-    monkeypatch.setattr(simulate, "_CHUNK_VARIATES", 7 * 3)
+    # Blocks of 16 slots give tables of at most 8 rows: 50 slots are three
+    # whole blocks, cut in two, and 2 slots of a fourth.
+    block_slots(monkeypatch, 3, 16)
     blocks = list(simulate_age_trajectory(GAME, StrategyProfile((0.4, 0.3, 0.2)), 50, seed=3))
-    assert [block.shape for block in blocks] == [(1, 4)] + [(7, 4)] * 7 + [(1, 4)]
+    assert [block.shape for block in blocks] == [(1, 4)] + [(8, 4)] * 6 + [(2, 4)]
     assert all(block.dtype == np.float64 and block.flags.c_contiguous for block in blocks)
 
 
@@ -704,20 +860,10 @@ def test_trajectory_blocks_are_capped_by_variates_for_wide_games():
     game = GameInstance(LENGTHS, (2.02,) * n)
     blocks = list(simulate_age_trajectory(game, StrategyProfile((0.05,) * n), 40_000, seed=3))
     assert sum(len(block) for block in blocks) == 40_001
-    assert max(len(block) for block in blocks) <= max(1, simulate._CHUNK_VARIATES // n)
+    assert max(len(block) for block in blocks) == 2**15 // n
 
 
-def trajectory_stats(game, profile, slots, seed):
-    """The `SimStats` that an exhausted trajectory generator returns."""
-    blocks = simulate_age_trajectory(game, profile, slots, seed)
-    while True:
-        try:
-            next(blocks)
-        except StopIteration as done:
-            return done.value
-
-
-@pytest.mark.parametrize("chunk_slots", [1, 7, None], ids=["1", "7", "default"])
+@pytest.mark.parametrize("per_block", [1, 7, None], ids=["1", "7", "default"])
 @pytest.mark.parametrize(
     "n, taus",
     [
@@ -728,16 +874,14 @@ def trajectory_stats(game, profile, slots, seed):
     ],
     ids=["n3", "all-idle", "all-collide", "n40"],
 )
-def test_trajectory_returns_the_restart_stats_of_its_slots(monkeypatch, n, taus, chunk_slots):
-    if chunk_slots is not None:
-        monkeypatch.setattr(simulate, "_CHUNK_VARIATES", chunk_slots * n)
+def test_trajectory_returns_the_restart_stats_of_its_slots(monkeypatch, n, taus, per_block):
+    if per_block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK_LANES", per_block * n)
     game = GameInstance(LENGTHS, tuple(np.linspace(1.01, 9.0, n)))
     profile = StrategyProfile(taus)
     stats = trajectory_stats(game, profile, 2000, seed=21)
     assert stats == run_monte_carlo(game, profile, 2000, seed=21)
-    assert (
-        stats.idle_count, stats.collision_count, stats.success_count_per_node
-    ) == slot_by_slot_counts(profile, LENGTHS, 2000, seed=21)
+    assert counts_of(stats) == slot_by_slot_counts(taus, 21, 2000, simulate._block_slots(n))
 
 
 def test_trajectory_validates_inputs():
